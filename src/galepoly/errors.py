@@ -66,5 +66,9 @@ class CheckFailedError(GalepolyError, RuntimeError):
         self.result = result
 
 
+class CertificateError(GalepolyError, RuntimeError):
+    """A computed certificate failed its re-check by direct arithmetic."""
+
+
 class SchemaError(GalepolyError, ValueError):
     """A JSON document does not match any supported schema."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -92,13 +93,24 @@ def _rat_list(values: Iterable[Fraction]) -> list[str]:
     return [format_rational(v) for v in values]
 
 
+# the only rational spellings a document may use: 'num' or 'num/den'
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _parse_rat_list(values, where: str) -> tuple[Fraction, ...]:
     if not isinstance(values, list):
         raise SchemaError(f"{where}: expected a list of rational strings")
+    for v in values:
+        if not isinstance(v, str) or _RATIONAL.fullmatch(v) is None:
+            raise SchemaError(f"{where}: {v!r} is not a rational 'num' or 'num/den' string")
     try:
         return tuple(parse_rational(v) for v in values)
-    except (ValueError, TypeError) as exc:
-        raise SchemaError(f"{where}: {exc}") from None
+    except ZeroDivisionError:
+        raise SchemaError(f"{where}: a rational has denominator zero") from None
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _require(doc: dict, key: str, where: str):
@@ -107,9 +119,16 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _require_int(doc: dict, key: str, where: str) -> int:
+    value = _require(doc, key, where)
+    if not _is_int(value):
+        raise SchemaError(f"{where}: {key!r} must be an integer")
+    return value
+
+
 def _check_version(doc: dict, where: str) -> None:
     version = doc.get("schemaVersion", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if not _is_int(version) or version != SCHEMA_VERSION:
         raise SchemaError(f"{where}: unsupported schemaVersion {version!r}")
 
 
@@ -131,10 +150,10 @@ def config_to_json(config: VectorConfiguration) -> dict:
 def config_from_json(doc: dict) -> VectorConfiguration:
     where = "configuration"
     _check_version(doc, where)
-    m = _require(doc, "m", where)
+    m = _require_int(doc, "m", where)
     vectors = _require(doc, "vectors", where)
-    if not isinstance(m, int) or not isinstance(vectors, list):
-        raise SchemaError(f"{where}: 'm' must be an integer and 'vectors' a list")
+    if not isinstance(vectors, list):
+        raise SchemaError(f"{where}: 'vectors' must be a list")
     pairs = []
     for i, entry in enumerate(vectors):
         if not isinstance(entry, dict):
@@ -165,10 +184,10 @@ def points_to_json(points: PointConfiguration) -> dict:
 def points_from_json(doc: dict) -> PointConfiguration:
     where = "points"
     _check_version(doc, where)
-    d = _require(doc, "d", where)
+    d = _require_int(doc, "d", where)
     entries = _require(doc, "points", where)
-    if not isinstance(d, int) or not isinstance(entries, list):
-        raise SchemaError(f"{where}: 'd' must be an integer and 'points' a list")
+    if not isinstance(entries, list):
+        raise SchemaError(f"{where}: 'points' must be a list")
     labels = []
     coords = []
     for i, entry in enumerate(entries):
@@ -199,11 +218,9 @@ def polytope_to_json(poly: IncidencePolytope) -> dict:
 def polytope_from_json(doc: dict) -> IncidencePolytope:
     where = "polytope"
     _check_version(doc, where)
-    d = _require(doc, "d", where)
+    d = _require_int(doc, "d", where)
     vertices = _require(doc, "vertices", where)
     facets = _require(doc, "facets", where)
-    if not isinstance(d, int):
-        raise SchemaError(f"{where}: 'd' must be an integer")
     if not isinstance(vertices, list) or not all(
         isinstance(v, str) for v in vertices
     ):
@@ -262,10 +279,10 @@ def plan_from_json(doc: dict) -> BlockDiagramPlan:
         named.append((name, tuple(comp)))
     try:
         return BlockDiagramPlan(
-            d=_require(doc, "d", where),
-            p=_require(doc, "p", where),
-            q=_require(doc, "q", where),
-            ell=_require(doc, "ell", where),
+            d=_require_int(doc, "d", where),
+            p=_require_int(doc, "p", where),
+            q=_require_int(doc, "q", where),
+            ell=_require_int(doc, "ell", where),
             config=config,
             designated=tuple(named),
         )

@@ -1,10 +1,13 @@
 """Exact rational linear algebra.
 
-Scalars are ``fractions.Fraction`` throughout; vectors are plain tuples of
-Fractions and matrices are immutable row-major grids.  Elimination uses a
-fixed pivot rule (scan columns left to right, take the first unused row with
-a nonzero entry), and kernel bases fix each free variable to one with the
-others zero, so every result is reproducible across runs and platforms.
+Scalars are ``fractions.Fraction`` at every boundary; vectors are plain
+tuples of Fractions and matrices are immutable row-major grids.  Elimination
+scales each row to integers and runs fraction-free (Edmonds/Bareiss)
+Gauss-Jordan steps over one common denominator, converting back to Fraction
+only in ``kernel_basis`` and ``solve``.  It uses a fixed pivot rule (scan
+columns left to right, take the first unused row with a nonzero entry), and
+kernel bases fix each free variable to one with the others zero, so every
+result is reproducible across runs and platforms.
 """
 
 from __future__ import annotations
@@ -81,6 +84,17 @@ def vec_sum(vectors: Iterable[Sequence[Fraction]], length: int) -> tuple[Fractio
     return tuple(acc)
 
 
+def denominator_lcm(u: Iterable[Fraction]) -> int:
+    """Least common multiple of the denominators; 1 for an empty sequence."""
+    return math.lcm(*(a.denominator for a in u))
+
+
+def _integer_multiple(u: Sequence[Fraction]) -> list[int]:
+    """The entries times the lcm of their denominators."""
+    scale = denominator_lcm(u)
+    return [a.numerator * (scale // a.denominator) for a in u]
+
+
 def primitive(u: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Scale by a positive rational so entries are integers with gcd 1.
 
@@ -89,13 +103,8 @@ def primitive(u: Sequence[Fraction]) -> tuple[Fraction, ...]:
     u = as_vector(u)
     if is_zero_vector(u):
         return u
-    denom_lcm = 1
-    for a in u:
-        denom_lcm = denom_lcm * a.denominator // math.gcd(denom_lcm, a.denominator)
-    ints = [a.numerator * (denom_lcm // a.denominator) for a in u]
-    g = 0
-    for z in ints:
-        g = math.gcd(g, z)
+    ints = _integer_multiple(u)
+    g = math.gcd(*ints)
     return tuple(QQ(z // g) for z in ints)
 
 
@@ -168,15 +177,28 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols}: {body})"
 
     def _eliminate(self, rhs: Sequence[Fraction] | None = None):
-        """Reduced row echelon form; returns (rows, pivot_columns, reduced_rhs).
+        """Fraction-free reduced row echelon form.
+
+        Returns ``(rows, pivot_columns, reduced_rhs, den)`` with integer
+        ``rows`` and ``reduced_rhs``; the reduced row echelon form is
+        ``rows / den``.  Each row is first scaled, together with its rhs
+        entry, by the lcm of its denominators; that leaves the reduced rows
+        and the pivot-row rhs unchanged, and on zero rows changes only the
+        magnitude of the rhs, never whether it is zero.
 
         Pivot rule: for each column left to right, use the first remaining
         row with a nonzero entry.  The optional right-hand side is carried
         through the same operations.
         """
-        rows = [list(r) for r in self.entries]
-        b = list(rhs) if rhs is not None else None
+        if rhs is None:
+            rows = [_integer_multiple(r) for r in self.entries]
+            b = None
+        else:
+            scaled = [_integer_multiple(r + (bi,)) for r, bi in zip(self.entries, rhs)]
+            rows = [r[:-1] for r in scaled]
+            b = [r[-1] for r in scaled]
         pivots: list[int] = []
+        den = 1
         r = 0
         for c in range(self.cols):
             pivot_row = None
@@ -189,24 +211,30 @@ class ExactMatrix:
             rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
             if b is not None:
                 b[r], b[pivot_row] = b[pivot_row], b[r]
+            # Edmonds/Bareiss step: exact divisions by den, den <- pivot
             pv = rows[r][c]
-            rows[r] = [x / pv for x in rows[r]]
-            if b is not None:
-                b[r] = b[r] / pv
+            prow = rows[r]
             for i in range(len(rows)):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                if i == r:
+                    continue
+                f = rows[i][c]
+                if f:
+                    rows[i] = [(x * pv - f * y) // den for x, y in zip(rows[i], prow)]
                     if b is not None:
-                        b[i] = b[i] - f * b[r]
+                        b[i] = (b[i] * pv - f * b[r]) // den
+                elif pv != den:
+                    rows[i] = [x * pv // den for x in rows[i]]
+                    if b is not None:
+                        b[i] = b[i] * pv // den
+            den = pv
             pivots.append(c)
             r += 1
             if r == len(rows):
                 break
-        return rows, pivots, b
+        return rows, pivots, b, den
 
     def rank(self) -> int:
-        _, pivots, _ = self._eliminate()
+        _, pivots, _, _ = self._eliminate()
         return len(pivots)
 
     def kernel_basis(self) -> "ExactMatrix":
@@ -216,7 +244,7 @@ class ExactMatrix:
         for free column f has x_f = 1, every other free variable 0, and the
         pivot variables back-substituted.
         """
-        rows, pivots, _ = self._eliminate()
+        rows, pivots, _, den = self._eliminate()
         pivot_set = set(pivots)
         free = [c for c in range(self.cols) if c not in pivot_set]
         columns = []
@@ -224,7 +252,7 @@ class ExactMatrix:
             v = [QQ(0)] * self.cols
             v[f] = QQ(1)
             for r, pc in enumerate(pivots):
-                v[pc] = -rows[r][f]
+                v[pc] = QQ(-rows[r][f], den)
             columns.append(v)
         return ExactMatrix.from_columns(columns, rows=self.cols)
 
@@ -236,12 +264,12 @@ class ExactMatrix:
         b = as_vector(b)
         if len(b) != self.rows:
             raise DimensionMismatchError("rhs length mismatch")
-        rows, pivots, rb = self._eliminate(b)
-        for i in range(len(rows)):
-            if all(x == 0 for x in rows[i]) and rb[i] != 0:
+        rows, pivots, rb, den = self._eliminate(b)
+        # the rows below the pivot rows are zero
+        for i in range(len(pivots), len(rows)):
+            if rb[i] != 0:
                 return None
         x = [QQ(0)] * self.cols
         for r, pc in enumerate(pivots):
-            x[pc] = rb[r]
+            x[pc] = QQ(rb[r], den)
         return tuple(x)
-

@@ -2,9 +2,12 @@
 
 The single solver here answers one question in exact rational arithmetic:
 does ``sum_j x_j * columns[j] = b`` admit a solution with every ``x_j >= 0``?
-It runs a phase-1 simplex over Fraction with Bland's least-index rule, so it
-terminates on every input and returns either a feasible point or a Farkas
-vector ``y`` with ``y . columns[j] <= 0`` for all j and ``y . b > 0``.
+It runs a phase-1 simplex with Bland's least-index rule, so it terminates on
+every input and returns either a feasible point or a Farkas vector ``y``
+with ``y . columns[j] <= 0`` for all j and ``y . b > 0``.  The tableau is
+pivoted fraction-free: plain integers over one common denominator, updated
+by the Edmonds/Bareiss rule, so no gcd is taken inside the loop.  Inputs
+and results are Fractions; the integers never leave the solver.
 
 Everything else is a thin layer over that kernel:
 
@@ -18,7 +21,8 @@ Everything else is a thin layer over that kernel:
 
 Every certificate returned by this module has been re-verified by direct
 arithmetic (``verify_certificate``) before it leaves the producing function,
-so downstream code may treat certificates as ground truth.
+so downstream code may treat certificates as ground truth.  The checks are
+explicit and raise ``CertificateError``, so they also run under ``python -O``.
 """
 
 from __future__ import annotations
@@ -27,11 +31,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import BadParametersError, DimensionMismatchError, EmptySelectionError
+from .errors import (
+    BadParametersError,
+    CertificateError,
+    DimensionMismatchError,
+    EmptySelectionError,
+)
 from .linalg import (
     QQ,
     ExactMatrix,
     as_vector,
+    denominator_lcm,
     dot,
     is_zero_vector,
     vec_sub,
@@ -74,6 +84,13 @@ def solve_feasibility(
     with Bland's rule: the entering column is the least index with positive
     reduced cost, and ratio-test ties leave the row whose basic variable has
     the least index.
+
+    The tableau holds integers over one common denominator ``den`` (the
+    determinant of the current basis, always positive).  Each column is
+    scaled by the lcm of its denominators and ``b`` by the lcm of its own;
+    neither changes a reduced-cost sign or the order of the ratios, so the
+    pivots are exactly those of the Fraction tableau, and the dual read from
+    the artificial columns does not depend on the column scales.
     """
     b = as_vector(b)
     m = len(b)
@@ -85,17 +102,21 @@ def solve_feasibility(
     if m == 0:
         return zero_vector(n), None
 
-    signs = [QQ(-1) if bi < 0 else QQ(1) for bi in b]
+    scales = [denominator_lcm(c) for c in cols]
+    int_cols = [[a.numerator * (s // a.denominator) for a in c] for c, s in zip(cols, scales)]
+    b_scale = denominator_lcm(b)
+    int_b = [a.numerator * (b_scale // a.denominator) for a in b]
+    signs = [-1 if bi < 0 else 1 for bi in int_b]
     tab = [
-        [signs[i] * cols[j][i] for j in range(n)]
-        + [QQ(1) if k == i else QQ(0) for k in range(m)]
+        [signs[i] * c[i] for c in int_cols] + [1 if k == i else 0 for k in range(m)]
         for i in range(m)
     ]
-    rhs = [signs[i] * b[i] for i in range(m)]
+    rhs = [signs[i] * int_b[i] for i in range(m)]
     basis = list(range(n, n + m))
     # reduced costs for minimizing the sum of artificials; z[j] > 0 improves
-    z = [sum((tab[i][j] for i in range(m)), start=QQ(0)) for j in range(n)] + [QQ(0)] * m
-    value = sum(rhs, start=QQ(0))
+    z = [sum(tab[i][j] for i in range(m)) for j in range(n)] + [0] * m
+    value = sum(rhs)
+    den = 1
 
     total = n + m
     while True:
@@ -107,49 +128,61 @@ def solve_feasibility(
         if enter is None:
             break
         leave = None
-        best_ratio = None
-        best_basic = None
         for i in range(m):
             t = tab[i][enter]
             if t > 0:
-                ratio = rhs[i] / t
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < best_basic)
-                ):
-                    best_ratio, best_basic, leave = ratio, basis[i], i
+                # rhs[i] / t against the best ratio, by cross-multiplication
+                if leave is None:
+                    leave = i
+                    continue
+                lhs, best = rhs[i] * tab[leave][enter], rhs[leave] * t
+                if lhs < best or (lhs == best and basis[i] < basis[leave]):
+                    leave = i
         if leave is None:
             raise AssertionError("phase-1 objective is bounded; no unbounded ray exists")
+        # Edmonds/Bareiss update: every division by den is exact, and the
+        # pivot row keeps its entries while den becomes the pivot
         pv = tab[leave][enter]
-        tab[leave] = [x / pv for x in tab[leave]]
-        rhs[leave] = rhs[leave] / pv
+        prow, prhs = tab[leave], rhs[leave]
         for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
-                rhs[i] = rhs[i] - f * rhs[leave]
+            if i == leave:
+                continue
+            f = tab[i][enter]
+            if f:
+                tab[i] = [(x * pv - f * y) // den for x, y in zip(tab[i], prow)]
+                rhs[i] = (rhs[i] * pv - f * prhs) // den
+            elif pv != den:
+                tab[i] = [x * pv // den for x in tab[i]]
+                rhs[i] = rhs[i] * pv // den
         f = z[enter]
-        z = [x - f * y for x, y in zip(z, tab[leave])]
-        value = value - f * rhs[leave]
+        z = [(x * pv - f * y) // den for x, y in zip(z, prow)]
+        value = (value * pv - f * prhs) // den
+        den = pv
         basis[leave] = enter
 
     if value == 0:
+        # x_j = rhs_i * scale_j / (den * b_scale), so sum_j x_j columns[j] = b
+        # holds exactly when sum_j rhs_i * int_cols[j] = den * int_b
         x = [QQ(0)] * n
+        total_b = [0] * m
         for i, bv in enumerate(basis):
             if bv < n:
-                x[bv] = rhs[i]
-        assert vec_sum(
-            ([xi * cj for cj in col] for xi, col in zip(x, cols)), m
-        ) == tuple(b), "feasible point fails to reproduce the rhs"
+                x[bv] = QQ(rhs[i] * scales[bv], den * b_scale)
+                total_b = [t + rhs[i] * a for t, a in zip(total_b, int_cols[bv])]
+        if total_b != [den * a for a in int_b]:
+            raise CertificateError("feasible point fails to reproduce the rhs")
         return tuple(x), None
 
-    # value = min sum of artificials > 0; read the dual from the z-row
-    y = tuple(signs[i] * (z[n + i] + 1) for i in range(m))
-    assert dot(y, b) > 0, "Farkas vector must have positive value on b"
-    for c in cols:
-        assert dot(y, c) <= 0, "Farkas vector must be nonpositive on every column"
-    return None, y
+    # value = min sum of artificials > 0; read the dual from the z-row.
+    # den * y is integral and den > 0, so its signs against the scaled data
+    # are those of y against the input.
+    int_y = [signs[i] * (z[n + i] + den) for i in range(m)]
+    if sum(a * c for a, c in zip(int_y, int_b)) <= 0:
+        raise CertificateError("Farkas vector must have positive value on b")
+    for c in int_cols:
+        if sum(a * ci for a, ci in zip(int_y, c)) > 0:
+            raise CertificateError("Farkas vector must be nonpositive on every column")
+    return None, tuple(QQ(a, den) for a in int_y)
 
 
 def nonneg_combination(
@@ -173,6 +206,11 @@ def _selected(coords: Sequence[Sequence[Fraction]], selection) -> tuple[tuple[in
     return idx, [coords[i] for i in idx]
 
 
+def _check_certificate(coords, idx, cert: DependenceCertificate) -> None:
+    if not verify_certificate(coords, idx, cert):
+        raise CertificateError(f"{cert.kind} certificate failed re-verification")
+
+
 def strict_positive_dependence(coords: Sequence[Sequence[Fraction]], selection) -> DependenceCertificate:
     """Decide whether the selected vectors admit an all-positive dependence.
 
@@ -193,7 +231,7 @@ def strict_positive_dependence(coords: Sequence[Sequence[Fraction]], selection) 
         cert = DependenceCertificate(
             KIND_STIEMKE_WITNESS, functional=tuple(-yi for yi in y)
         )
-    assert verify_certificate(coords, idx, cert)
+    _check_certificate(coords, idx, cert)
     return cert
 
 
@@ -214,7 +252,7 @@ def positively_spans(
     if mat.rank() < m:
         kernel = mat.kernel_basis()
         cert = DependenceCertificate(KIND_RANK_DEFICIENCY, direction=kernel.column(0))
-        assert verify_certificate(coords, idx, cert)
+        _check_certificate(coords, idx, cert)
         return False, cert
     cert = strict_positive_dependence(coords, idx)
     return cert.kind == KIND_POSITIVE_DEPENDENCE, cert
@@ -254,7 +292,6 @@ def is_vertex_of_hull(points: Sequence[Sequence[Fraction]], i: int) -> bool:
     others = [p for j, p in enumerate(pts) if j != i]
     if not others:
         return True
-    d = len(pts[i])
     columns = [(QQ(1),) + p for p in others]
     target = (QQ(1),) + pts[i]
     x, _ = solve_feasibility(columns, target)

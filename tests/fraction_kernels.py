@@ -1,0 +1,140 @@
+"""Reference kernels for the differential tests: the original Fraction code.
+
+These are the phase-1 simplex and the Gauss-Jordan elimination as they ran
+before the library moved to integer pivoting, kept verbatim in behaviour
+(Fraction tableau, Bland's rule, first-nonzero pivot rule) and used only to
+compare results exactly.  Nothing in ``src/`` imports this module.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+QQ = Fraction
+
+
+def solve_feasibility(columns, b):
+    """Phase-1 simplex on a Fraction tableau; returns ``(x, None)`` or ``(None, y)``."""
+    b = tuple(QQ(v) for v in b)
+    m = len(b)
+    cols = [tuple(QQ(v) for v in c) for c in columns]
+    n = len(cols)
+    if m == 0:
+        return (QQ(0),) * n, None
+
+    signs = [QQ(-1) if bi < 0 else QQ(1) for bi in b]
+    tab = [
+        [signs[i] * cols[j][i] for j in range(n)]
+        + [QQ(1) if k == i else QQ(0) for k in range(m)]
+        for i in range(m)
+    ]
+    rhs = [signs[i] * b[i] for i in range(m)]
+    basis = list(range(n, n + m))
+    z = [sum((tab[i][j] for i in range(m)), start=QQ(0)) for j in range(n)] + [QQ(0)] * m
+    value = sum(rhs, start=QQ(0))
+
+    total = n + m
+    while True:
+        enter = None
+        for j in range(total):
+            if z[j] > 0:
+                enter = j
+                break
+        if enter is None:
+            break
+        leave = None
+        best_ratio = None
+        best_basic = None
+        for i in range(m):
+            t = tab[i][enter]
+            if t > 0:
+                ratio = rhs[i] / t
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < best_basic)
+                ):
+                    best_ratio, best_basic, leave = ratio, basis[i], i
+        pv = tab[leave][enter]
+        tab[leave] = [x / pv for x in tab[leave]]
+        rhs[leave] = rhs[leave] / pv
+        for i in range(m):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
+                rhs[i] = rhs[i] - f * rhs[leave]
+        f = z[enter]
+        z = [x - f * y for x, y in zip(z, tab[leave])]
+        value = value - f * rhs[leave]
+        basis[leave] = enter
+
+    if value == 0:
+        x = [QQ(0)] * n
+        for i, bv in enumerate(basis):
+            if bv < n:
+                x[bv] = rhs[i]
+        return tuple(x), None
+    return None, tuple(signs[i] * (z[n + i] + 1) for i in range(m))
+
+
+def eliminate(entries, cols, rhs=None):
+    """Fraction reduced row echelon form: ``(rows, pivot_columns, reduced_rhs)``."""
+    rows = [[QQ(v) for v in r] for r in entries]
+    b = [QQ(v) for v in rhs] if rhs is not None else None
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot_row = None
+        for i in range(r, len(rows)):
+            if rows[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        if b is not None:
+            b[r], b[pivot_row] = b[pivot_row], b[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        if b is not None:
+            b[r] = b[r] / pv
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                if b is not None:
+                    b[i] = b[i] - f * b[r]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots, b
+
+
+def rank(entries, cols):
+    return len(eliminate(entries, cols)[1])
+
+
+def kernel_basis(entries, cols):
+    """Kernel basis vectors in the library's order (one per free column)."""
+    rows, pivots, _ = eliminate(entries, cols)
+    pivot_set = set(pivots)
+    basis = []
+    for f in (c for c in range(cols) if c not in pivot_set):
+        v = [QQ(0)] * cols
+        v[f] = QQ(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][f]
+        basis.append(tuple(v))
+    return basis
+
+
+def solve(entries, cols, b):
+    rows, pivots, rb = eliminate(entries, cols, b)
+    for i in range(len(rows)):
+        if all(x == 0 for x in rows[i]) and rb[i] != 0:
+            return None
+    x = [QQ(0)] * cols
+    for r, pc in enumerate(pivots):
+        x[pc] = rb[r]
+    return tuple(x)

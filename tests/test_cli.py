@@ -258,3 +258,15 @@ def test_console_entry_point_runs():
         "nu": 4,
         "M": 2,
     }
+
+
+def test_verify_zero_denominator_is_a_usage_error(tmp_path, capsys):
+    cfg = str(tmp_path / "zero.json")
+    doc = config_to_json(standard_minimal_config(2, 2))
+    doc["vectors"][0]["coords"][0] = "1/0"
+    write_document(doc, cfg)
+    code, out, err = run(capsys, "verify", cfg, "--checks", "kspanning:2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("galepoly: error:")
+    assert "Traceback" not in err

@@ -37,7 +37,7 @@ from galepoly.jsonio import (
     verify_report,
     write_document,
 )
-from galepoly.linalg import QQ, dot
+from galepoly.linalg import QQ, dot, parse_rational
 from galepoly.lp import strict_positive_dependence
 from galepoly.mani import build_block_diagram, construct_nonsimplicial_mani
 from galepoly.polytope import crosspolytope, simplex
@@ -358,3 +358,76 @@ def test_dual_configuration_of_square_passes_kspanning_two():
     dual = gale_dual(SQUARE_POINTS)
     payload = payload_kspanning(dual, 2)
     assert payload["verdict"]
+
+
+def _config_doc(coords, m=1):
+    return {"schemaVersion": 1, "m": m, "vectors": [{"label": "a", "coords": coords}]}
+
+
+def test_zero_denominator_is_a_schema_error():
+    with pytest.raises(SchemaError, match="denominator zero"):
+        config_from_json(_config_doc(["1/0"]))
+    with pytest.raises(SchemaError):
+        verify_document(_config_doc(["1/0"]), ["kspanning:2"])
+    points = points_to_json(SQUARE_POINTS)
+    points["points"][0]["coords"][1] = "-3/0"
+    with pytest.raises(SchemaError):
+        points_from_json(points)
+
+
+def test_document_rationals_use_the_strict_grammar():
+    for bad in ("1e3", "0.5", " 1", "1/-2", "+1", "1/2/3", "", "١"):
+        with pytest.raises(SchemaError):
+            config_from_json(_config_doc([bad]))
+    for bad in (1, 0.5, None, ["1"]):
+        with pytest.raises(SchemaError):
+            config_from_json(_config_doc([bad]))
+    good = config_from_json(_config_doc(["-12/8"]))
+    assert good.coords == ((QQ(-3, 2),),)
+    # the public parser keeps accepting every Fraction literal
+    assert parse_rational("1e3") == QQ(1000)
+    assert parse_rational("0.5") == QQ(1, 2)
+
+
+def test_booleans_are_not_integers():
+    with pytest.raises(SchemaError):
+        config_from_json(_config_doc(["1"], m=True))
+    with pytest.raises(SchemaError):
+        verify_document(_config_doc(["1"], m=True), ["kspanning:1"])
+    doc = config_to_json(standard_minimal_config(2, 1))
+    doc["schemaVersion"] = True
+    with pytest.raises(SchemaError):
+        config_from_json(doc)
+    points = points_to_json(SQUARE_POINTS)
+    points["d"] = 2.0
+    with pytest.raises(SchemaError):
+        points_from_json(points)
+    poly = polytope_to_json(simplex(3))
+    poly["d"] = True
+    with pytest.raises(SchemaError):
+        polytope_from_json(poly)
+    for key in ("d", "p", "q", "ell"):
+        plan = plan_to_json(build_block_diagram(6))
+        plan[key] = True
+        with pytest.raises(SchemaError):
+            plan_from_json(plan)
+
+
+def test_emitted_documents_round_trip_byte_for_byte():
+    plan = build_block_diagram(8, ell=2)
+    report = build_report(construct_nonsimplicial_mani(6))
+    cases = [
+        (config_to_json(standard_minimal_config(3, 2)), config_from_json, config_to_json),
+        (points_to_json(SQUARE_POINTS), points_from_json, points_to_json),
+        (polytope_to_json(crosspolytope(3)), polytope_from_json, polytope_to_json),
+        (plan_to_json(plan), plan_from_json, plan_to_json),
+        (report["plan"], plan_from_json, plan_to_json),
+        (report["basePolytope"], polytope_from_json, polytope_to_json),
+    ]
+    for doc, parse, emit in cases:
+        text = canonical_bytes(doc)
+        assert canonical_bytes(emit(parse(json.loads(text)))) == text
+    again = json.loads(canonical_bytes(report))
+    assert [digest(p) for p in verify_document(again, None)] == list(
+        report["certificateDigests"].values()
+    )

@@ -1,11 +1,16 @@
 """Exact feasibility LPs: positive dependence, Stiemke witnesses, hull tests."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+from galepoly import lp as lp_module
 from galepoly.errors import (
     BadParametersError,
+    CertificateError,
     DimensionMismatchError,
     EmptySelectionError,
 )
@@ -207,3 +212,50 @@ def test_verify_certificate_rejects_forgeries():
     )
     assert not verify_certificate(coords, None, bad_direction)
     assert not verify_certificate(coords, None, DependenceCertificate("Nonsense"))
+
+
+def _forge_every_verification(monkeypatch):
+    monkeypatch.setattr(lp_module, "verify_certificate", lambda *args: False)
+
+
+def test_failed_reverification_raises_certificate_error(monkeypatch):
+    _forge_every_verification(monkeypatch)
+    spanning = [E1, E2, (QQ(-1), QQ(-1))]
+    with pytest.raises(CertificateError):
+        strict_positive_dependence(spanning, None)
+    # both branches of positively_spans: full rank, then rank deficient
+    with pytest.raises(CertificateError):
+        positively_spans(spanning, None)
+    with pytest.raises(CertificateError):
+        positively_spans([E1, (QQ(-1), QQ(0))], None)
+
+
+def test_certificate_checks_survive_optimized_mode():
+    code = "\n".join(
+        [
+            "import sys",
+            "from galepoly import lp",
+            "from galepoly.errors import CertificateError",
+            "lp.verify_certificate = lambda *args: False",
+            "e1, e2 = (1, 0), (0, 1)",
+            "calls = [",
+            "    lambda: lp.strict_positive_dependence([e1, e2, (-1, -1)], None),",
+            "    lambda: lp.positively_spans([e1, e2, (-1, -1)], None),",
+            "    lambda: lp.positively_spans([e1, (-1, 0)], None),",
+            "]",
+            "for call in calls:",
+            "    try:",
+            "        call()",
+            "    except CertificateError:",
+            "        continue",
+            "    sys.exit('a forged verification went unnoticed')",
+            "print(sys.flags.optimize)",
+        ]
+    )
+    src = os.path.dirname(os.path.dirname(lp_module.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
