@@ -25,6 +25,7 @@ from typing import Iterable, Sequence
 
 from .errors import (
     BadParametersError,
+    CertificateError,
     DegenerateInputError,
     DimensionMismatchError,
     NotTwoSpanningError,
@@ -90,27 +91,71 @@ def is_coface(config: VectorConfiguration, subset: Iterable[int]) -> CofaceRepor
     return CofaceReport(idx, cert.kind == KIND_POSITIVE_DEPENDENCE, cert)
 
 
+class _StiemkePool:
+    """Stiemke functionals from failed coface tests, kept as sign masks.
+
+    A failed test of a subset T returns a functional c with c . u_i >= 0 on
+    T and > 0 somewhere on T.  The same c proves that any other subset S is
+    no coface when it is >= 0 on S and > 0 somewhere on S: read over the
+    vectors as ``pos`` (c . u_i > 0) and ``neg`` (c . u_i < 0) masks, when
+    ``S & neg == 0`` and ``S & pos != 0``.  The signs are exact Fraction dot
+    products, so each stored c is a checkable certificate for the rejection.
+    """
+
+    def __init__(self, coords: Sequence[Sequence[Fraction]]):
+        self.coords = coords
+        self.entries: list[tuple[int, int, tuple[Fraction, ...]]] = []
+
+    def add(self, functional: tuple[Fraction, ...]) -> None:
+        pos = neg = 0
+        for i, u in enumerate(self.coords):
+            value = dot(functional, u)
+            if value > 0:
+                pos |= 1 << i
+            elif value < 0:
+                neg |= 1 << i
+        self.entries.append((pos, neg, functional))
+
+    def witness(self, subset: int) -> tuple[Fraction, ...] | None:
+        """A stored functional proving that the subset mask is no coface."""
+        for pos, neg, functional in self.entries:
+            if not subset & neg and subset & pos:
+                return functional
+        return None
+
+
 def enumerate_facet_complements(config: VectorConfiguration) -> list[tuple[int, ...]]:
     """All inclusion-minimal cofaces, in size-then-lexicographic order.
 
     A minimal coface carries a one-dimensional space of dependencies, so its
     size is at most m+1; enumeration stops at that size and skips supersets
     of cofaces already found, which preserves exactly the minimal ones.
+
+    Each failed coface test leaves its Stiemke functional in a pool, and a
+    candidate that some pooled functional already proves to be no coface is
+    skipped without an LP.  Only non-cofaces are skipped that way, so the
+    result and its order are those of testing every candidate.
     """
     n = len(config)
     m = config.m
     found: list[tuple[int, ...]] = []
-    found_sets: list[frozenset[int]] = []
+    found_masks: list[int] = []
+    pool = _StiemkePool(config.coords)
     for size in range(1, min(n, m + 1) + 1):
         for subset in itertools.combinations(range(n), size):
-            s = frozenset(subset)
-            if any(f <= s for f in found_sets):
+            mask = sum(1 << i for i in subset)
+            if any(f & mask == f for f in found_masks):
                 continue
-            if is_coface(config, subset).is_coface:
+            if pool.witness(mask) is not None:
+                continue
+            report = is_coface(config, subset)
+            if report.is_coface:
                 found.append(subset)
-                found_sets.append(s)
-    for f in found:
-        assert len(f) <= m + 1, "minimal coface exceeds the size bound"
+                found_masks.append(mask)
+            else:
+                pool.add(report.certificate.functional)
+    if any(len(f) > m + 1 for f in found):
+        raise CertificateError("minimal coface exceeds the size bound")
     return found
 
 
@@ -173,14 +218,16 @@ def realize(config: VectorConfiguration) -> PointConfiguration:
     n = len(config)
     m = config.m
     cert = strict_positive_dependence(config.coords, range(n))
-    assert cert.kind == KIND_POSITIVE_DEPENDENCE
+    if cert.kind != KIND_POSITIVE_DEPENDENCE:
+        raise CertificateError("no positive dependence on a positively 2-spanning configuration")
     lam = cert.lam
     mat_t = ExactMatrix(
         [[config.coords[j][i] for j in range(n)] for i in range(m)], cols=n
     )
     kernel = mat_t.kernel_basis()
     coeff = kernel.solve(lam)
-    assert coeff is not None, "a positive dependence lies in the kernel"
+    if coeff is None:
+        raise CertificateError("the positive dependence is not in the kernel")
     j_star = next(j for j in range(kernel.cols) if coeff[j] != 0)
     columns = [lam] + [kernel.column(j) for j in range(kernel.cols) if j != j_star]
     d = n - m - 1

@@ -126,6 +126,17 @@ def _require_int(doc: dict, key: str, where: str) -> int:
     return value
 
 
+def _is_labels(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _require_labels(doc: dict, key: str, where: str) -> list[str]:
+    value = _require(doc, key, where)
+    if not _is_labels(value):
+        raise SchemaError(f"{where}: {key!r} must be a list of labels")
+    return value
+
+
 def _check_version(doc: dict, where: str) -> None:
     version = doc.get("schemaVersion", SCHEMA_VERSION)
     if not _is_int(version) or version != SCHEMA_VERSION:
@@ -193,7 +204,10 @@ def points_from_json(doc: dict) -> PointConfiguration:
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise SchemaError(f"{where}: points[{i}] must be an object")
-        labels.append(_require(entry, "label", f"{where}.points[{i}]"))
+        label = _require(entry, "label", f"{where}.points[{i}]")
+        if not isinstance(label, str):
+            raise SchemaError(f"{where}: points[{i}].label must be a string")
+        labels.append(label)
         coords.append(
             _parse_rat_list(
                 _require(entry, "coords", f"{where}.points[{i}]"),
@@ -225,7 +239,7 @@ def polytope_from_json(doc: dict) -> IncidencePolytope:
         isinstance(v, str) for v in vertices
     ):
         raise SchemaError(f"{where}: 'vertices' must be a list of labels")
-    if not isinstance(facets, list) or not all(isinstance(f, list) for f in facets):
+    if not isinstance(facets, list) or not all(_is_labels(f) for f in facets):
         raise SchemaError(f"{where}: 'facets' must be a list of label lists")
     try:
         return IncidencePolytope(
@@ -275,19 +289,25 @@ def plan_from_json(doc: dict) -> BlockDiagramPlan:
         if not isinstance(entry, dict):
             raise SchemaError(f"{where}: designated[{i}] must be an object")
         name = _require(entry, "name", f"{where}.designated[{i}]")
-        comp = _require(entry, "complement", f"{where}.designated[{i}]")
+        comp = _require_labels(entry, "complement", f"{where}.designated[{i}]")
+        unknown = [lab for lab in comp if lab not in config.labels]
+        if unknown:
+            raise SchemaError(f"{where}: designated[{i}] uses unknown labels {unknown}")
         named.append((name, tuple(comp)))
-    try:
-        return BlockDiagramPlan(
-            d=_require_int(doc, "d", where),
-            p=_require_int(doc, "p", where),
-            q=_require_int(doc, "q", where),
-            ell=_require_int(doc, "ell", where),
-            config=config,
-            designated=tuple(named),
+    d = _require_int(doc, "d", where)
+    p = _require_int(doc, "p", where)
+    q = _require_int(doc, "q", where)
+    ell = _require_int(doc, "ell", where)
+    # the shape build_block_diagram gives every plan: d + p vectors in
+    # R^(p-1), q = ceil(d / p) blocks of which ell are positive
+    if config.m != p - 1 or len(config) != d + p:
+        raise SchemaError(
+            f"{where}: d = {d}, p = {p} needs d + p vectors in R^(p-1), "
+            f"not {len(config)} in R^{config.m}"
         )
-    except BadParametersError as exc:
-        raise SchemaError(f"{where}: {exc}") from None
+    if q != -(-d // p) or not 1 <= ell <= q - 1:
+        raise SchemaError(f"{where}: q = {q}, ell = {ell} do not fit d = {d}, p = {p}")
+    return BlockDiagramPlan(d=d, p=p, q=q, ell=ell, config=config, designated=tuple(named))
 
 
 def detect_schema(doc) -> str:
@@ -784,6 +804,13 @@ def verify_polytope(
     return payloads
 
 
+def _diagonal_pairs(report: dict) -> list[list[str]]:
+    pairs = _require(report, "diagonalPartner", "report")
+    if not isinstance(pairs, list) or not all(_is_labels(p) for p in pairs):
+        raise SchemaError("report: 'diagonalPartner' must be a list of label pairs")
+    return pairs
+
+
 def rederive_report_payload(report: dict, name: str, workers: int = 1) -> dict:
     """Recompute one check certificate from a build report's embedded data."""
     where = "report"
@@ -810,15 +837,13 @@ def rederive_report_payload(report: dict, name: str, workers: int = 1) -> dict:
     if mode == "certificate":
         points = points_from_json(_require(report, "points", where))
         if name == "illuminated":
-            pairs = _require(report, "diagonalPartner", where)
-            return payload_illuminated_points(points, pairs, workers)
+            return payload_illuminated_points(points, _diagonal_pairs(report), workers)
         if name == "unneighborly":
-            pairs = _require(report, "diagonalPartner", where)
-            return payload_unneighborly_points(points, pairs, workers)
+            return payload_unneighborly_points(points, _diagonal_pairs(report), workers)
         if name == "nonsimplicial":
-            return payload_nonsimplicial_points(points, _require(report, "fatFacet", where))
+            return payload_nonsimplicial_points(points, _require_labels(report, "fatFacet", where))
         if name == "simplicial":
-            fat = _require(report, "fatFacet", where)
+            fat = _require_labels(report, "fatFacet", where)
             plane = supporting_hyperplane(points, fat)
             return {
                 "check": "simplicial",
@@ -866,6 +891,8 @@ def verify_report(report: dict, checks: Sequence[str] | None, workers: int = 1) 
     to the caller to assert or simply trust by determinism).
     """
     recorded = _require(report, "checks", "report")
+    if not isinstance(recorded, dict):
+        raise SchemaError("report: 'checks' must be an object")
     if checks:
         requested = []
         for name, _ in _parse_check_names(checks):

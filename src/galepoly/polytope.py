@@ -6,6 +6,10 @@ face-level questions (edges, inner diagonals, illumination, stacking) are
 answered from incidences alone; geometric agreement is a theorem that the
 realization tests check, never an assumption made here.
 
+Incidences are held as int bitmasks, one facet-membership mask per vertex,
+so a face-level question is a few integer ANDs rather than set algebra over
+the facet list.
+
 An inner diagonal is a vertex pair contained in no common facet.  A
 polytope is illuminated when every vertex lies on an inner diagonal, and
 unneighborly when every vertex misses at least one edge; illumination
@@ -18,10 +22,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import networkx
-
 from .errors import (
     BadParametersError,
+    CertificateError,
     NotAFacetError,
     NotASimplexFacetError,
     TooLargeForBruteForceError,
@@ -40,6 +43,12 @@ class IncidencePolytope:
     Construction enforces that labels are distinct, every vertex lies in at
     least one facet, no facet contains every vertex, and facets are pairwise
     inclusion-incomparable.
+
+    Construction also keeps the incidences as bitmasks over the canonical
+    facet order: ``_rows[f]`` is facet f as sorted vertex indices and
+    ``_masks[i]`` has bit f set exactly when vertex i lies on facet f.  They
+    are derived data, not fields, so equality and hashing see only the
+    labels.
     """
 
     d: int
@@ -54,7 +63,7 @@ class IncidencePolytope:
         if any(not v for v in self.vertices):
             raise BadParametersError("vertex labels must be nonempty")
         order = {v: i for i, v in enumerate(self.vertices)}
-        seen = []
+        rows = []
         for facet in self.facets:
             missing = [v for v in facet if v not in order]
             if missing:
@@ -65,19 +74,30 @@ class IncidencePolytope:
                 raise BadParametersError("a facet cannot contain every vertex")
             if not facet:
                 raise BadParametersError("a facet cannot be empty")
-            seen.append(frozenset(facet))
-        for a, b in itertools.combinations(seen, 2):
-            if a <= b or b <= a:
+            rows.append(tuple(sorted(order[v] for v in facet)))
+        self._store(order, sorted(rows))
+        # a facet lies in another (or repeats) exactly when the facets
+        # through all of its vertices are more than itself
+        masks = self._masks
+        for f, row in enumerate(self._rows):
+            if _facets_through(masks, row) != 1 << f:
                 raise BadParametersError("facets must be pairwise incomparable")
-        covered = set().union(*seen) if seen else set()
-        lonely = [v for v in self.vertices if v not in covered]
+        lonely = [v for v, mask in zip(self.vertices, masks) if not mask]
         if lonely:
             raise BadParametersError(f"vertices on no facet: {lonely}")
-        canon = sorted(
-            (tuple(sorted(f, key=order.__getitem__)) for f in self.facets),
-            key=lambda f: tuple(order[v] for v in f),
-        )
-        object.__setattr__(self, "facets", tuple(canon))
+
+    def _store(self, index: dict[str, int], rows: list[tuple[int, ...]]) -> None:
+        """Set the canonical facets and the masks from sorted index rows."""
+        masks = [0] * len(self.vertices)
+        for f, row in enumerate(rows):
+            bit = 1 << f
+            for i in row:
+                masks[i] |= bit
+        label = self.vertices.__getitem__
+        object.__setattr__(self, "facets", tuple(tuple(map(label, r)) for r in rows))
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_rows", tuple(rows))
+        object.__setattr__(self, "_masks", tuple(masks))
 
     @property
     def f0(self) -> int:
@@ -85,16 +105,33 @@ class IncidencePolytope:
 
     def vertex_index(self, label: str) -> int:
         try:
-            return self.vertices.index(label)
-        except ValueError:
+            return self._index[label]
+        except (KeyError, TypeError):
             raise UnknownVertexError(f"no vertex labeled {label!r}") from None
 
     def facets_containing(self, label: str) -> tuple[tuple[str, ...], ...]:
-        self.vertex_index(label)
-        return tuple(f for f in self.facets if label in f)
+        mask = self._masks[self.vertex_index(label)]
+        return tuple(f for k, f in enumerate(self.facets) if mask >> k & 1)
 
     def is_simplicial(self) -> bool:
         return all(len(f) == self.d for f in self.facets)
+
+
+def _facets_through(masks: Sequence[int], row: Iterable[int]) -> int:
+    """Mask of the facets containing every vertex of ``row``."""
+    common = -1
+    for i in row:
+        common &= masks[i]
+    return common
+
+
+def _edge(masks: Sequence[int], i: int, j: int) -> bool:
+    """Mask form of ``is_edge``: the vertices share a facet, and every other
+    vertex misses one of their common facets."""
+    common = masks[i] & masks[j]
+    if not common:
+        return False
+    return all(common & ~mask for k, mask in enumerate(masks) if k != i and k != j)
 
 
 def is_edge(poly: IncidencePolytope, u: str, v: str) -> bool:
@@ -106,31 +143,27 @@ def is_edge(poly: IncidencePolytope, u: str, v: str) -> bool:
     iu, iv = poly.vertex_index(u), poly.vertex_index(v)
     if iu == iv:
         raise BadParametersError("an edge needs two distinct vertices")
-    common = [set(f) for f in poly.facets if u in f and v in f]
-    if not common:
-        return False
-    inter = set.intersection(*common)
-    return inter == {u, v}
+    return _edge(poly._masks, iu, iv)
 
 
 def inner_diagonals(poly: IncidencePolytope) -> tuple[tuple[str, str], ...]:
     """All vertex pairs lying in no common facet, in vertex order."""
-    out = []
-    for i, j in itertools.combinations(range(poly.f0), 2):
-        u, v = poly.vertices[i], poly.vertices[j]
-        if not any(u in f and v in f for f in poly.facets):
-            out.append((u, v))
-    return tuple(out)
+    masks, labels = poly._masks, poly.vertices
+    return tuple(
+        (labels[i], labels[j])
+        for i, j in itertools.combinations(range(poly.f0), 2)
+        if not masks[i] & masks[j]
+    )
 
 
 def missing_edges(poly: IncidencePolytope) -> tuple[tuple[str, str], ...]:
     """All vertex pairs that are not edges, in vertex order."""
-    out = []
-    for i, j in itertools.combinations(range(poly.f0), 2):
-        u, v = poly.vertices[i], poly.vertices[j]
-        if not is_edge(poly, u, v):
-            out.append((u, v))
-    return tuple(out)
+    masks, labels = poly._masks, poly.vertices
+    return tuple(
+        (labels[i], labels[j])
+        for i, j in itertools.combinations(range(poly.f0), 2)
+        if not _edge(masks, i, j)
+    )
 
 
 @dataclass(frozen=True)
@@ -150,27 +183,19 @@ class IlluminationReport:
 
 
 def illumination_report(poly: IncidencePolytope) -> IlluminationReport:
-    diagonals = set(inner_diagonals(poly))
+    masks, labels = poly._masks, poly.vertices
     diag_partner = []
     edge_partner = []
-    for v in poly.vertices:
-        dp = next(
-            (
-                w
-                for w in poly.vertices
-                if w != v and ((v, w) in diagonals or (w, v) in diagonals)
-            ),
-            None,
-        )
-        ep = next(
-            (w for w in poly.vertices if w != v and not is_edge(poly, v, w)), None
-        )
+    for i, v in enumerate(labels):
+        others = [j for j in range(len(labels)) if j != i]
+        dp = next((labels[j] for j in others if not masks[i] & masks[j]), None)
+        ep = next((labels[j] for j in others if not _edge(masks, i, j)), None)
         diag_partner.append((v, dp))
         edge_partner.append((v, ep))
     illuminated = all(dp is not None for _, dp in diag_partner)
     unneighborly = all(ep is not None for _, ep in edge_partner)
-    if illuminated:
-        assert unneighborly, "an inner diagonal is in particular a missing edge"
+    if illuminated and not unneighborly:
+        raise CertificateError("illuminated but not unneighborly, yet an inner diagonal is a missing edge")
     return IlluminationReport(
         illuminated, unneighborly, tuple(diag_partner), tuple(edge_partner)
     )
@@ -184,34 +209,57 @@ def stack_simplex_facet(
     The apex label defaults to the first unused ``z0``, ``z1``, ...  The
     apex shares no facet with any vertex off F, so its inner diagonals are
     exactly the pairs with those vertices.
+
+    The kept facets were validated with ``poly``, so only the d new facets
+    are checked against the others, and the masks are rebuilt rather than
+    the whole polytope re-validated.
     """
     fset = frozenset(facet)
-    order = {v: i for i, v in enumerate(poly.vertices)}
+    index = poly._index
     for v in fset:
-        if v not in order:
+        if v not in index:
             raise UnknownVertexError(f"no vertex labeled {v!r}")
-    if fset not in {frozenset(f) for f in poly.facets}:
+    row = tuple(sorted(index[v] for v in fset))
+    if row not in poly._rows:
         raise NotAFacetError(f"{sorted(fset)} is not a facet")
     if len(fset) != poly.d:
         raise NotASimplexFacetError(
             f"facet has {len(fset)} vertices; stacking needs exactly d = {poly.d}"
         )
     if new_label is None:
-        used = set(poly.vertices)
         i = 0
-        while f"z{i}" in used:
+        while f"z{i}" in index:
             i += 1
         new_label = f"z{i}"
-    elif new_label in poly.vertices:
+    elif new_label in index:
         raise BadParametersError(f"label {new_label!r} already in use")
-    kept = [f for f in poly.facets if frozenset(f) != fset]
-    sorted_f = sorted(fset, key=order.__getitem__)
-    added = [tuple(w for w in sorted_f if w != v) + (new_label,) for v in sorted_f]
-    return IncidencePolytope(
-        d=poly.d,
-        vertices=poly.vertices + (new_label,),
-        facets=tuple(kept) + tuple(added),
-    )
+    elif not new_label:
+        raise BadParametersError("vertex labels must be nonempty")
+    apex = poly.f0
+    kept = [r for r in poly._rows if r != row]
+    added = [tuple(w for w in row if w != v) + (apex,) for v in row]
+    stacked = object.__new__(IncidencePolytope)
+    object.__setattr__(stacked, "d", poly.d)
+    object.__setattr__(stacked, "vertices", poly.vertices + (new_label,))
+    stacked._store({**index, new_label: apex}, sorted(kept + added))
+    masks = stacked._masks
+    everything = (1 << len(stacked._rows)) - 1
+    for f, r in enumerate(stacked._rows):
+        if r[-1] != apex:
+            continue
+        outside = 0
+        for w, mask in enumerate(masks):
+            if w not in r:
+                outside |= mask
+        # no other facet contains this one, and it contains no other facet
+        if _facets_through(masks, r) != 1 << f or everything & ~outside != 1 << f:
+            raise BadParametersError("facets must be pairwise incomparable")
+    lonely = [v for v, mask in zip(stacked.vertices, masks) if not mask]
+    if lonely:
+        raise BadParametersError(f"vertices on no facet: {lonely}")
+    return stacked
+
+
 
 
 def crosspolytope(d: int) -> IncidencePolytope:
@@ -341,9 +389,14 @@ class MatchingReport:
 
 
 def inner_diagonal_matching(poly: IncidencePolytope) -> MatchingReport:
+    # imported here, its only use: loading networkx costs about 0.2 s and
+    # 20 MB, which callers that never build a matching should not pay
+    import networkx
+
+    diagonals = inner_diagonals(poly)
     graph = networkx.Graph()
     graph.add_nodes_from(poly.vertices)
-    graph.add_edges_from(inner_diagonals(poly))
+    graph.add_edges_from(diagonals)
     matching = networkx.max_weight_matching(graph, maxcardinality=True)
     order = poly.vertex_index
     pairs = sorted(
@@ -352,8 +405,10 @@ def inner_diagonal_matching(poly: IncidencePolytope) -> MatchingReport:
     )
     seen: set[str] = set()
     for u, v in pairs:
-        assert u not in seen and v not in seen, "matching repeats a vertex"
+        if u in seen or v in seen:
+            raise CertificateError("matching repeats a vertex")
         seen.update((u, v))
-    diagonals = set(inner_diagonals(poly))
-    assert all(p in diagonals for p in pairs), "matching uses a non-diagonal"
+    known = set(diagonals)
+    if not all(p in known for p in pairs):
+        raise CertificateError("matching uses a non-diagonal")
     return MatchingReport(perfect=2 * len(pairs) == poly.f0, pairs=tuple(pairs))

@@ -270,3 +270,17 @@ def test_verify_zero_denominator_is_a_usage_error(tmp_path, capsys):
     assert out == ""
     assert err.startswith("galepoly: error:")
     assert "Traceback" not in err
+
+
+def test_verify_malformed_report_is_a_usage_error(tmp_path, capsys):
+    path = str(tmp_path / "d6.json")
+    code, _, _ = run(capsys, "build", "--dim", "6", "--mode", "certificate", "--out", path)
+    assert code == 0
+    report = read_document(path)
+    report["diagonalPartner"] = 5
+    write_document(report, path)
+    code, out, err = run(capsys, "verify", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("galepoly: error:")
+    assert "Traceback" not in err

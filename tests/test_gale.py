@@ -1,9 +1,14 @@
 """Gale duality: cofaces, facet enumeration, dualization, realization."""
 
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+from galepoly import gale as gale_module
 from galepoly.errors import (
     BadParametersError,
     DegenerateInputError,
@@ -247,3 +252,51 @@ def test_coface_complements_partition_into_faces_and_nonfaces():
                 face_sets.add(subset)
     # proper nonempty faces of a square: 4 vertices + 4 edges
     assert len(face_sets) == 8
+
+
+def test_realize_and_enumeration_checks_survive_optimized_mode():
+    """The checks behind ``realize`` and the coface size bound raise under
+    ``python -O``."""
+    code = textwrap.dedent(
+        """
+        import sys
+        import types
+        from galepoly import gale, mani
+        from galepoly.errors import CertificateError
+        from galepoly.linalg import ExactMatrix
+        from galepoly.lp import DependenceCertificate
+
+        config = mani.build_block_diagram(6).config
+
+        def expect_error(call):
+            try:
+                call()
+            except CertificateError:
+                return
+            sys.exit("an unchecked verdict went unnoticed")
+
+        # realize: a 2-spanning configuration without a positive dependence
+        real = gale.strict_positive_dependence
+        gale.strict_positive_dependence = lambda coords, selection: DependenceCertificate(
+            "StiemkeWitness", functional=(1,) * config.m
+        )
+        expect_error(lambda: gale.realize(config))
+        gale.strict_positive_dependence = real
+
+        # realize: the positive dependence outside the kernel
+        ExactMatrix.solve = lambda self, b: None
+        expect_error(lambda: gale.realize(config))
+
+        # enumeration: a minimal coface beyond the size bound m + 1
+        gale.itertools = types.SimpleNamespace(combinations=lambda items, size: [tuple(items)])
+        expect_error(lambda: gale.enumerate_facet_complements(config))
+        print(sys.flags.optimize)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(gale_module.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"

@@ -1,0 +1,251 @@
+"""Differential tests: the bitmask polytope and pooled enumeration against
+the set-based reference.
+
+``incidence_reference`` holds the frozenset polytope code and the
+one-LP-per-candidate facet enumeration the library used before.  Both must
+agree exactly: the same canonical facets, edges, diagonals, partners and
+matchings, the same error (type and message) on an invalid facet family or
+stacking request, and the same minimal cofaces in the same order.
+"""
+
+import random
+
+import incidence_reference as ref
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from galepoly import gale
+from galepoly.errors import GalepolyError
+from galepoly.lp import KIND_STIEMKE_WITNESS, DependenceCertificate, verify_certificate
+from galepoly.mani import build_block_diagram, construct_nonsimplicial_mani, mani_simplicial
+from galepoly.polytope import (
+    IncidencePolytope,
+    crosspolytope,
+    cyclic_polytope,
+    illumination_report,
+    inner_diagonal_matching,
+    inner_diagonals,
+    is_edge,
+    missing_edges,
+    simplex,
+    stack_simplex_facet,
+)
+from galepoly.spanning import VectorConfiguration
+
+
+def _outcome(fn, *args):
+    """The result of a call, or the type and message of the error it raised."""
+    try:
+        return "ok", fn(*args)
+    except GalepolyError as exc:
+        return type(exc), str(exc)
+
+
+def _check_polytope(poly: IncidencePolytope) -> None:
+    verts, facets = poly.vertices, poly.facets
+    assert ref.canonical_facets(poly.d, verts, facets) == facets
+    for i, v in enumerate(verts):
+        assert poly.vertex_index(v) == i
+        assert poly.facets_containing(v) == tuple(f for f in facets if v in f)
+        for w in verts:
+            if w != v:
+                assert is_edge(poly, v, w) == ref.is_edge(verts, facets, v, w)
+    assert inner_diagonals(poly) == ref.inner_diagonals(verts, facets)
+    assert missing_edges(poly) == ref.missing_edges(verts, facets)
+    report = illumination_report(poly)
+    assert (
+        report.illuminated,
+        report.unneighborly,
+        report.diagonal_partner,
+        report.missing_edge_partner,
+    ) == ref.illumination_report(verts, facets)
+    matching = inner_diagonal_matching(poly)
+    assert (matching.perfect, matching.pairs) == ref.inner_diagonal_matching(verts, facets)
+
+
+def _check_stack(poly: IncidencePolytope, facet, label) -> IncidencePolytope | None:
+    kind, got = _outcome(stack_simplex_facet, poly, facet, label)
+    want = _outcome(ref.stack_simplex_facet, poly.d, poly.vertices, poly.facets, facet, label)
+    if kind != "ok":
+        assert (kind, got) == want
+        return None
+    assert want == ("ok", (got.vertices, got.facets))
+    # the stacked polytope equals one built, and fully validated, from scratch
+    assert got == IncidencePolytope(d=got.d, vertices=got.vertices, facets=got.facets)
+    return got
+
+
+def test_families_match_reference():
+    polys = [crosspolytope(d) for d in range(1, 6)]
+    polys += [simplex(d) for d in range(1, 7)]
+    polys += [cyclic_polytope(d, n) for d in range(2, 7) for n in range(d + 1, d + 5)]
+    for poly in polys:
+        _check_polytope(poly)
+
+
+def test_stacked_builds_match_reference():
+    for d in range(3, 11):
+        c = mani_simplicial(d)
+        _check_polytope(c.stacked)
+    for d in range(6, 11):
+        for ell in range(1, build_block_diagram(d).q):
+            c = construct_nonsimplicial_mani(d, ell, mode="full")
+            _check_polytope(c.base)
+            _check_polytope(c.stacked)
+
+
+def test_random_stacking_sequences_match_reference():
+    rng = random.Random(1908)
+    for _ in range(40):
+        d = rng.randint(2, 5)
+        poly = cyclic_polytope(d, d + rng.randint(1, 4))
+        for step in range(rng.randint(1, 6)):
+            facet = rng.choice(poly.facets)
+            label = rng.choice([None, f"a{step}", poly.vertices[0], ""])
+            stacked = _check_stack(poly, facet, label)
+            if stacked is not None:
+                poly = stacked
+        _check_polytope(poly)
+
+
+def test_stacking_errors_match_reference():
+    square = crosspolytope(2)
+    for facet, label in [
+        (("+1", "nine"), None),
+        (("+1", "-1"), None),
+        (("+1",), None),
+        ((), None),
+        (("+1", "+2"), "-2"),
+        (("+1", "+2"), ""),
+    ]:
+        assert _check_stack(square, facet, label) is None
+    # d = 1: stacking a segment's endpoint leaves that endpoint on no facet
+    assert _check_stack(simplex(1), ("1",), None) is None
+
+
+LABELS = "abcdefg"
+
+
+@st.composite
+def facet_families(draw):
+    """Arbitrary facet lists, valid or not, over up to seven labels."""
+    d = draw(st.integers(0, 4))
+    vertices = draw(st.lists(st.sampled_from(LABELS), max_size=7))
+    facets = draw(st.lists(st.lists(st.sampled_from(LABELS + "x"), max_size=5), max_size=9))
+    return d, tuple(vertices), tuple(tuple(f) for f in facets)
+
+
+@st.composite
+def antichains(draw):
+    """Distinct k-subsets of n labels, which are incomparable, and at times
+    one more facet repeating or lying inside one of them."""
+    n = draw(st.integers(2, 7))
+    k = draw(st.integers(1, n - 1))
+    vertices = tuple(LABELS[:n])
+    facets = draw(
+        st.lists(
+            st.lists(st.sampled_from(vertices), min_size=k, max_size=k, unique=True),
+            min_size=1,
+            max_size=12,
+            unique_by=frozenset,
+        )
+    )
+    if draw(st.booleans()):
+        # a repeated facet, or one inside another: comparable, so invalid
+        inner = draw(st.sampled_from(facets))
+        facets.append(inner[: draw(st.integers(1, len(inner)))])
+    d = draw(st.sampled_from([k, max(1, k - 1), k + 1]))
+    return d, vertices, tuple(tuple(f) for f in draw(st.permutations(facets)))
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(facet_families(), antichains()))
+def test_construction_matches_reference_hypothesis(case):
+    d, vertices, facets = case
+    kind, got = _outcome(IncidencePolytope, d, vertices, facets)
+    want = _outcome(ref.canonical_facets, d, vertices, facets)
+    if kind != "ok":
+        assert (kind, got) == want
+        return
+    assert want == ("ok", got.facets)
+    _check_polytope(got)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(antichains(), st.data())
+def test_stacking_matches_reference_hypothesis(case, data):
+    kind, poly = _outcome(IncidencePolytope, *case)
+    if kind != "ok":
+        return
+    facet = data.draw(
+        st.one_of(st.sampled_from(poly.facets), st.lists(st.sampled_from(LABELS), max_size=4))
+    )
+    label = data.draw(st.sampled_from([None, "z0", "new", "a", ""]))
+    stacked = _check_stack(poly, tuple(facet), label)
+    if stacked is not None:
+        _check_polytope(stacked)
+
+
+# ---------------------------------------------------------------------------
+# Facet enumeration with the Stiemke-witness pool
+
+
+def _block_diagrams():
+    for d in range(6, 16):
+        for ell in range(1, build_block_diagram(d).q):
+            yield build_block_diagram(d, ell=ell).config
+
+
+def _random_configs(seed: int, count: int):
+    """Random small-integer configurations, half of them built to be
+    positively 2-spanning (two copies of a positive basis plus extras)."""
+    rng = random.Random(seed)
+    for t in range(count):
+        m = rng.randint(1, 3)
+        if t % 2:
+            basis = [tuple(1 if i == j else 0 for i in range(m)) for j in range(m)]
+            basis.append(tuple(-1 for _ in range(m)))
+            vectors = basis + basis
+            vectors += [tuple(rng.randint(-2, 2) for _ in range(m)) for _ in range(rng.randint(0, 3))]
+            rng.shuffle(vectors)
+        else:
+            vectors = [tuple(rng.randint(-2, 2) for _ in range(m)) for _ in range(rng.randint(2, 8))]
+        yield VectorConfiguration.from_pairs(m, [(f"v{i}", v) for i, v in enumerate(vectors)])
+
+
+def test_pooled_enumeration_matches_plain_lps_on_block_diagrams():
+    for config in _block_diagrams():
+        assert gale.enumerate_facet_complements(config) == ref.enumerate_facet_complements(config)
+
+
+def test_pooled_enumeration_matches_plain_lps_on_random_configurations():
+    for config in _random_configs(6, 300):
+        assert gale.enumerate_facet_complements(config) == ref.enumerate_facet_complements(config)
+
+
+@pytest.mark.parametrize("source", ["block", "random"])
+def test_every_pooled_rejection_is_certified(monkeypatch, source):
+    rejections = []
+    witness = gale._StiemkePool.witness
+
+    def recording(pool, subset):
+        functional = witness(pool, subset)
+        if functional is not None:
+            rejections.append((pool.coords, subset, functional))
+        return functional
+
+    monkeypatch.setattr(gale._StiemkePool, "witness", recording)
+    configs = (
+        [build_block_diagram(d).config for d in range(6, 13)]
+        if source == "block"
+        else list(_random_configs(7, 150))
+    )
+    for config in configs:
+        gale.enumerate_facet_complements(config)
+    monkeypatch.undo()
+    assert len(rejections) > 100
+    for coords, subset, functional in rejections:
+        selection = [i for i in range(len(coords)) if subset >> i & 1]
+        cert = DependenceCertificate(KIND_STIEMKE_WITNESS, functional=functional)
+        assert verify_certificate(coords, selection, cert)

@@ -431,3 +431,65 @@ def test_emitted_documents_round_trip_byte_for_byte():
     assert [digest(p) for p in verify_document(again, None)] == list(
         report["certificateDigests"].values()
     )
+
+
+def _certificate_report_d6() -> dict:
+    construction = construct_nonsimplicial_mani(6, mode="certificate")
+    return json.loads(dumps(build_report(construction)))
+
+
+def test_non_list_diagonal_partner_is_a_schema_error():
+    report = _certificate_report_d6()
+    report["diagonalPartner"] = 5
+    with pytest.raises(SchemaError):
+        verify_document(report, None)
+
+
+def test_non_list_fat_facet_is_a_schema_error():
+    report = _certificate_report_d6()
+    for bad in (5, [["B1.1"]]):
+        report["fatFacet"] = bad
+        with pytest.raises(SchemaError):
+            verify_document(report, None)
+
+
+def test_checks_that_are_not_an_object_are_a_schema_error():
+    report = _certificate_report_d6()
+    report["checks"] = list(report["checks"])
+    with pytest.raises(SchemaError):
+        verify_document(report, None)
+
+
+def test_plan_inconsistent_with_its_configuration_is_a_schema_error():
+    report = _certificate_report_d6()
+    report["plan"]["d"] = 7
+    with pytest.raises(SchemaError):
+        verify_document(report, None)
+    plan = plan_to_json(build_block_diagram(6))
+    for key, value in (("q", 3), ("ell", 0), ("p", 4)):
+        bad = json.loads(dumps(plan))
+        bad[key] = value
+        with pytest.raises(SchemaError):
+            plan_from_json(bad)
+    bad = json.loads(dumps(plan))
+    bad["designated"][0]["complement"] = "abc"
+    with pytest.raises(SchemaError):
+        plan_from_json(bad)
+    bad["designated"][0]["complement"] = ["B1.0", "nowhere"]
+    with pytest.raises(SchemaError):
+        plan_from_json(bad)
+
+
+def test_non_string_point_label_is_a_schema_error():
+    report = _certificate_report_d6()
+    report["points"]["points"][0]["label"] = ["B1.0"]
+    with pytest.raises(SchemaError):
+        verify_document(report, None)
+
+
+def test_polytope_facet_entries_must_be_labels():
+    doc = polytope_to_json(crosspolytope(2))
+    for bad in ([["+1"]], 1, {}):
+        doc["facets"][0] = ["+2", bad]
+        with pytest.raises(SchemaError):
+            verify_document(doc, ["illuminated"])

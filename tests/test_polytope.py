@@ -1,9 +1,14 @@
 """Combinatorial polytopes: incidence data, illumination, stacking, families."""
 
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+from galepoly import polytope as polytope_module
 from galepoly.errors import (
     BadParametersError,
     NotAFacetError,
@@ -252,3 +257,56 @@ def test_illumination_implies_unneighborly_on_catalogue():
             assert report.unneighborly
         # diagonals are always missing edges
         assert set(inner_diagonals(poly)) <= set(missing_edges(poly))
+
+
+def test_verdict_checks_survive_optimized_mode():
+    """The matching and illumination self-checks raise under ``python -O``."""
+    code = textwrap.dedent(
+        """
+        import sys
+        import networkx
+        from galepoly import polytope
+        from galepoly.errors import CertificateError
+
+        cross = polytope.crosspolytope(3)
+
+        def forged_matching(pairs):
+            networkx.max_weight_matching = lambda graph, maxcardinality: pairs
+            return polytope.inner_diagonal_matching(cross)
+
+        def every_pair_an_edge():
+            polytope._edge = lambda masks, i, j: True
+            return polytope.illumination_report(cross)
+
+        calls = [
+            lambda: forged_matching({("+1", "-1"), ("-1", "+1")}),
+            lambda: forged_matching({("+1", "+2")}),
+            every_pair_an_edge,
+        ]
+        for call in calls:
+            try:
+                call()
+            except CertificateError:
+                continue
+            sys.exit("a forged verdict went unnoticed")
+        print(sys.flags.optimize)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(polytope_module.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
+
+
+def test_importing_the_library_does_not_load_networkx():
+    code = "import sys, galepoly, galepoly.cli, galepoly.jsonio; print('networkx' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(polytope_module.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
