@@ -18,7 +18,6 @@ cross-check claimed combinatorics against exact convex geometry.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -124,12 +123,32 @@ class _StiemkePool:
         return None
 
 
+def _candidates(free: list[tuple[tuple[int, ...], int]], n: int):
+    """The sets one larger than those in ``free``, all of whose subsets with
+    one element fewer are in ``free``, in lexicographic order.
+
+    ``free`` lists, in lexicographic order and with their masks, the
+    coface-free sets of one size: those containing no coface found so far.
+    A set contains a found coface exactly when one of its subsets with one
+    element fewer does, so the candidates are the extensions of a free set T
+    by some j > max(T) whose other subsets of that size are free as well.
+    """
+    known = {mask for _, mask in free}
+    for subset, mask in free:
+        for j in range(subset[-1] + 1 if subset else 0, n):
+            grown = mask | 1 << j
+            if all((grown & ~(1 << i)) in known for i in subset):
+                yield subset + (j,), grown
+
+
 def enumerate_facet_complements(config: VectorConfiguration) -> list[tuple[int, ...]]:
     """All inclusion-minimal cofaces, in size-then-lexicographic order.
 
     A minimal coface carries a one-dimensional space of dependencies, so its
-    size is at most m+1; enumeration stops at that size and skips supersets
-    of cofaces already found, which preserves exactly the minimal ones.
+    size is at most m+1; enumeration stops at that size and tests, at each
+    size, only the sets that contain no coface already found, which
+    preserves exactly the minimal ones.  Those candidates are generated from
+    the coface-free sets of the size below (``_candidates``).
 
     Each failed coface test leaves its Stiemke functional in a pool, and a
     candidate that some pooled functional already proves to be no coface is
@@ -139,21 +158,19 @@ def enumerate_facet_complements(config: VectorConfiguration) -> list[tuple[int, 
     n = len(config)
     m = config.m
     found: list[tuple[int, ...]] = []
-    found_masks: list[int] = []
+    free: list[tuple[tuple[int, ...], int]] = [((), 0)]
     pool = _StiemkePool(config.coords)
-    for size in range(1, min(n, m + 1) + 1):
-        for subset in itertools.combinations(range(n), size):
-            mask = sum(1 << i for i in subset)
-            if any(f & mask == f for f in found_masks):
-                continue
-            if pool.witness(mask) is not None:
-                continue
-            report = is_coface(config, subset)
-            if report.is_coface:
-                found.append(subset)
-                found_masks.append(mask)
-            else:
+    for _ in range(min(n, m + 1)):
+        survivors = []
+        for subset, mask in _candidates(free, n):
+            if pool.witness(mask) is None:
+                report = is_coface(config, subset)
+                if report.is_coface:
+                    found.append(subset)
+                    continue
                 pool.add(report.certificate.functional)
+            survivors.append((subset, mask))
+        free = survivors
     if any(len(f) > m + 1 for f in found):
         raise CertificateError("minimal coface exceeds the size bound")
     return found
@@ -237,23 +254,58 @@ def realize(config: VectorConfiguration) -> PointConfiguration:
     return PointConfiguration(d=d, labels=config.labels, coords=coords)
 
 
+def _two_spanning_from_cofaces(
+    config: VectorConfiguration, cofaces: Sequence[tuple[int, ...]]
+) -> bool:
+    """Positive 2-spanning read off the minimal cofaces, plus one rank test.
+
+    V minus i positively spans R^m exactly when it has rank m and carries a
+    strictly positive dependence.  By conformal decomposition such a
+    dependence is a positive sum of nonnegative circuits, and their supports
+    are the minimal cofaces; so V minus i carries one exactly when the
+    minimal cofaces avoiding i cover it.  With n >= 2 every vector then lies
+    in a minimal coface, hence in a circuit, so no single deletion lowers
+    the rank and rank(V) = m is the one rank test needed.
+    """
+    n, m = len(config), config.m
+    if m < 1 or n < 2:
+        return False
+    masks = [sum(1 << i for i in coface) for coface in cofaces]
+    everything = (1 << n) - 1
+    for i in range(n):
+        bit = 1 << i
+        covered = 0
+        for mask in masks:
+            if not mask & bit:
+                covered |= mask
+        if covered != everything ^ bit:
+            return False
+    return ExactMatrix(config.coords).rank() == m
+
+
 def incidence_from_gale(config: VectorConfiguration) -> "IncidencePolytope":
     """Polytope whose facets are the complements of the minimal cofaces.
 
     Requires positive 2-spanning, which guarantees that every label is a
-    vertex and that the complement family is a valid facet list.
+    vertex and that the complement family is a valid facet list.  That is
+    decided from the enumerated cofaces; only when it fails does the
+    deletion scan run, to report the least failing deletion.
     """
     from .polytope import IncidencePolytope
 
     _reject_zero_vectors(config)
-    report = is_positively_k_spanning(config, 2)
-    if not report.spanning:
+    complements = enumerate_facet_complements(config)
+    if not _two_spanning_from_cofaces(config, complements):
+        report = is_positively_k_spanning(config, 2)
+        if report.spanning:
+            raise CertificateError(
+                "the minimal cofaces and the deletion scan disagree on 2-spanning"
+            )
         raise NotTwoSpanningError(
             "incidence extraction requires a positively 2-spanning configuration",
             report,
         )
     n = len(config)
-    complements = enumerate_facet_complements(config)
     facets = tuple(
         tuple(config.labels[i] for i in range(n) if i not in set(coface))
         for coface in complements

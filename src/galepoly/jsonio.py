@@ -170,6 +170,8 @@ def config_from_json(doc: dict) -> VectorConfiguration:
         if not isinstance(entry, dict):
             raise SchemaError(f"{where}: vectors[{i}] must be an object")
         lab = _require(entry, "label", f"{where}.vectors[{i}]")
+        if not isinstance(lab, str):
+            raise SchemaError(f"{where}: vectors[{i}].label must be a string")
         coords = _parse_rat_list(
             _require(entry, "coords", f"{where}.vectors[{i}]"),
             f"{where}.vectors[{i}].coords",
@@ -678,7 +680,8 @@ def build_report(
         "f0MatchesFormula": payload_f0(plan, construction.f0),
     }
     if construction.mode == "full":
-        assert construction.base is not None and construction.stacked is not None
+        if construction.base is None or construction.stacked is None:
+            raise BadParametersError("a full-mode report needs the built base and stacked polytopes")
         doc["basePolytope"] = polytope_to_json(construction.base)
         doc["polytope"] = polytope_to_json(construction.stacked)
         payloads["designatedAreFacets"] = payload_designated_full(
@@ -695,7 +698,8 @@ def build_report(
                 "witness": list(gr.witness),
             }
     else:
-        assert construction.points is not None
+        if construction.points is None:
+            raise BadParametersError("a certificate-mode report needs the built points")
         doc["points"] = points_to_json(construction.points)
         doc["stacks"] = [_stack_to_json(c) for c in construction.stacks]
         doc["fatFacet"] = list(construction.fat_facet or ())
@@ -764,7 +768,6 @@ def verify_configuration(
     config: VectorConfiguration, checks: Sequence[str], workers: int = 1
 ) -> list[dict]:
     parsed = _parse_check_names(checks)
-    names = [n for n, _ in parsed]
     ks = [k for n, k in parsed if n.startswith("kspanning:")]
     payloads = []
     for name, k in parsed:
@@ -781,7 +784,6 @@ def verify_configuration(
             raise BadParametersError(
                 f"check {name!r} does not apply to a vector configuration"
             )
-    assert len(payloads) == len(names)
     return payloads
 
 

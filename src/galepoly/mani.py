@@ -40,6 +40,7 @@ from fractions import Fraction
 from . import parallel
 from .errors import (
     BadParametersError,
+    CertificateError,
     CheckFailedError,
     NoCoverFoundError,
     NoEpsilonFoundError,
@@ -109,7 +110,8 @@ def formulas(d: int) -> FormulaRow:
     p = default_block_size(d)
     q = -(-d // p)
     nu = d + p + q + 1
-    assert nu == d + 1 + _ceil_two_sqrt(d), "nu disagrees with d + 1 + ceil(2 sqrt d)"
+    if nu != d + 1 + _ceil_two_sqrt(d):
+        raise CertificateError("nu disagrees with d + 1 + ceil(2 sqrt d)")
     # ceil((sqrt d + 1)^2) = d + 1 + ceil(2 sqrt d) because d + 1 is an integer
     M = min(2 * d, nu)
     return FormulaRow(d=d, p=p, q=q, nu=nu, M=M)
@@ -195,13 +197,13 @@ def build_block_diagram(d: int, p: int | None = None, ell: int = 1) -> BlockDiag
     borrowed = tuple(f"T1.{j}" for j in range(remainder, p))
     designated.append(("Bprime", trailing + borrowed))
     config = VectorConfiguration.from_pairs(p - 1, pairs)
-    assert len(config) == d + p
+    if len(config) != d + p:
+        raise CertificateError(f"the diagram has {len(config)} vectors, not d + p = {d + p}")
+    blocks = (sorted(pos), sorted(neg))
     for _, labels in designated:
-        assert len(labels) == p
         values = sorted(config.coords[config.index_of(lab)] for lab in labels)
-        assert values == sorted(pos) or values == sorted(neg), (
-            "designated complement is not a positive basis block"
-        )
+        if values not in blocks:
+            raise CertificateError("designated complement is not a positive basis block")
     return BlockDiagramPlan(
         d=d, p=p, q=q, ell=ell, config=config, designated=tuple(designated)
     )
@@ -285,7 +287,8 @@ def geometric_stack_point(
     eps = QQ(1)
     for trial in range(1, max_halvings + 1):
         apex = vec_add(center, vec_scale(eps, normal))
-        assert dot(normal, apex) > offset
+        if dot(normal, apex) <= offset:
+            raise CertificateError("apex is not beyond the facet's hyperplane")
         if all(dot(a, apex) < b for a, b in guard_planes):
             coords = points.coords + (apex,)
             n = len(coords)
@@ -413,7 +416,8 @@ def _construct_certificate(
         cert = strict_positive_dependence(
             config.coords, [config.index_of(lab) for lab in comp]
         )
-        assert cert.kind == "PositiveDependence", "designated complement is not a coface"
+        if cert.kind != "PositiveDependence":
+            raise CertificateError("designated complement is not a coface")
     base_points = realize(config)
     result.base_points = base_points
     covered = set().union(*(set(c) for _, c in plan.designated))
@@ -566,7 +570,8 @@ def mani_simplicial(d: int) -> SimplicialConstruction:
     p, q = row.p, row.q
     n = d + p
     base = cyclic_polytope(d, n)
-    assert base.is_simplicial()
+    if not base.is_simplicial():
+        raise CertificateError(f"the cyclic polytope C({d}, {n}) is not simplicial")
     all_idx = set(range(1, n + 1))
     complements = [
         tuple(sorted(all_idx - {int(v) for v in facet})) for facet in base.facets

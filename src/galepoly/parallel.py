@@ -9,7 +9,6 @@ identical either way.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 
 
@@ -30,6 +29,10 @@ def imap(fn, tasks, workers: int = 1, chunksize: int = 8):
         for t in tasks:
             yield fn(t)
         return
+    # imported here: only a fan-out uses it, and single-worker callers
+    # should not pay for loading it
+    import multiprocessing
+
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(processes=workers) as pool:
         yield from pool.imap(fn, tasks, chunksize)

@@ -46,9 +46,10 @@ class IncidencePolytope:
 
     Construction also keeps the incidences as bitmasks over the canonical
     facet order: ``_rows[f]`` is facet f as sorted vertex indices and
-    ``_masks[i]`` has bit f set exactly when vertex i lies on facet f.  They
-    are derived data, not fields, so equality and hashing see only the
-    labels.
+    ``_masks[i]`` has bit f set exactly when vertex i lies on facet f.
+    ``illumination_report`` keeps its result as ``_illumination`` the first
+    time it runs.  These are derived data, not fields, so equality and
+    hashing see only the labels.
     """
 
     d: int
@@ -183,6 +184,16 @@ class IlluminationReport:
 
 
 def illumination_report(poly: IncidencePolytope) -> IlluminationReport:
+    """The polytope's illumination report, computed once per polytope object
+    and kept on it as the derived attribute ``_illumination``."""
+    report = getattr(poly, "_illumination", None)
+    if report is None:
+        report = _illumination(poly)
+        object.__setattr__(poly, "_illumination", report)
+    return report
+
+
+def _illumination(poly: IncidencePolytope) -> IlluminationReport:
     masks, labels = poly._masks, poly.vertices
     diag_partner = []
     edge_partner = []
@@ -285,18 +296,36 @@ def simplex(d: int) -> IncidencePolytope:
     return IncidencePolytope(d=d, vertices=vertices, facets=facets)
 
 
-def _gale_evenness(subset: Sequence[int], n: int) -> bool:
-    """Any two outside elements are separated by evenly many inside elements."""
-    inside = set(subset)
-    outside = [i for i in range(1, n + 1) if i not in inside]
-    prefix = [0] * (n + 2)
-    for i in range(1, n + 1):
-        prefix[i + 1] = prefix[i] + (1 if i in inside else 0)
-    for a, b in itertools.combinations(outside, 2):
-        between = prefix[b] - prefix[a + 1]
-        if between % 2 != 0:
-            return False
-    return True
+def _evenness_rows(d: int, n: int) -> list[tuple[int, ...]]:
+    """The d-subsets of 1..n satisfying Gale's evenness condition, in
+    lexicographic order.
+
+    In such a subset every maximal run of consecutive elements that contains
+    neither 1 nor n has even length.  The subsets are grown position by
+    position, taking i before leaving it out; a run may end (i left out)
+    only when it has even length or began at 1, and a run still open past n
+    contains n.
+    """
+    rows: list[tuple[int, ...]] = []
+    row: list[int] = []
+
+    def grow(i: int, run: int) -> None:
+        closable = run % 2 == 0 or run == i - 1
+        left = d - len(row)
+        if left == 0:
+            if i > n or closable:
+                rows.append(tuple(row))
+            return
+        if n - i + 1 < left:
+            return
+        row.append(i)
+        grow(i + 1, run + 1)
+        row.pop()
+        if closable:
+            grow(i + 1, 0)
+
+    grow(1, 0)
+    return rows
 
 
 def cyclic_polytope(d: int, n: int) -> IncidencePolytope:
@@ -305,18 +334,15 @@ def cyclic_polytope(d: int, n: int) -> IncidencePolytope:
     Vertices are labeled "1" ... "n" in curve order; facets are the
     d-subsets satisfying the evenness condition: any two vertices outside
     the subset have an even number of subset elements strictly between
-    them.  Requires n >= d+1 and d >= 2 (and yields the simplex at n = d+1).
+    them.  They are generated directly rather than filtered from all
+    d-subsets.  Requires n >= d+1 and d >= 2 (and yields the simplex at
+    n = d+1).
     """
     if d < 2 or n < d + 1:
         raise BadParametersError("cyclic polytope needs d >= 2 and n >= d+1")
-    facets = [
-        tuple(str(i) for i in subset)
-        for subset in itertools.combinations(range(1, n + 1), d)
-        if _gale_evenness(subset, n)
-    ]
-    return IncidencePolytope(
-        d=d, vertices=tuple(str(i) for i in range(1, n + 1)), facets=tuple(facets)
-    )
+    vertices = tuple(str(i) for i in range(1, n + 1))
+    facets = tuple(tuple(vertices[i - 1] for i in row) for row in _evenness_rows(d, n))
+    return IncidencePolytope(d=d, vertices=vertices, facets=facets)
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,13 @@
 
 These are the incidence-polytope validation, the face-level functions and
 stacking as they ran on frozensets and label tuples before the library
-moved to int bitmasks, and facet enumeration with one LP per candidate
-subset (no Stiemke-witness pool).  They are kept in behaviour (same errors
-in the same order, same canonical facet order, same partners) and used only
-to compare results exactly.  Nothing in ``src/`` imports this module.
+moved to int bitmasks; facet enumeration with one LP per candidate subset
+(no Stiemke-witness pool), and with the pool but with every candidate
+scanned against the cofaces found so far; and the cyclic polytope's facets
+filtered from all d-subsets by the evenness test.  They are kept in
+behaviour (same errors in the same order, same canonical facet order, same
+partners) and used only to compare results exactly.  Nothing in ``src/``
+imports this module.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import itertools
 
 import networkx
 
+from galepoly import gale
 from galepoly.errors import (
     BadParametersError,
     NotAFacetError,
@@ -160,3 +164,44 @@ def enumerate_facet_complements(config):
             if cert.kind == KIND_POSITIVE_DEPENDENCE:
                 found.append(s)
     return [tuple(sorted(f)) for f in found]
+
+
+def enumerate_by_filtering(config):
+    """Pooled enumeration over every candidate of each size, each one
+    scanned against the masks of the cofaces found so far."""
+    n, m = len(config), config.m
+    found, found_masks = [], []
+    pool = gale._StiemkePool(config.coords)
+    for size in range(1, min(n, m + 1) + 1):
+        for subset in itertools.combinations(range(n), size):
+            mask = sum(1 << i for i in subset)
+            if any(f & mask == f for f in found_masks):
+                continue
+            if pool.witness(mask) is not None:
+                continue
+            report = gale.is_coface(config, subset)
+            if report.is_coface:
+                found.append(subset)
+                found_masks.append(mask)
+            else:
+                pool.add(report.certificate.functional)
+    return found
+
+
+def gale_evenness(subset, n):
+    """Any two outside elements are separated by evenly many inside elements."""
+    inside = set(subset)
+    outside = [i for i in range(1, n + 1) if i not in inside]
+    prefix = [0] * (n + 2)
+    for i in range(1, n + 1):
+        prefix[i + 1] = prefix[i] + (1 if i in inside else 0)
+    for a, b in itertools.combinations(outside, 2):
+        if (prefix[b] - prefix[a + 1]) % 2 != 0:
+            return False
+    return True
+
+
+def cyclic_facets(d, n):
+    """The facets of C(d, n) as index tuples: every d-subset of 1..n that
+    passes the evenness test, in lexicographic order."""
+    return [s for s in itertools.combinations(range(1, n + 1), d) if gale_evenness(s, n)]

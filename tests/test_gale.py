@@ -255,12 +255,11 @@ def test_coface_complements_partition_into_faces_and_nonfaces():
 
 
 def test_realize_and_enumeration_checks_survive_optimized_mode():
-    """The checks behind ``realize`` and the coface size bound raise under
-    ``python -O``."""
+    """The checks behind ``realize``, the coface size bound and the 2-spanning
+    verdict of ``incidence_from_gale`` raise under ``python -O``."""
     code = textwrap.dedent(
         """
         import sys
-        import types
         from galepoly import gale, mani
         from galepoly.errors import CertificateError
         from galepoly.linalg import ExactMatrix
@@ -288,8 +287,15 @@ def test_realize_and_enumeration_checks_survive_optimized_mode():
         expect_error(lambda: gale.realize(config))
 
         # enumeration: a minimal coface beyond the size bound m + 1
-        gale.itertools = types.SimpleNamespace(combinations=lambda items, size: [tuple(items)])
+        everything = tuple(range(len(config)))
+        real_candidates = gale._candidates
+        gale._candidates = lambda free, n: [(everything, (1 << n) - 1)]
         expect_error(lambda: gale.enumerate_facet_complements(config))
+        gale._candidates = real_candidates
+
+        # incidence: a coface verdict that the deletion scan contradicts
+        gale._two_spanning_from_cofaces = lambda config, cofaces: False
+        expect_error(lambda: gale.incidence_from_gale(config))
         print(sys.flags.optimize)
         """
     )

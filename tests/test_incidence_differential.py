@@ -1,11 +1,16 @@
-"""Differential tests: the bitmask polytope and pooled enumeration against
-the set-based reference.
+"""Differential tests: the bitmask polytope, pooled enumeration, generated
+cyclic facets and the coface-based 2-spanning verdict against the paths
+they replaced.
 
-``incidence_reference`` holds the frozenset polytope code and the
-one-LP-per-candidate facet enumeration the library used before.  Both must
-agree exactly: the same canonical facets, edges, diagonals, partners and
-matchings, the same error (type and message) on an invalid facet family or
-stacking request, and the same minimal cofaces in the same order.
+``incidence_reference`` holds the frozenset polytope code, the
+one-LP-per-candidate facet enumeration, the pooled enumeration that scans
+every candidate against the cofaces found so far, and the evenness filter
+over all d-subsets.  Each must agree exactly with the library: the same
+canonical facets, edges, diagonals, partners and matchings, the same error
+(type and message) on an invalid facet family or stacking request, the same
+minimal cofaces in the same order from the same coface LPs, and the same
+cyclic facets.  The 2-spanning verdict read off the cofaces must equal the
+deletion scan's.
 """
 
 import random
@@ -15,8 +20,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from galepoly import gale
-from galepoly.errors import GalepolyError
+from galepoly import gale, polytope
+from galepoly.errors import GalepolyError, NotTwoSpanningError
 from galepoly.lp import KIND_STIEMKE_WITNESS, DependenceCertificate, verify_certificate
 from galepoly.mani import build_block_diagram, construct_nonsimplicial_mani, mani_simplicial
 from galepoly.polytope import (
@@ -31,7 +36,7 @@ from galepoly.polytope import (
     simplex,
     stack_simplex_facet,
 )
-from galepoly.spanning import VectorConfiguration
+from galepoly.spanning import VectorConfiguration, is_positively_k_spanning
 
 
 def _outcome(fn, *args):
@@ -249,3 +254,90 @@ def test_every_pooled_rejection_is_certified(monkeypatch, source):
         selection = [i for i in range(len(coords)) if subset >> i & 1]
         cert = DependenceCertificate(KIND_STIEMKE_WITNESS, functional=functional)
         assert verify_certificate(coords, selection, cert)
+
+
+def _coface_tests(monkeypatch, enumerate_, config):
+    """The minimal cofaces and the subsets sent to ``is_coface``, in order."""
+    tested = []
+    is_coface = gale.is_coface
+
+    def recording(config_, subset):
+        tested.append(tuple(subset))
+        return is_coface(config_, subset)
+
+    monkeypatch.setattr(gale, "is_coface", recording)
+    found = enumerate_(config)
+    monkeypatch.undo()
+    return found, tested
+
+
+def test_generated_candidates_run_the_same_coface_lps(monkeypatch):
+    configs = [
+        build_block_diagram(d, ell=ell).config
+        for d in (6, 9, 12)
+        for ell in range(1, build_block_diagram(d).q)
+    ]
+    configs += list(_random_configs(8, 150))
+    for config in configs:
+        got = _coface_tests(monkeypatch, gale.enumerate_facet_complements, config)
+        assert got == _coface_tests(monkeypatch, ref.enumerate_by_filtering, config)
+
+
+# ---------------------------------------------------------------------------
+# Cyclic facets from the evenness condition
+
+
+def test_cyclic_generator_matches_evenness_filter():
+    for d in range(2, 14):
+        for n in range(d + 1, d + 9):
+            rows = ref.cyclic_facets(d, n)
+            assert polytope._evenness_rows(d, n) == rows, (d, n)
+            assert cyclic_polytope(d, n).facets == tuple(
+                tuple(str(i) for i in row) for row in rows
+            )
+
+
+# ---------------------------------------------------------------------------
+# 2-spanning read off the minimal cofaces
+
+
+def _check_two_spanning(config: VectorConfiguration) -> bool:
+    """The coface verdict equals the scan's; ``incidence_from_gale`` fails
+    exactly when it is false, with the scan's report."""
+    scan = is_positively_k_spanning(config, 2)
+    cofaces = gale.enumerate_facet_complements(config)
+    assert gale._two_spanning_from_cofaces(config, cofaces) == scan.spanning
+    if any(not any(v) for v in config.coords):
+        return scan.spanning  # rejected before the verdict is read
+    if scan.spanning:
+        gale.incidence_from_gale(config)
+    else:
+        with pytest.raises(NotTwoSpanningError) as info:
+            gale.incidence_from_gale(config)
+        assert info.value.report == scan
+    return scan.spanning
+
+
+def test_two_spanning_from_cofaces_matches_the_scan():
+    configs = list(_random_configs(9, 240)) + list(_block_diagrams())
+    verdicts = [_check_two_spanning(config) for config in configs]
+    assert 40 < sum(verdicts) < len(verdicts) - 40
+
+
+@st.composite
+def configurations(draw):
+    """Small-integer configurations in R^1..R^3, 2-spanning or not."""
+    m = draw(st.integers(1, 3))
+    vector = st.tuples(*[st.integers(-2, 2)] * m)
+    vectors = draw(st.lists(vector, max_size=8))
+    if draw(st.booleans()):
+        # two copies of a positive basis make it 2-spanning before the extras
+        basis = [tuple(int(i == j) for i in range(m)) for j in range(m)] + [(-1,) * m]
+        vectors = draw(st.permutations(basis + basis + vectors[:3]))
+    return VectorConfiguration.from_pairs(m, [(f"v{i}", v) for i, v in enumerate(vectors)])
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(configurations())
+def test_two_spanning_from_cofaces_matches_the_scan_hypothesis(config):
+    _check_two_spanning(config)

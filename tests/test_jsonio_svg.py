@@ -493,3 +493,11 @@ def test_polytope_facet_entries_must_be_labels():
         doc["facets"][0] = ["+2", bad]
         with pytest.raises(SchemaError):
             verify_document(doc, ["illuminated"])
+
+
+def test_non_string_vector_label_is_a_schema_error():
+    doc = config_to_json(standard_minimal_config(2, 2))
+    for bad in (5, ["+e1.1"], None):
+        doc["vectors"][0]["label"] = bad
+        with pytest.raises(SchemaError, match=r"vectors\[0\]\.label"):
+            verify_document(doc, ["kspanning:2"])

@@ -1,7 +1,13 @@
 """Block-diagram constructions, geometric stacking, and the dual stage."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+from galepoly import mani as mani_module
 from galepoly.errors import (
     BadParametersError,
     CheckFailedError,
@@ -310,3 +316,78 @@ def test_mani_construction_defaults():
     empty = ManiConstruction(plan=build_block_diagram(6), mode="full")
     assert not empty.all_checks_pass()
     assert empty.f0 == 0
+
+
+def test_construction_checks_survive_optimized_mode():
+    """The checks behind the formulas, the block diagram, apex placement,
+    the designated cofaces, the simplicial base and report assembly raise
+    under ``python -O``."""
+    code = textwrap.dedent(
+        """
+        import sys
+        from galepoly import jsonio, mani, polytope
+        from galepoly.errors import BadParametersError, CertificateError
+        from galepoly.gale import PointConfiguration
+        from galepoly.lp import DependenceCertificate
+
+        def expect_error(call, error=CertificateError):
+            try:
+                call()
+            except error:
+                return
+            sys.exit("an unchecked verdict went unnoticed")
+
+        real = mani._ceil_two_sqrt
+        mani._ceil_two_sqrt = lambda d: 0
+        expect_error(lambda: mani.formulas(6))
+        mani._ceil_two_sqrt = real
+
+        # a diagram that lost a vector, then one whose first block has a
+        # negated vector
+        real = mani.VectorConfiguration
+        class Dropping:
+            from_pairs = staticmethod(lambda m, pairs: real.from_pairs(m, pairs[:-1]))
+        class Negating:
+            from_pairs = staticmethod(lambda m, pairs: real.from_pairs(
+                m, [(pairs[0][0], [-x for x in pairs[0][1]])] + pairs[1:]))
+        for forged in (Dropping, Negating):
+            mani.VectorConfiguration = forged
+            expect_error(lambda: mani.build_block_diagram(6))
+        mani.VectorConfiguration = real
+
+        # a hyperplane the apex never gets beyond
+        octahedron = PointConfiguration.from_pairs(3, [
+            ("+1", (1, 0, 0)), ("-1", (-1, 0, 0)), ("+2", (0, 1, 0)),
+            ("-2", (0, -1, 0)), ("+3", (0, 0, 1)), ("-3", (0, 0, -1)),
+        ])
+        expect_error(lambda: mani.geometric_stack_point(
+            octahedron, ("+1", "+2", "+3"), hyperplane=((1, 1, 1), 10)))
+
+        real = mani.strict_positive_dependence
+        mani.strict_positive_dependence = lambda coords, selection: DependenceCertificate(
+            "StiemkeWitness", functional=(1, 1)
+        )
+        expect_error(lambda: mani.construct_nonsimplicial_mani(6, 1, mode="certificate"))
+        mani.strict_positive_dependence = real
+
+        real = mani.cyclic_polytope
+        pyramid = polytope.IncidencePolytope(d=3, vertices=tuple("abcde"), facets=(
+            tuple("abcd"), tuple("abe"), tuple("bce"), tuple("cde"), tuple("ade")))
+        mani.cyclic_polytope = lambda d, n: pyramid
+        expect_error(lambda: mani.mani_simplicial(3))
+        mani.cyclic_polytope = real
+
+        plan = mani.build_block_diagram(6)
+        for mode in ("full", "certificate"):
+            unbuilt = mani.ManiConstruction(plan=plan, mode=mode)
+            expect_error(lambda: jsonio.build_report(unbuilt), BadParametersError)
+        print(sys.flags.optimize)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(mani_module.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"

@@ -310,3 +310,26 @@ def test_importing_the_library_does_not_load_networkx():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_illumination_report_is_computed_once_per_polytope(monkeypatch):
+    from galepoly import jsonio, mani
+
+    computed = []
+    compute = polytope_module._illumination
+    monkeypatch.setattr(
+        polytope_module, "_illumination", lambda poly: computed.append(poly) or compute(poly)
+    )
+    c = mani.construct_nonsimplicial_mani(6, 1, mode="full")
+    doc = jsonio.build_report(c)
+    assert [id(p) for p in computed] == [id(c.stacked)]
+    assert illumination_report(c.stacked) is illumination_report(c.stacked)
+    assert len(computed) == 1
+    # a full report's verify decodes the polytope once per check
+    jsonio.verify_document(doc, ["illuminated", "unneighborly"])
+    assert len(computed) == 3
+    # the kept report is no field: equality and repr ignore it
+    fresh = IncidencePolytope(d=c.stacked.d, vertices=c.stacked.vertices, facets=c.stacked.facets)
+    assert fresh == c.stacked and hash(fresh) == hash(c.stacked)
+    assert repr(fresh) == repr(c.stacked)
+    assert illumination_report(fresh) == illumination_report(c.stacked)

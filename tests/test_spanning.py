@@ -1,9 +1,13 @@
 """Positively k-spanning configurations and inclusion-minimality."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+from galepoly import spanning as spanning_module
 from galepoly.errors import BadParametersError, DimensionMismatchError
 from galepoly.linalg import QQ
 from galepoly.lp import KIND_POSITIVE_DEPENDENCE, verify_certificate
@@ -178,3 +182,17 @@ def test_workers_do_not_change_the_verdict():
     s_base, s_min = is_minimal_k_spanning(c, 2, workers=1)
     p_base, p_min = is_minimal_k_spanning(c, 2, workers=2)
     assert s_base == p_base and s_min == p_min
+
+
+def test_importing_the_library_does_not_load_multiprocessing():
+    code = (
+        "import sys, galepoly, galepoly.cli, galepoly.jsonio; "
+        "print('multiprocessing' in sys.modules)"
+    )
+    src = os.path.dirname(os.path.dirname(spanning_module.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
