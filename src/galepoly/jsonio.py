@@ -4,8 +4,10 @@ Every document carries ``schemaVersion: 1`` and serializes rationals as
 exact ``num/den`` strings.  Certificate digests are SHA-256 over the
 canonical compact encoding (sorted keys, no whitespace), so a build report
 and an independent re-verification of the same object produce identical
-digests.  The payload builders here are shared by ``build`` and ``verify``
-for exactly that reason.
+digests.  For exactly that reason one table, ``CHECKS``, maps each check
+name to its payload builder for both: ``build`` feeds the builders the
+construction's objects, ``verify`` the report's embedded ones, each decoded
+once per report.
 """
 
 from __future__ import annotations
@@ -16,18 +18,17 @@ import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from . import parallel
 from .errors import BadParametersError, SchemaError
-from .gale import PointConfiguration, gale_dual, realize, supporting_hyperplane
+from .gale import PointConfiguration, realize, supporting_hyperplane
 from .linalg import format_rational, parse_rational
 from .lp import DependenceCertificate
 from .mani import (
     BlockDiagramPlan,
     CounterexampleReport,
     ManiConstruction,
-    _midpoint_task,
-    _vertex_task,
+    dual_spanning_report,
     formulas,
+    hull_flags,
 )
 from .polytope import IncidencePolytope, illumination_report
 from .spanning import (
@@ -138,6 +139,8 @@ def _require_labels(doc: dict, key: str, where: str) -> list[str]:
 
 
 def _check_version(doc: dict, where: str) -> None:
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{where}: must be a JSON object")
     version = doc.get("schemaVersion", SCHEMA_VERSION)
     if not _is_int(version) or version != SCHEMA_VERSION:
         raise SchemaError(f"{where}: unsupported schemaVersion {version!r}")
@@ -158,25 +161,28 @@ def config_to_json(config: VectorConfiguration) -> dict:
     }
 
 
+def _labeled_coords(doc: dict, key: str, where: str) -> list[tuple[str, tuple[Fraction, ...]]]:
+    """The ``{label, coords}`` entries listed under ``key``."""
+    entries = _require(doc, key, where)
+    if not isinstance(entries, list):
+        raise SchemaError(f"{where}: {key!r} must be a list")
+    pairs = []
+    for i, entry in enumerate(entries):
+        at = f"{where}.{key}[{i}]"
+        if not isinstance(entry, dict):
+            raise SchemaError(f"{where}: {key}[{i}] must be an object")
+        label = _require(entry, "label", at)
+        if not isinstance(label, str):
+            raise SchemaError(f"{where}: {key}[{i}].label must be a string")
+        pairs.append((label, _parse_rat_list(_require(entry, "coords", at), f"{at}.coords")))
+    return pairs
+
+
 def config_from_json(doc: dict) -> VectorConfiguration:
     where = "configuration"
     _check_version(doc, where)
     m = _require_int(doc, "m", where)
-    vectors = _require(doc, "vectors", where)
-    if not isinstance(vectors, list):
-        raise SchemaError(f"{where}: 'vectors' must be a list")
-    pairs = []
-    for i, entry in enumerate(vectors):
-        if not isinstance(entry, dict):
-            raise SchemaError(f"{where}: vectors[{i}] must be an object")
-        lab = _require(entry, "label", f"{where}.vectors[{i}]")
-        if not isinstance(lab, str):
-            raise SchemaError(f"{where}: vectors[{i}].label must be a string")
-        coords = _parse_rat_list(
-            _require(entry, "coords", f"{where}.vectors[{i}]"),
-            f"{where}.vectors[{i}].coords",
-        )
-        pairs.append((lab, coords))
+    pairs = _labeled_coords(doc, "vectors", where)
     try:
         return VectorConfiguration.from_pairs(m, pairs)
     except BadParametersError as exc:
@@ -198,26 +204,10 @@ def points_from_json(doc: dict) -> PointConfiguration:
     where = "points"
     _check_version(doc, where)
     d = _require_int(doc, "d", where)
-    entries = _require(doc, "points", where)
-    if not isinstance(entries, list):
-        raise SchemaError(f"{where}: 'points' must be a list")
-    labels = []
-    coords = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise SchemaError(f"{where}: points[{i}] must be an object")
-        label = _require(entry, "label", f"{where}.points[{i}]")
-        if not isinstance(label, str):
-            raise SchemaError(f"{where}: points[{i}].label must be a string")
-        labels.append(label)
-        coords.append(
-            _parse_rat_list(
-                _require(entry, "coords", f"{where}.points[{i}]"),
-                f"{where}.points[{i}].coords",
-            )
-        )
+    pairs = _labeled_coords(doc, "points", where)
+    labels = tuple(label for label, _ in pairs)
     try:
-        return PointConfiguration(d=d, labels=tuple(labels), coords=tuple(coords))
+        return PointConfiguration(d=d, labels=labels, coords=tuple(c for _, c in pairs))
     except BadParametersError as exc:
         raise SchemaError(f"{where}: {exc}") from None
 
@@ -291,6 +281,8 @@ def plan_from_json(doc: dict) -> BlockDiagramPlan:
         if not isinstance(entry, dict):
             raise SchemaError(f"{where}: designated[{i}] must be an object")
         name = _require(entry, "name", f"{where}.designated[{i}]")
+        if not isinstance(name, str):
+            raise SchemaError(f"{where}: designated[{i}].name must be a string")
         comp = _require_labels(entry, "complement", f"{where}.designated[{i}]")
         unknown = [lab for lab in comp if lab not in config.labels]
         if unknown:
@@ -427,9 +419,8 @@ def payload_designated_full(plan: BlockDiagramPlan, base: IncidencePolytope) -> 
     }
 
 
-def payload_designated_points(plan: BlockDiagramPlan) -> dict:
-    """Hyperplane certificates for each designated facet on realize(config)."""
-    base_points = realize(plan.config)
+def payload_designated_points(plan: BlockDiagramPlan, base_points: PointConfiguration) -> dict:
+    """Hyperplane certificates for each designated facet on the realized plan."""
     labels = plan.config.labels
     entries = []
     for name, comp in plan.designated:
@@ -453,17 +444,8 @@ def payload_designated_points(plan: BlockDiagramPlan) -> dict:
     }
 
 
-def payload_all_vertices(
-    points: PointConfiguration, workers: int = 1, assume_true: bool = False
-) -> dict:
-    """``assume_true`` skips the LPs when the flags were already certified
-    (build reuses its construction run); the payload shape is identical."""
-    if assume_true:
-        flags = [True] * len(points)
-    else:
-        coords = points.coords
-        tasks = ((coords, i) for i in range(len(coords)))
-        flags = list(parallel.imap(_vertex_task, tasks, workers))
+def payload_all_vertices(points: PointConfiguration, flags: Sequence[bool]) -> dict:
+    """``flags`` says per point whether it is a vertex (``mani.hull_flags``)."""
     not_vertices = [lab for lab, ok in zip(points.labels, flags) if not ok]
     return {
         "check": "allPointsVertices",
@@ -473,49 +455,22 @@ def payload_all_vertices(
     }
 
 
-def _normalize_pairs(
-    points: PointConfiguration, pairs: Sequence[Sequence[str]]
-) -> list[tuple[str, str]]:
-    known = set(points.labels)
-    out = []
-    for entry in pairs:
-        pair = tuple(entry)
-        if len(pair) != 2 or any(lab not in known for lab in pair):
-            raise SchemaError(f"bad diagonal pair {entry!r}")
-        out.append(pair)
-    return out
-
-
-def _midpoint_flags(
-    points: PointConfiguration, pairs: Sequence[tuple[str, str]], workers: int
-) -> list[bool]:
-    index = {lab: i for i, lab in enumerate(points.labels)}
-    coords = points.coords
-    tasks = ((coords, index[a], index[b]) for a, b in pairs)
-    return list(parallel.imap(_midpoint_task, tasks, workers))
+def _unpaired(points: PointConfiguration, pairs: Sequence[Sequence[str]]) -> list[str]:
+    seen = {a for a, _ in pairs}
+    return [lab for lab in points.labels if lab not in seen]
 
 
 def payload_illuminated_points(
-    points: PointConfiguration,
-    pairs: Sequence[Sequence[str]],
-    workers: int = 1,
-    assume_true: bool = False,
+    points: PointConfiguration, pairs: Sequence[Sequence[str]], flags: Sequence[bool]
 ) -> dict:
-    """Certify one inner diagonal per vertex by midpoint-interior LPs.
+    """One inner diagonal per vertex, certified by midpoint-interior LPs.
 
-    ``assume_true`` reuses an earlier certification instead of re-running
-    the LPs; the payload shape is identical either way.
+    ``pairs`` are label pairs of ``points``; ``flags`` says per pair whether
+    its midpoint is interior (``mani.hull_flags``) and is not read when some
+    vertex has no pair.
     """
-    pairs = _normalize_pairs(points, pairs)
-    seen = {a for a, _ in pairs}
-    missing = [lab for lab in points.labels if lab not in seen]
-    if missing:
-        flags: list[bool] = []
-    elif assume_true:
-        flags = [True] * len(pairs)
-    else:
-        flags = _midpoint_flags(points, pairs, workers)
-    failing = [list(p) for p, ok in zip(pairs, flags) if not ok]
+    missing = _unpaired(points, pairs)
+    failing = [] if missing else [list(p) for p, ok in zip(pairs, flags) if not ok]
     return {
         "check": "illuminated",
         "verdict": not missing and not failing,
@@ -527,12 +482,9 @@ def payload_illuminated_points(
 
 
 def payload_unneighborly_points(
-    points: PointConfiguration,
-    pairs: Sequence[Sequence[str]],
-    workers: int = 1,
-    assume_true: bool = False,
+    points: PointConfiguration, pairs: Sequence[Sequence[str]], flags: Sequence[bool]
 ) -> dict:
-    doc = payload_illuminated_points(points, pairs, workers, assume_true)
+    doc = payload_illuminated_points(points, pairs, flags)
     doc["check"] = "unneighborly"
     return doc
 
@@ -553,6 +505,15 @@ def payload_nonsimplicial_points(
         doc["normal"] = _rat_list(normal)
         doc["offset"] = format_rational(offset)
     return doc
+
+
+def payload_simplicial_points(points: PointConfiguration, fat_facet: Sequence[str]) -> dict:
+    plane = supporting_hyperplane(points, fat_facet)
+    return {
+        "check": "simplicial",
+        "verdict": not (plane is not None and len(fat_facet) > points.d),
+        "fatFacets": [list(fat_facet)] if plane is not None else [],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -627,15 +588,64 @@ def payload_minimal_dual(report: CounterexampleReport) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# The check table
+
+
+# check name -> payload builder, per report mode.  A builder reads its
+# inputs by ``ManiConstruction`` field name (plus ``counterexample``,
+# ``dual`` and ``workers``): build passes the construction's own, verify
+# decodes them from the report (``_ReportObjects``).  ``kspanning:k``
+# checks of a certificate report are built in ``_builder``.
+CHECKS = {
+    "full": {
+        "designatedAreFacets": lambda o: payload_designated_full(o["plan"], o["base"]),
+        "complementsCoverVertices": lambda o: payload_cover(o["plan"]),
+        "f0MatchesFormula": lambda o: payload_f0(o["plan"], o["stacked"].f0),
+        "illuminated": lambda o: payload_illuminated(o["stacked"]),
+        "unneighborly": lambda o: payload_unneighborly(o["stacked"]),
+        "nonsimplicial": lambda o: payload_nonsimplicial(o["stacked"]),
+        "simplicial": lambda o: payload_simplicial(o["stacked"]),
+    },
+    "certificate": {
+        "designatedAreFacets": lambda o: payload_designated_points(o["plan"], o["base_points"]),
+        "complementsCoverVertices": lambda o: payload_cover(o["plan"]),
+        "f0MatchesFormula": lambda o: payload_f0(o["plan"], len(o["points"])),
+        "allPointsVertices": lambda o: payload_all_vertices(o["points"], o["vertex_flags"]),
+        "illuminated": lambda o: payload_illuminated_points(
+            o["points"], o["diagonal_partner"], o["diagonal_flags"]
+        ),
+        "unneighborly": lambda o: payload_unneighborly_points(
+            o["points"], o["diagonal_partner"], o["diagonal_flags"]
+        ),
+        "nonsimplicial": lambda o: payload_nonsimplicial_points(o["points"], o["fat_facet"]),
+        "simplicial": lambda o: payload_simplicial_points(o["points"], o["fat_facet"]),
+        "minimal2spanningDual": lambda o: payload_minimal_dual(o["counterexample"]),
+        "minimal": lambda o: payload_minimal(o["dual"], 2, o["workers"]),
+    },
+}
+
+
+def _builder(mode, name: str):
+    """The payload builder of check ``name`` on a ``mode`` report."""
+    table = CHECKS.get(mode) if isinstance(mode, str) else None
+    if table is None:
+        raise SchemaError(f"report: unknown mode {mode!r}")
+    if mode == "certificate" and name.startswith("kspanning:"):
+        return lambda o: payload_kspanning(
+            o["dual"], _parse_check_names([name])[0][1], o["workers"]
+        )
+    if name not in table:
+        raise BadParametersError(f"cannot re-derive check {name!r} from a {mode} report")
+    return table[name]
+
+
+# ---------------------------------------------------------------------------
 # Build reports
 
 
-def _ordered_payloads(payloads: dict) -> list[dict]:
+def _in_check_order(names) -> list[str]:
     order = {name: i for i, name in enumerate(CHECK_ORDER)}
-    return [
-        payloads[name]
-        for name in sorted(payloads, key=lambda n: (order.get(n, len(order)), n))
-    ]
+    return sorted(names, key=lambda n: (order.get(n, len(order)), n))
 
 
 def _stack_to_json(cert) -> dict:
@@ -657,9 +667,10 @@ def build_report(
 ) -> dict:
     """The full machine-readable result of a build, either mode.
 
-    The certificates are regenerated from the report's own embedded objects
-    (polytope or points), so re-deriving them from the written report gives
-    byte-identical payloads and digests.
+    Every check the construction made gets a certificate from its ``CHECKS``
+    builder, fed the construction's objects and LP flags; verify feeds the
+    same builders the report's embedded objects, so re-deriving them from
+    the written report gives byte-identical payloads and digests.
     """
     plan = construction.plan
     doc: dict = {
@@ -675,21 +686,12 @@ def build_report(
         "isManiSize": construction.is_mani_size,
         "plan": plan_to_json(plan),
     }
-    payloads: dict[str, dict] = {
-        "complementsCoverVertices": payload_cover(plan),
-        "f0MatchesFormula": payload_f0(plan, construction.f0),
-    }
+    names = list(construction.checks)
     if construction.mode == "full":
         if construction.base is None or construction.stacked is None:
             raise BadParametersError("a full-mode report needs the built base and stacked polytopes")
         doc["basePolytope"] = polytope_to_json(construction.base)
         doc["polytope"] = polytope_to_json(construction.stacked)
-        payloads["designatedAreFacets"] = payload_designated_full(
-            plan, construction.base
-        )
-        payloads["illuminated"] = payload_illuminated(construction.stacked)
-        payloads["unneighborly"] = payload_unneighborly(construction.stacked)
-        payloads["nonsimplicial"] = payload_nonsimplicial(construction.stacked)
         if construction.gamma_report is not None:
             gr = construction.gamma_report
             doc["gamma"] = {
@@ -704,32 +706,16 @@ def build_report(
         doc["stacks"] = [_stack_to_json(c) for c in construction.stacks]
         doc["fatFacet"] = list(construction.fat_facet or ())
         doc["diagonalPartner"] = [list(p) for p in construction.diagonal_partner]
-        payloads["designatedAreFacets"] = payload_designated_points(plan)
-        payloads["allPointsVertices"] = payload_all_vertices(
-            construction.points,
-            workers,
-            assume_true=construction.checks.get("allPointsVertices", False),
-        )
-        pairs = construction.diagonal_partner
-        payloads["illuminated"] = payload_illuminated_points(
-            construction.points,
-            pairs,
-            workers,
-            assume_true=construction.checks.get("illuminated", False),
-        )
-        payloads["unneighborly"] = payload_unneighborly_points(
-            construction.points,
-            pairs,
-            workers,
-            assume_true=construction.checks.get("unneighborly", False),
-        )
-        payloads["nonsimplicial"] = payload_nonsimplicial_points(
-            construction.points, construction.fat_facet or ()
-        )
         if counterexample is not None:
             doc["dualConfiguration"] = config_to_json(counterexample.dual)
-            payloads["minimal2spanningDual"] = payload_minimal_dual(counterexample)
-    ordered = _ordered_payloads(payloads)
+            names.append("minimal2spanningDual")
+    objects = dict(
+        vars(construction),
+        fat_facet=construction.fat_facet or (),
+        counterexample=counterexample,
+        workers=workers,
+    )
+    ordered = [_builder(construction.mode, n)(objects) for n in _in_check_order(names)]
     doc["checks"] = {p["check"]: p["verdict"] for p in ordered}
     doc["certificates"] = ordered
     doc["certificateDigests"] = {p["check"]: digest(p) for p in ordered}
@@ -790,107 +776,102 @@ def verify_configuration(
 def verify_polytope(
     poly: IncidencePolytope, checks: Sequence[str], workers: int = 1
 ) -> list[dict]:
-    parsed = _parse_check_names(checks)
+    # the checks that apply are those of a full report's stacked polytope
+    table = CHECKS["full"]
     payloads = []
-    for name, _ in parsed:
-        if name == "illuminated":
-            payloads.append(payload_illuminated(poly))
-        elif name == "unneighborly":
-            payloads.append(payload_unneighborly(poly))
-        elif name == "simplicial":
-            payloads.append(payload_simplicial(poly))
-        else:
+    for name, _ in _parse_check_names(checks):
+        if name not in table:
             raise BadParametersError(
                 f"check {name!r} does not apply to a combinatorial polytope"
             )
+        payloads.append(table[name]({"stacked": poly}))
     return payloads
 
 
-def _diagonal_pairs(report: dict) -> list[list[str]]:
-    pairs = _require(report, "diagonalPartner", "report")
+def _diagonal_partner(objects: "_ReportObjects") -> list[list[str]]:
+    pairs = _require(objects.report, "diagonalPartner", "report")
     if not isinstance(pairs, list) or not all(_is_labels(p) for p in pairs):
         raise SchemaError("report: 'diagonalPartner' must be a list of label pairs")
+    known = set(objects["points"].labels)
+    for pair in pairs:
+        if len(pair) != 2 or any(lab not in known for lab in pair):
+            raise SchemaError(f"bad diagonal pair {pair!r}")
     return pairs
+
+
+def _dual_configuration(objects: "_ReportObjects") -> VectorConfiguration:
+    if "dualConfiguration" not in objects.report:
+        raise BadParametersError("this check needs a report with a dual configuration")
+    return config_from_json(objects.report["dualConfiguration"])
+
+
+def _diagonal_flags(objects: "_ReportObjects") -> tuple[bool, ...]:
+    points, pairs = objects["points"], objects["diagonal_partner"]
+    if _unpaired(points, pairs):
+        return ()
+    index = {lab: i for i, lab in enumerate(points.labels)}
+    diagonals = [(index[a], index[b]) for a, b in pairs]
+    return tuple(hull_flags(points.coords, (), diagonals, objects["workers"]))
+
+
+# how verify obtains each object a ``CHECKS`` builder reads: embedded
+# documents are decoded, the rest re-derived from them
+_DECODERS = {
+    "plan": lambda o: plan_from_json(_require(o.report, "plan", "report")),
+    "stacked": lambda o: polytope_from_json(_require(o.report, "polytope", "report")),
+    "base": lambda o: polytope_from_json(_require(o.report, "basePolytope", "report")),
+    "points": lambda o: points_from_json(_require(o.report, "points", "report")),
+    "fat_facet": lambda o: _require_labels(o.report, "fatFacet", "report"),
+    "diagonal_partner": _diagonal_partner,
+    "dual": _dual_configuration,
+    "base_points": lambda o: realize(o["plan"].config),
+    "vertex_flags": lambda o: tuple(
+        hull_flags(o["points"].coords, range(len(o["points"])), (), o["workers"])
+    ),
+    "diagonal_flags": _diagonal_flags,
+    "counterexample": lambda o: dual_spanning_report(
+        ManiConstruction(plan=o["plan"], mode="certificate", points=o["points"]), 2, o["workers"]
+    ),
+}
+
+
+class _ReportObjects(dict):
+    """A build report's objects by key, each obtained on first use and kept."""
+
+    def __init__(self, report: dict, workers: int):
+        super().__init__(workers=workers)
+        self.report = report
+
+    def __missing__(self, key: str):
+        self[key] = value = _DECODERS[key](self)
+        return value
+
+
+def _rederive(objects: _ReportObjects, name: str) -> dict:
+    # every check decodes the plan and then the report's polytope or points
+    # first, so a report is accepted only when those decode
+    mode = _require(objects.report, "mode", "report")
+    objects["plan"]
+    if mode == "full":
+        objects["stacked"]
+    elif mode == "certificate":
+        objects["points"]
+    return _builder(mode, name)(objects)
 
 
 def rederive_report_payload(report: dict, name: str, workers: int = 1) -> dict:
     """Recompute one check certificate from a build report's embedded data."""
-    where = "report"
-    mode = _require(report, "mode", where)
-    plan = plan_from_json(_require(report, "plan", where))
-    if mode == "full":
-        poly = polytope_from_json(_require(report, "polytope", where))
-        if name == "illuminated":
-            return payload_illuminated(poly)
-        if name == "unneighborly":
-            return payload_unneighborly(poly)
-        if name == "nonsimplicial":
-            return payload_nonsimplicial(poly)
-        if name == "simplicial":
-            return payload_simplicial(poly)
-        if name == "designatedAreFacets":
-            base = polytope_from_json(_require(report, "basePolytope", where))
-            return payload_designated_full(plan, base)
-        if name == "complementsCoverVertices":
-            return payload_cover(plan)
-        if name == "f0MatchesFormula":
-            return payload_f0(plan, poly.f0)
-        raise BadParametersError(f"cannot re-derive check {name!r} from a full report")
-    if mode == "certificate":
-        points = points_from_json(_require(report, "points", where))
-        if name == "illuminated":
-            return payload_illuminated_points(points, _diagonal_pairs(report), workers)
-        if name == "unneighborly":
-            return payload_unneighborly_points(points, _diagonal_pairs(report), workers)
-        if name == "nonsimplicial":
-            return payload_nonsimplicial_points(points, _require_labels(report, "fatFacet", where))
-        if name == "simplicial":
-            fat = _require_labels(report, "fatFacet", where)
-            plane = supporting_hyperplane(points, fat)
-            return {
-                "check": "simplicial",
-                "verdict": not (plane is not None and len(fat) > points.d),
-                "fatFacets": [list(fat)] if plane is not None else [],
-            }
-        if name == "allPointsVertices":
-            return payload_all_vertices(points, workers)
-        if name == "designatedAreFacets":
-            return payload_designated_points(plan)
-        if name == "complementsCoverVertices":
-            return payload_cover(plan)
-        if name == "f0MatchesFormula":
-            return payload_f0(plan, len(points))
-        if name == "minimal2spanningDual":
-            from .mani import dual_spanning_report
-
-            construction = ManiConstruction(plan=plan, mode="certificate")
-            construction.points = points
-            return payload_minimal_dual(
-                dual_spanning_report(construction, k=2, workers=workers)
-            )
-        if name.startswith("kspanning:") or name == "minimal":
-            if "dualConfiguration" not in report:
-                raise BadParametersError(
-                    f"check {name!r} needs a report with a dual configuration"
-                )
-            dual = config_from_json(report["dualConfiguration"])
-            k = int(name.split(":", 1)[1]) if name.startswith("kspanning:") else 2
-            if name == "minimal":
-                return payload_minimal(dual, k, workers)
-            return payload_kspanning(dual, k, workers)
-        raise BadParametersError(
-            f"cannot re-derive check {name!r} from a certificate report"
-        )
-    raise SchemaError(f"report: unknown mode {mode!r}")
+    return _rederive(_ReportObjects(report, workers), name)
 
 
 def verify_report(report: dict, checks: Sequence[str] | None, workers: int = 1) -> list[dict]:
     """Re-derive certificates for a build report.
 
     With no explicit checks, every check recorded in the report is re-run
-    from the embedded objects; the digests of the resulting payloads must
-    match the report's own (that equality is the round-trip invariant, left
-    to the caller to assert or simply trust by determinism).
+    from the embedded objects, each decoded once; the digests of the
+    resulting payloads must match the report's own (that equality is the
+    round-trip invariant, left to the caller to assert or simply trust by
+    determinism).
     """
     recorded = _require(report, "checks", "report")
     if not isinstance(recorded, dict):
@@ -908,9 +889,9 @@ def verify_report(report: dict, checks: Sequence[str] | None, workers: int = 1) 
                 )
     else:
         # same ordering as the build output, so round trips are line-stable
-        order = {name: i for i, name in enumerate(CHECK_ORDER)}
-        requested = sorted(recorded, key=lambda n: (order.get(n, len(order)), n))
-    return [rederive_report_payload(report, name, workers) for name in requested]
+        requested = _in_check_order(recorded)
+    objects = _ReportObjects(report, workers)
+    return [_rederive(objects, name) for name in requested]
 
 
 def verify_document(doc, checks: Sequence[str] | None, workers: int = 1) -> list[dict]:

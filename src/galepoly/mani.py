@@ -32,7 +32,6 @@ configurations.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -48,7 +47,6 @@ from .errors import (
 )
 from .gale import (
     PointConfiguration,
-    all_points_are_vertices,
     barycenter,
     gale_dual,
     incidence_from_gale,
@@ -230,21 +228,26 @@ class StackCertificate:
     trials: int
 
 
-def _vertex_task(args):
-    coords, i = args
-    return is_vertex_of_hull(coords, i)
-
-
-def _midpoint_task(args):
+def _hull_task(args):
     coords, i, j = args
+    if j is None:
+        return is_vertex_of_hull(coords, i)
     mid = vec_scale(QQ(1, 2), vec_add(coords[i], coords[j]))
     ok, _ = interior_point_test(coords, mid)
     return ok
 
 
-def _all_vertices(coords, workers: int) -> bool:
-    tasks = ((coords, i) for i in range(len(coords)))
-    return all(parallel.imap(_vertex_task, tasks, workers))
+def hull_flags(coords, vertices, diagonals, workers: int = 1):
+    """Exact LP flags on the hull of ``coords``, yielded lazily in order.
+
+    First, for each index in ``vertices``, whether that point is a vertex;
+    then, for each index pair in ``diagonals``, whether the pair's midpoint
+    lies in the interior (so the segment is an inner diagonal).  With one
+    worker ``all()`` over the flags stops at the first failing LP.
+    """
+    tasks = [(coords, i, None) for i in vertices]
+    tasks += [(coords, i, j) for i, j in diagonals]
+    return parallel.imap(_hull_task, tasks, workers)
 
 
 def geometric_stack_point(
@@ -292,25 +295,23 @@ def geometric_stack_point(
         if all(dot(a, apex) < b for a, b in guard_planes):
             coords = points.coords + (apex,)
             n = len(coords)
-            vertex_tasks = ((coords, i) for i in range(n - 1))
-            if all(parallel.imap(_vertex_task, vertex_tasks, workers)):
-                mid_tasks = ((coords, n - 1, i) for i in off_facet)
-                if all(parallel.imap(_midpoint_task, mid_tasks, workers)):
-                    stacked = PointConfiguration(
-                        d=points.d,
-                        labels=points.labels + (new_label,),
-                        coords=coords,
-                    )
-                    cert = StackCertificate(
-                        facet=facet,
-                        apex_label=new_label,
-                        apex=apex,
-                        normal=normal,
-                        offset=offset,
-                        epsilon=eps,
-                        trials=trial,
-                    )
-                    return stacked, cert
+            diagonals = [(n - 1, i) for i in off_facet]
+            if all(hull_flags(coords, range(n - 1), diagonals, workers)):
+                stacked = PointConfiguration(
+                    d=points.d,
+                    labels=points.labels + (new_label,),
+                    coords=coords,
+                )
+                cert = StackCertificate(
+                    facet=facet,
+                    apex_label=new_label,
+                    apex=apex,
+                    normal=normal,
+                    offset=offset,
+                    epsilon=eps,
+                    trials=trial,
+                )
+                return stacked, cert
         eps = eps / 2
     raise NoEpsilonFoundError(
         f"no valid apex height within {max_halvings} halvings for facet {sorted(facet)}"
@@ -328,7 +329,9 @@ class ManiConstruction:
     ``checks`` maps check names to booleans; a fully successful build has
     every value true.  Full mode fills ``base``/``stacked`` (combinatorial
     polytopes); certificate mode fills ``base_points``/``points`` and
-    ``stacks`` plus the fat-facet witness.
+    ``stacks`` plus the fat-facet witness, and keeps the LP flags behind
+    its checks: ``vertex_flags`` per point and ``diagonal_flags`` per
+    ``diagonal_partner`` pair.
     """
 
     plan: BlockDiagramPlan
@@ -342,6 +345,8 @@ class ManiConstruction:
     fat_facet: tuple[str, ...] | None = None
     fat_facet_plane: tuple[tuple[Fraction, ...], Fraction] | None = None
     diagonal_partner: tuple[tuple[str, str], ...] = ()
+    vertex_flags: tuple[bool, ...] = ()
+    diagonal_flags: tuple[bool, ...] = ()
     gamma_report: OppositeSetReport | None = None
 
     @property
@@ -451,10 +456,6 @@ def _construct_certificate(
     result.stacks = tuple(stacks)
     result.checks["f0MatchesFormula"] = len(current) == plan.d + plan.p + plan.q + 1
 
-    coords = current.coords
-    index = {lab: i for i, lab in enumerate(current.labels)}
-    result.checks["allPointsVertices"] = _all_vertices(coords, workers)
-
     # one certified inner diagonal per vertex: each original label lies in
     # some designated complement and pairs with that facet's apex
     partner: dict[str, str] = {}
@@ -463,10 +464,16 @@ def _construct_certificate(
             partner.setdefault(lab, apex)
         partner.setdefault(apex, comp[0])
     pairs = [(lab, partner[lab]) for lab in current.labels]
-    tasks = ((coords, index[a], index[b]) for a, b in pairs)
-    ok_flags = list(parallel.imap(_midpoint_task, tasks, workers))
-    result.checks["illuminated"] = all(ok_flags)
-    result.checks["unneighborly"] = all(ok_flags)
+    index = {lab: i for i, lab in enumerate(current.labels)}
+    n = len(current)
+    flags = list(hull_flags(
+        current.coords, range(n), [(index[a], index[b]) for a, b in pairs], workers
+    ))
+    result.vertex_flags = tuple(flags[:n])
+    result.diagonal_flags = tuple(flags[n:])
+    result.checks["allPointsVertices"] = all(result.vertex_flags)
+    result.checks["illuminated"] = all(result.diagonal_flags)
+    result.checks["unneighborly"] = all(result.diagonal_flags)
     result.diagonal_partner = tuple(pairs)
 
     # fat facet: drop one opposite pair of diagram vectors; the remaining

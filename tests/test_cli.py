@@ -284,3 +284,17 @@ def test_verify_malformed_report_is_a_usage_error(tmp_path, capsys):
     assert out == ""
     assert err.startswith("galepoly: error:")
     assert "Traceback" not in err
+
+
+def test_verify_report_with_a_non_object_plan_is_a_usage_error(tmp_path, capsys):
+    path = str(tmp_path / "d6.json")
+    code, _, _ = run(capsys, "build", "--dim", "6", "--out", path)
+    assert code == 0
+    report = read_document(path)
+    report["plan"] = [report["plan"]]
+    write_document(report, path)
+    code, out, err = run(capsys, "verify", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("galepoly: error: plan: must be a JSON object")
+    assert "Traceback" not in err

@@ -1,0 +1,99 @@
+"""Malformed documents: ``verify_document`` only ever raises a GalepolyError.
+
+Each example takes one emitted document (a configuration, polytope, points
+set or plan, or a d = 6 build report of either mode) and applies one to
+three mutations at random places in it: a key dropped, a value replaced by
+a list, an integer, a string, a boolean or null, or a list truncated.  The
+documents are small and every check has k <= 2, so no example can start
+unbounded ``kspanning:k`` work.
+"""
+
+import functools
+import json
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from galepoly.errors import GalepolyError
+from galepoly.gale import PointConfiguration
+from galepoly.jsonio import (
+    build_report,
+    config_to_json,
+    dumps,
+    plan_to_json,
+    points_to_json,
+    polytope_to_json,
+    verify_document,
+)
+from galepoly.mani import build_block_diagram, construct_nonsimplicial_mani, dual_spanning_report
+from galepoly.polytope import crosspolytope
+from galepoly.spanning import standard_minimal_config
+
+POLYTOPE_CHECKS = ["illuminated", "unneighborly", "simplicial"]
+
+
+@functools.lru_cache(maxsize=None)
+def _documents() -> tuple:
+    """(canonical text, check lists to try) per document."""
+    certificate = construct_nonsimplicial_mani(6, mode="certificate")
+    docs = [
+        (config_to_json(standard_minimal_config(2, 2)), [["kspanning:2", "minimal"]]),
+        (polytope_to_json(crosspolytope(3)), [POLYTOPE_CHECKS]),
+        (points_to_json(PointConfiguration.from_pairs(2, [("a", (0, 0)), ("b", (1, 0)), ("c", (0, 1))])), [None]),
+        (plan_to_json(build_block_diagram(6)), [None]),
+        (build_report(construct_nonsimplicial_mani(6)), [None, POLYTOPE_CHECKS]),
+        (build_report(certificate, dual_spanning_report(certificate)), [None, ["kspanning:2"]]),
+    ]
+    return tuple((dumps(doc), checks) for doc, checks in docs)
+
+
+REPLACEMENTS = st.one_of(
+    st.lists(st.sampled_from([0, 1, "a", "1/2", True, None, [], {}]), max_size=2),
+    st.integers(-2, 40),
+    st.sampled_from(["", "x", "1/0", "B1.0", "full", "certificate", "kspanning:2"]),
+    st.booleans(),
+    st.none(),
+)
+
+
+def _mutate(data, doc) -> None:
+    """One mutation at a random place below the top-level object."""
+    node = doc
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        if not keys:
+            return
+        key = data.draw(st.sampled_from(keys))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and data.draw(st.integers(0, 2)) == 0:
+            node = child
+            continue
+        action = data.draw(st.sampled_from(["replace", "list", "drop", "truncate"]))
+        if action == "drop":
+            del node[key]
+        elif action == "truncate" and isinstance(child, list):
+            node[key] = child[: data.draw(st.integers(0, max(0, len(child) - 1)))]
+        elif action == "list":
+            node[key] = data.draw(st.sampled_from([[], [child]]))
+        else:
+            node[key] = data.draw(REPLACEMENTS)
+        return
+
+
+@settings(
+    derandomize=True,
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.data())
+def test_mutated_documents_raise_only_galepoly_errors(data):
+    text, check_lists = data.draw(st.sampled_from(_documents()))
+    checks = data.draw(st.sampled_from(check_lists))
+    doc = json.loads(text)
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(data, doc)
+    try:
+        verify_document(doc, checks)
+    except GalepolyError:
+        pass

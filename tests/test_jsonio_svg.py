@@ -501,3 +501,82 @@ def test_non_string_vector_label_is_a_schema_error():
         doc["vectors"][0]["label"] = bad
         with pytest.raises(SchemaError, match=r"vectors\[0\]\.label"):
             verify_document(doc, ["kspanning:2"])
+
+
+def _full_report_d6() -> dict:
+    return json.loads(dumps(build_report(construct_nonsimplicial_mani(6))))
+
+
+def _set_embedded(report: dict, path: tuple, value) -> None:
+    for key in path[:-1]:
+        report = report[key]
+    report[path[-1]] = value
+
+
+@pytest.mark.parametrize(
+    "mode, path, checks",
+    [
+        ("full", ("plan",), None),
+        ("full", ("polytope",), None),
+        ("full", ("basePolytope",), None),
+        ("full", ("plan", "configuration"), None),
+        ("certificate", ("points",), None),
+        ("certificate", ("dualConfiguration",), ["kspanning:2"]),
+    ],
+    ids=lambda v: ".".join(v) if isinstance(v, (tuple, list)) else None,
+)
+def test_embedded_document_that_is_not_an_object_is_a_schema_error(mode, path, checks):
+    for bad in ([], ["x"], "doc", 5, True):
+        report = _full_report_d6() if mode == "full" else _certificate_report_d6()
+        _set_embedded(report, path, bad)
+        with pytest.raises(SchemaError, match="must be a JSON object"):
+            verify_document(report, checks)
+
+
+def test_leaf_document_that_is_not_an_object_is_a_schema_error():
+    for parse in (config_from_json, points_from_json, polytope_from_json, plan_from_json):
+        with pytest.raises(SchemaError):
+            parse([1, 2])
+
+
+def test_designated_name_must_be_a_string():
+    plan = plan_to_json(build_block_diagram(6))
+    for bad in ([1], 1, None, {"B1": 1}):
+        plan["designated"][0]["name"] = bad
+        with pytest.raises(SchemaError, match=r"designated\[0\]\.name"):
+            plan_from_json(plan)
+    report = _certificate_report_d6()
+    report["plan"]["designated"][0]["name"] = [1]
+    with pytest.raises(SchemaError):
+        verify_document(report, None)
+
+
+def test_report_polytope_or_points_must_decode_for_every_check():
+    # a report is accepted only when its plan and its polytope or points
+    # decode, even when no recorded check reads them
+    for report, key in ((_full_report_d6(), "polytope"), (_certificate_report_d6(), "points")):
+        report["checks"] = {"complementsCoverVertices": True}
+        assert verify_document(report, None)[0]["verdict"] is True
+        report[key] = {"schemaVersion": 1}
+        with pytest.raises(SchemaError):
+            verify_document(report, None)
+
+
+def test_certificate_reports_reuse_their_lp_flags(monkeypatch):
+    from galepoly import lp
+
+    construction = construct_nonsimplicial_mani(6, mode="certificate")
+    calls = []
+    solve = lp.solve_feasibility
+    monkeypatch.setattr(lp, "solve_feasibility", lambda *a: calls.append(a) or solve(*a))
+    # the construction's flags and realized base back the report: no LP
+    report = json.loads(dumps(build_report(construction)))
+    assert calls == []
+    # illuminated and unneighborly share one midpoint LP per pair
+    verify_document(report, ["illuminated", "unneighborly"])
+    assert len(calls) == len(report["diagonalPartner"]) == 12
+    # with a vertex left unpaired the midpoints are not worth testing
+    calls.clear()
+    report["diagonalPartner"].pop()
+    payloads = verify_document(report, ["illuminated", "unneighborly"])
+    assert calls == [] and [p["unpaired"] for p in payloads] == [["S3"], ["S3"]]
