@@ -419,14 +419,14 @@ def payload_designated_full(plan: BlockDiagramPlan, base: IncidencePolytope) -> 
     }
 
 
-def payload_designated_points(plan: BlockDiagramPlan, base_points: PointConfiguration) -> dict:
-    """Hyperplane certificates for each designated facet on the realized plan."""
-    labels = plan.config.labels
+def payload_designated_points(plan: BlockDiagramPlan, planes: Sequence) -> dict:
+    """Hyperplane certificates for each designated facet on the realized plan.
+
+    ``planes`` holds one supporting hyperplane (or None) per designated
+    complement, in plan order (``mani.designated_planes``).
+    """
     entries = []
-    for name, comp in plan.designated:
-        cset = set(comp)
-        facet = tuple(lab for lab in labels if lab not in cset)
-        plane = supporting_hyperplane(base_points, facet)
+    for (name, comp), plane in zip(plan.designated, planes):
         entry = {
             "name": name,
             "complement": list(comp),
@@ -490,9 +490,9 @@ def payload_unneighborly_points(
 
 
 def payload_nonsimplicial_points(
-    points: PointConfiguration, fat_facet: Sequence[str]
+    points: PointConfiguration, fat_facet: Sequence[str], plane
 ) -> dict:
-    plane = supporting_hyperplane(points, fat_facet)
+    """``plane`` is the fat facet's supporting hyperplane, or None."""
     doc = {
         "check": "nonsimplicial",
         "verdict": plane is not None and len(fat_facet) > points.d,
@@ -507,8 +507,7 @@ def payload_nonsimplicial_points(
     return doc
 
 
-def payload_simplicial_points(points: PointConfiguration, fat_facet: Sequence[str]) -> dict:
-    plane = supporting_hyperplane(points, fat_facet)
+def payload_simplicial_points(points: PointConfiguration, fat_facet: Sequence[str], plane) -> dict:
     return {
         "check": "simplicial",
         "verdict": not (plane is not None and len(fat_facet) > points.d),
@@ -593,9 +592,10 @@ def payload_minimal_dual(report: CounterexampleReport) -> dict:
 
 # check name -> payload builder, per report mode.  A builder reads its
 # inputs by ``ManiConstruction`` field name (plus ``counterexample``,
-# ``dual`` and ``workers``): build passes the construction's own, verify
-# decodes them from the report (``_ReportObjects``).  ``kspanning:k``
-# checks of a certificate report are built in ``_builder``.
+# ``dual``, ``workers`` and the ``k`` of ``minimal``): build passes the
+# construction's own, verify decodes them from the report
+# (``_ReportObjects``).  ``kspanning:k`` checks of a certificate report are
+# built in ``_builder``.
 CHECKS = {
     "full": {
         "designatedAreFacets": lambda o: payload_designated_full(o["plan"], o["base"]),
@@ -607,7 +607,9 @@ CHECKS = {
         "simplicial": lambda o: payload_simplicial(o["stacked"]),
     },
     "certificate": {
-        "designatedAreFacets": lambda o: payload_designated_points(o["plan"], o["base_points"]),
+        "designatedAreFacets": lambda o: payload_designated_points(
+            o["plan"], o["designated_planes"]
+        ),
         "complementsCoverVertices": lambda o: payload_cover(o["plan"]),
         "f0MatchesFormula": lambda o: payload_f0(o["plan"], len(o["points"])),
         "allPointsVertices": lambda o: payload_all_vertices(o["points"], o["vertex_flags"]),
@@ -617,10 +619,14 @@ CHECKS = {
         "unneighborly": lambda o: payload_unneighborly_points(
             o["points"], o["diagonal_partner"], o["diagonal_flags"]
         ),
-        "nonsimplicial": lambda o: payload_nonsimplicial_points(o["points"], o["fat_facet"]),
-        "simplicial": lambda o: payload_simplicial_points(o["points"], o["fat_facet"]),
+        "nonsimplicial": lambda o: payload_nonsimplicial_points(
+            o["points"], o["fat_facet"], o["fat_facet_plane"]
+        ),
+        "simplicial": lambda o: payload_simplicial_points(
+            o["points"], o["fat_facet"], o["fat_facet_plane"]
+        ),
         "minimal2spanningDual": lambda o: payload_minimal_dual(o["counterexample"]),
-        "minimal": lambda o: payload_minimal(o["dual"], 2, o["workers"]),
+        "minimal": lambda o: payload_minimal(o["dual"], o["k"], o["workers"]),
     },
 }
 
@@ -814,6 +820,14 @@ def _diagonal_flags(objects: "_ReportObjects") -> tuple[bool, ...]:
     return tuple(hull_flags(points.coords, (), diagonals, objects["workers"]))
 
 
+def _designated_planes(objects: "_ReportObjects") -> tuple:
+    plan = objects["plan"]
+    facets = [
+        [lab for lab in plan.config.labels if lab not in comp] for _, comp in plan.designated
+    ]
+    return tuple(supporting_hyperplane(objects["base_points"], f) for f in facets)
+
+
 # how verify obtains each object a ``CHECKS`` builder reads: embedded
 # documents are decoded, the rest re-derived from them
 _DECODERS = {
@@ -825,6 +839,8 @@ _DECODERS = {
     "diagonal_partner": _diagonal_partner,
     "dual": _dual_configuration,
     "base_points": lambda o: realize(o["plan"].config),
+    "designated_planes": _designated_planes,
+    "fat_facet_plane": lambda o: supporting_hyperplane(o["points"], o["fat_facet"]),
     "vertex_flags": lambda o: tuple(
         hull_flags(o["points"].coords, range(len(o["points"])), (), o["workers"])
     ),
@@ -838,8 +854,8 @@ _DECODERS = {
 class _ReportObjects(dict):
     """A build report's objects by key, each obtained on first use and kept."""
 
-    def __init__(self, report: dict, workers: int):
-        super().__init__(workers=workers)
+    def __init__(self, report: dict, workers: int, k: int = 2):
+        super().__init__(workers=workers, k=k)
         self.report = report
 
     def __missing__(self, key: str):
@@ -871,14 +887,23 @@ def verify_report(report: dict, checks: Sequence[str] | None, workers: int = 1) 
     from the embedded objects, each decoded once; the digests of the
     resulting payloads must match the report's own (that equality is the
     round-trip invariant, left to the caller to assert or simply trust by
-    determinism).
+    determinism).  ``minimal`` tests the k of the one ``kspanning:k``
+    requested with it, else k = 2.
     """
     recorded = _require(report, "checks", "report")
     if not isinstance(recorded, dict):
         raise SchemaError("report: 'checks' must be an object")
+    k = 2
     if checks:
+        parsed = _parse_check_names(checks)
+        ks = [kk for _, kk in parsed if kk is not None]
+        if len(ks) > 1 and ("minimal", None) in parsed:
+            raise BadParametersError(
+                "the 'minimal' check takes k from at most one kspanning:k check"
+            )
+        k = ks[0] if ks else 2
         requested = []
-        for name, _ in _parse_check_names(checks):
+        for name, _ in parsed:
             if name == "simplicial" and "nonsimplicial" in recorded:
                 requested.append("simplicial")
             elif name in recorded or name.startswith("kspanning:") or name == "minimal":
@@ -890,7 +915,7 @@ def verify_report(report: dict, checks: Sequence[str] | None, workers: int = 1) 
     else:
         # same ordering as the build output, so round trips are line-stable
         requested = _in_check_order(recorded)
-    objects = _ReportObjects(report, workers)
+    objects = _ReportObjects(report, workers, k)
     return [_rederive(objects, name) for name in requested]
 
 

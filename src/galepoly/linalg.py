@@ -89,7 +89,7 @@ def denominator_lcm(u: Iterable[Fraction]) -> int:
     return math.lcm(*(a.denominator for a in u))
 
 
-def _integer_multiple(u: Sequence[Fraction]) -> list[int]:
+def integer_multiple(u: Sequence[Fraction]) -> list[int]:
     """The entries times the lcm of their denominators."""
     scale = denominator_lcm(u)
     return [a.numerator * (scale // a.denominator) for a in u]
@@ -103,7 +103,7 @@ def primitive(u: Sequence[Fraction]) -> tuple[Fraction, ...]:
     u = as_vector(u)
     if is_zero_vector(u):
         return u
-    ints = _integer_multiple(u)
+    ints = integer_multiple(u)
     g = math.gcd(*ints)
     return tuple(QQ(z // g) for z in ints)
 
@@ -191,10 +191,10 @@ class ExactMatrix:
         through the same operations.
         """
         if rhs is None:
-            rows = [_integer_multiple(r) for r in self.entries]
+            rows = [integer_multiple(r) for r in self.entries]
             b = None
         else:
-            scaled = [_integer_multiple(r + (bi,)) for r, bi in zip(self.entries, rhs)]
+            scaled = [integer_multiple(r + (bi,)) for r, bi in zip(self.entries, rhs)]
             rows = [r[:-1] for r in scaled]
             b = [r[-1] for r in scaled]
         pivots: list[int] = []

@@ -17,7 +17,9 @@ Everything else is a thin layer over that kernel:
   nonnegative on the selection and positive somewhere on it;
 * ``positively_spans`` combines a rank check with the dependence test;
 * ``interior_point_test`` translates points and reuses the spanning test;
-* ``is_vertex_of_hull`` is the convex-combination membership test.
+* ``separating_functional`` is the convex-combination membership test,
+  returning the functional that separates a vertex from the other points;
+  ``is_vertex_of_hull`` keeps only its verdict.
 
 Every certificate returned by this module has been re-verified by direct
 arithmetic (``verify_certificate``) before it leaves the producing function,
@@ -280,22 +282,31 @@ def interior_point_test(
     return positively_spans(translated, range(len(translated)))
 
 
-def is_vertex_of_hull(points: Sequence[Sequence[Fraction]], i: int) -> bool:
-    """Is points[i] outside the convex hull of the remaining points?
+def separating_functional(
+    points: Sequence[Sequence[Fraction]], i: int
+) -> tuple[Fraction, ...] | None:
+    """A functional separating points[i] from the others, or None.
 
-    Membership is the feasibility of a convex combination; an empty remainder
-    makes the point trivially a vertex.
+    The returned y has ``y . (1, points[i]) > 0`` and ``y . (1, p) <= 0`` for
+    every other point p: the Farkas vector of the convex-combination LP, so
+    None means points[i] lies in the hull of the others.  An empty remainder
+    is separated by (1, 0, ..., 0).
     """
     pts = [as_vector(p) for p in points]
     if not 0 <= i < len(pts):
         raise BadParametersError(f"index {i} out of range for {len(pts)} points")
     others = [p for j, p in enumerate(pts) if j != i]
     if not others:
-        return True
+        return (QQ(1),) + zero_vector(len(pts[i]))
     columns = [(QQ(1),) + p for p in others]
     target = (QQ(1),) + pts[i]
-    x, _ = solve_feasibility(columns, target)
-    return x is None
+    _, y = solve_feasibility(columns, target)
+    return y
+
+
+def is_vertex_of_hull(points: Sequence[Sequence[Fraction]], i: int) -> bool:
+    """Is points[i] outside the convex hull of the remaining points?"""
+    return separating_functional(points, i) is not None
 
 
 def verify_certificate(

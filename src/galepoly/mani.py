@@ -20,8 +20,10 @@ Two families live here.
 every facet of Q from the diagram and stacks combinatorially; it is the
 reference route for small d.  ``certificate`` never enumerates: it realizes
 Q exactly, places each apex geometrically, and certifies each required
-property (vertexhood, inner diagonals, a fat facet) by its own exact LP or
-hyperplane check, which keeps d = 36 tractable.
+property (vertexhood, inner diagonals, a fat facet) by exact LPs and
+hyperplane checks, which keeps d = 36 tractable.  A vertex's separating
+functional is kept and re-checked by arithmetic at later trials, and an
+inner diagonal proved by an accepted trial is not proved again.
 
 ``spanning_bound_counterexample`` chains the d = 36 certificate build with
 dualization: the Gale dual of the resulting 49-vertex polytope is certified
@@ -53,8 +55,8 @@ from .gale import (
     realize,
     supporting_hyperplane,
 )
-from .linalg import QQ, dot, vec_add, vec_scale
-from .lp import interior_point_test, is_vertex_of_hull, strict_positive_dependence
+from .linalg import QQ, dot, integer_multiple, vec_add, vec_scale
+from .lp import interior_point_test, separating_functional, strict_positive_dependence
 from .polytope import (
     IncidencePolytope,
     OppositeSetReport,
@@ -228,26 +230,54 @@ class StackCertificate:
     trials: int
 
 
+def _separates(y: tuple[int, ...], rows: list[list[int]], i: int) -> bool:
+    """Whether y is positive on rows[i] and nonpositive on every other row."""
+    for j, row in enumerate(rows):
+        value = sum(a * b for a, b in zip(y, row))
+        if value <= 0 if j == i else value > 0:
+            return False
+    return True
+
+
 def _hull_task(args):
-    coords, i, j = args
-    if j is None:
-        return is_vertex_of_hull(coords, i)
-    mid = vec_scale(QQ(1, 2), vec_add(coords[i], coords[j]))
-    ok, _ = interior_point_test(coords, mid)
-    return ok
+    coords, i, j, rows, kept = args
+    if j is not None:
+        mid = vec_scale(QQ(1, 2), vec_add(coords[i], coords[j]))
+        ok, _ = interior_point_test(coords, mid)
+        return ok, None
+    if kept is not None and _separates(kept, rows, i):
+        return True, kept
+    y = separating_functional(coords, i)
+    if y is None:
+        return False, None
+    return True, tuple(integer_multiple(y))
 
 
-def hull_flags(coords, vertices, diagonals, workers: int = 1):
+def hull_flags(coords, vertices, diagonals, workers: int = 1, separators=None):
     """Exact LP flags on the hull of ``coords``, yielded lazily in order.
 
     First, for each index in ``vertices``, whether that point is a vertex;
     then, for each index pair in ``diagonals``, whether the pair's midpoint
     lies in the interior (so the segment is an inner diagonal).  With one
     worker ``all()`` over the flags stops at the first failing LP.
+
+    ``separators`` maps point indices to kept separating functionals, as
+    integer multiples of ``separating_functional`` vectors.  A kept
+    functional that is still positive on its point's row (1, p_i) and
+    nonpositive on every other row, checked in integers against each row
+    times the lcm of its denominators, proves the point a vertex without an
+    LP.  Otherwise the LP runs and its functional is kept in the map.
+    Without ``separators`` every vertex flag solves its LP.
     """
-    tasks = [(coords, i, None) for i in vertices]
-    tasks += [(coords, i, j) for i, j in diagonals]
-    return parallel.imap(_hull_task, tasks, workers)
+    if separators is None:
+        separators = {}
+    rows = [integer_multiple((QQ(1),) + tuple(p)) for p in coords] if separators else None
+    tasks = [(coords, i, None, rows, separators.get(i)) for i in vertices]
+    tasks += [(coords, i, j, None, None) for i, j in diagonals]
+    for (_, i, _, _, _), (flag, y) in zip(tasks, parallel.imap(_hull_task, tasks, workers)):
+        if y is not None:
+            separators[i] = y
+        yield flag
 
 
 def geometric_stack_point(
@@ -258,6 +288,7 @@ def geometric_stack_point(
     new_label: str | None = None,
     max_halvings: int = 60,
     workers: int = 1,
+    separators=None,
 ) -> tuple[PointConfiguration, StackCertificate]:
     """Place an apex just beyond a simplex facet and certify the placement.
 
@@ -267,6 +298,8 @@ def geometric_stack_point(
     segment from the apex to each point off the facet lies in the interior
     of the enlarged hull (so those segments are inner diagonals).  Being
     beyond the facet's own hyperplane holds for every positive height.
+    ``separators`` keeps the points' separating functionals across trials
+    and calls (``hull_flags``); the apex is appended, so indices stay valid.
     """
     facet = tuple(facet_labels)
     if hyperplane is None:
@@ -296,7 +329,7 @@ def geometric_stack_point(
             coords = points.coords + (apex,)
             n = len(coords)
             diagonals = [(n - 1, i) for i in off_facet]
-            if all(hull_flags(coords, range(n - 1), diagonals, workers)):
+            if all(hull_flags(coords, range(n - 1), diagonals, workers, separators)):
                 stacked = PointConfiguration(
                     d=points.d,
                     labels=points.labels + (new_label,),
@@ -329,8 +362,10 @@ class ManiConstruction:
     ``checks`` maps check names to booleans; a fully successful build has
     every value true.  Full mode fills ``base``/``stacked`` (combinatorial
     polytopes); certificate mode fills ``base_points``/``points`` and
-    ``stacks`` plus the fat-facet witness, and keeps the LP flags behind
-    its checks: ``vertex_flags`` per point and ``diagonal_flags`` per
+    ``stacks`` plus the fat-facet witness, and keeps what its checks
+    computed: the supporting hyperplanes ``designated_planes`` (one per
+    designated facet of the base) and ``fat_facet_plane``, and the LP flags
+    ``vertex_flags`` per point and ``diagonal_flags`` per
     ``diagonal_partner`` pair.
     """
 
@@ -344,6 +379,7 @@ class ManiConstruction:
     stacks: tuple[StackCertificate, ...] = ()
     fat_facet: tuple[str, ...] | None = None
     fat_facet_plane: tuple[tuple[Fraction, ...], Fraction] | None = None
+    designated_planes: tuple[tuple[tuple[Fraction, ...], Fraction] | None, ...] = ()
     diagonal_partner: tuple[tuple[str, str], ...] = ()
     vertex_flags: tuple[bool, ...] = ()
     diagonal_flags: tuple[bool, ...] = ()
@@ -437,12 +473,19 @@ def _construct_certificate(
                 "designated complement fails the supporting-hyperplane check"
             )
         planes.append(hp)
+    result.designated_planes = tuple(planes)
     result.checks["designatedAreFacets"] = True
 
+    # one separating functional per point index, kept across all trials;
+    # and the apex-to-point pairs whose midpoints an accepted trial proved
+    # interior, which stay interior as the hull grows
+    separators: dict[int, tuple[int, ...]] = {}
+    proven: set[frozenset[str]] = set()
     current = base_points
     stacks = []
     for i, (facet, apex) in enumerate(zip(facets, _apex_labels(plan.q))):
         guards = [planes[j] for j in range(len(planes)) if j != i]
+        previous = current
         current, cert = geometric_stack_point(
             current,
             facet,
@@ -450,7 +493,10 @@ def _construct_certificate(
             guard_planes=guards,
             new_label=apex,
             workers=workers,
+            separators=separators,
         )
+        fset = set(facet)
+        proven.update(frozenset((apex, lab)) for lab in previous.labels if lab not in fset)
         stacks.append(cert)
     result.points = current
     result.stacks = tuple(stacks)
@@ -466,11 +512,10 @@ def _construct_certificate(
     pairs = [(lab, partner[lab]) for lab in current.labels]
     index = {lab: i for i, lab in enumerate(current.labels)}
     n = len(current)
-    flags = list(hull_flags(
-        current.coords, range(n), [(index[a], index[b]) for a, b in pairs], workers
-    ))
-    result.vertex_flags = tuple(flags[:n])
-    result.diagonal_flags = tuple(flags[n:])
+    unproven = [(index[a], index[b]) for a, b in pairs if frozenset((a, b)) not in proven]
+    flags = hull_flags(current.coords, range(n), unproven, workers, separators)
+    result.vertex_flags = tuple(next(flags) for _ in range(n))
+    result.diagonal_flags = tuple(frozenset(p) in proven or next(flags) for p in pairs)
     result.checks["allPointsVertices"] = all(result.vertex_flags)
     result.checks["illuminated"] = all(result.diagonal_flags)
     result.checks["unneighborly"] = all(result.diagonal_flags)

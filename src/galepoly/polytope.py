@@ -87,15 +87,20 @@ class IncidencePolytope:
         if lonely:
             raise BadParametersError(f"vertices on no facet: {lonely}")
 
-    def _store(self, index: dict[str, int], rows: list[tuple[int, ...]]) -> None:
-        """Set the canonical facets and the masks from sorted index rows."""
+    def _store(self, index: dict[str, int], rows: list[tuple[int, ...]], facets=None) -> None:
+        """Set the canonical facets and the masks from sorted index rows.
+
+        ``facets`` gives the rows' label tuples when the caller has them.
+        """
         masks = [0] * len(self.vertices)
         for f, row in enumerate(rows):
             bit = 1 << f
             for i in row:
                 masks[i] |= bit
-        label = self.vertices.__getitem__
-        object.__setattr__(self, "facets", tuple(tuple(map(label, r)) for r in rows))
+        if facets is None:
+            label = self.vertices.__getitem__
+            facets = [tuple(map(label, r)) for r in rows]
+        object.__setattr__(self, "facets", tuple(facets))
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_rows", tuple(rows))
         object.__setattr__(self, "_masks", tuple(masks))
@@ -223,7 +228,8 @@ def stack_simplex_facet(
 
     The kept facets were validated with ``poly``, so only the d new facets
     are checked against the others, and the masks are rebuilt rather than
-    the whole polytope re-validated.
+    the whole polytope re-validated.  The kept facets keep their label
+    tuples.
     """
     fset = frozenset(facet)
     index = poly._index
@@ -247,12 +253,16 @@ def stack_simplex_facet(
     elif not new_label:
         raise BadParametersError("vertex labels must be nonempty")
     apex = poly.f0
-    kept = [r for r in poly._rows if r != row]
+    vertices = poly.vertices + (new_label,)
+    kept = [(r, f) for r, f in zip(poly._rows, poly.facets) if r != row]
     added = [tuple(w for w in row if w != v) + (apex,) for v in row]
+    added = [(r, tuple(vertices[w] for w in r)) for r in added]
+    # kept is sorted already, so the sort is little more than a merge
+    entries = sorted(kept + added)
     stacked = object.__new__(IncidencePolytope)
     object.__setattr__(stacked, "d", poly.d)
-    object.__setattr__(stacked, "vertices", poly.vertices + (new_label,))
-    stacked._store({**index, new_label: apex}, sorted(kept + added))
+    object.__setattr__(stacked, "vertices", vertices)
+    stacked._store({**index, new_label: apex}, [r for r, _ in entries], [f for _, f in entries])
     masks = stacked._masks
     everything = (1 << len(stacked._rows)) - 1
     for f, r in enumerate(stacked._rows):

@@ -150,9 +150,27 @@ def is_positively_k_spanning(
 
 
 def _check_removal(args):
-    config, k, index = args
-    report = is_positively_k_spanning(config.delete((index,)), k)
-    return index, report
+    """The k-spanning scan of ``config`` without vector ``index``.
+
+    Each LP is keyed in ``memo`` by the original indices it removes: the
+    scans of two removals meet on the same selection of the same vectors in
+    the same order, so a hit is that LP's own ``(ok, cert)``.
+    """
+    config, k, index, memo = args
+    rest = [j for j in range(len(config)) if j != index]
+    if k - 1 >= len(rest):
+        return index, _vacuous_failure(config.delete((index,)), k)
+    for deletion in itertools.combinations(range(len(rest)), k - 1):
+        removed = frozenset([index, *(rest[t] for t in deletion)])
+        hit = memo.get(removed)
+        if hit is None:
+            hit = memo[removed] = positively_spans(
+                config.coords, [j for j in rest if j not in removed]
+            )
+        ok, cert = hit
+        if not ok:
+            return index, SpanningReport(False, k, witness_deletion=deletion, certificate=cert)
+    return index, SpanningReport(True, k)
 
 
 def is_minimal_k_spanning(
@@ -162,17 +180,21 @@ def is_minimal_k_spanning(
 
     Returns the base spanning report plus the minimality report; minimality
     is vacuously false when the configuration is not k-spanning at all.
+    The removal scans share one memo of their LPs, so each set of removed
+    vectors is solved once (with one worker; a process pool's workers fill
+    copies of it).
     """
     base = is_positively_k_spanning(config, k, workers=workers)
     if not base.spanning:
         return base, MinimalityReport(False, k)
     per_index = []
-    tasks = ((config, k, i) for i in range(len(config)))
+    memo: dict = {}
+    tasks = ((config, k, i, memo) for i in range(len(config)))
     for index, report in parallel.imap(_check_removal, tasks, workers):
         if report.spanning:
             return base, MinimalityReport(False, k, removable_index=index)
-        sub = config.delete((index,))
-        witness_labels = tuple(sub.labels[j] for j in report.witness_deletion)
+        rest = [j for j in range(len(config)) if j != index]
+        witness_labels = tuple(config.labels[rest[t]] for t in report.witness_deletion)
         per_index.append((config.labels[index], witness_labels, report.certificate.kind))
     return base, MinimalityReport(True, k, per_index=tuple(per_index))
 

@@ -1,0 +1,87 @@
+"""Reference certification paths for the differential tests.
+
+These are the minimality scan and the geometric stacking as they ran
+before either reused an answer: the scan runs every removal's k-spanning
+scan on its own, and the stacking solves a vertex LP for every point and a
+midpoint LP for every diagonal at every trial, then solves every final
+flag again.  They are used only to compare results exactly.  Nothing in
+``src/`` imports this module.
+"""
+
+from __future__ import annotations
+
+from galepoly.gale import PointConfiguration, barycenter
+from galepoly.linalg import QQ, dot, vec_add, vec_scale
+from galepoly.lp import interior_point_test, is_vertex_of_hull
+from galepoly.mani import StackCertificate, _apex_labels, _designated_facets
+from galepoly.spanning import MinimalityReport, is_positively_k_spanning
+
+
+def is_minimal_k_spanning(config, k):
+    """Base scan, then one full k-spanning scan per removed vector."""
+    base = is_positively_k_spanning(config, k)
+    if not base.spanning:
+        return base, MinimalityReport(False, k)
+    per_index = []
+    for index in range(len(config)):
+        sub = config.delete((index,))
+        report = is_positively_k_spanning(sub, k)
+        if report.spanning:
+            return base, MinimalityReport(False, k, removable_index=index)
+        witness = tuple(sub.labels[j] for j in report.witness_deletion)
+        per_index.append((config.labels[index], witness, report.certificate.kind))
+    return base, MinimalityReport(True, k, per_index=tuple(per_index))
+
+
+def hull_flags(coords, vertices, diagonals):
+    """Every flag by its own LP: vertex tests, then midpoint-interior tests."""
+    for i in vertices:
+        yield is_vertex_of_hull(coords, i)
+    for i, j in diagonals:
+        mid = vec_scale(QQ(1, 2), vec_add(coords[i], coords[j]))
+        yield interior_point_test(coords, mid)[0]
+
+
+def geometric_stack_point(points, facet, hyperplane, guard_planes, new_label, max_halvings=60):
+    """Halve the apex height until guards, vertices and diagonals all hold."""
+    normal, offset = hyperplane
+    fset = set(facet)
+    center = barycenter([c for lab, c in zip(points.labels, points.coords) if lab in fset])
+    off_facet = [i for i, lab in enumerate(points.labels) if lab not in fset]
+    eps = QQ(1)
+    for trial in range(1, max_halvings + 1):
+        apex = vec_add(center, vec_scale(eps, normal))
+        if all(dot(a, apex) < b for a, b in guard_planes):
+            coords = points.coords + (apex,)
+            n = len(coords)
+            if all(hull_flags(coords, range(n - 1), [(n - 1, i) for i in off_facet])):
+                stacked = PointConfiguration(
+                    d=points.d, labels=points.labels + (new_label,), coords=coords
+                )
+                cert = StackCertificate(
+                    facet=tuple(facet), apex_label=new_label, apex=apex,
+                    normal=normal, offset=offset, epsilon=eps, trials=trial,
+                )
+                return stacked, cert
+        eps = eps / 2
+    raise AssertionError("no apex height found")
+
+
+def construct_certificate(construction):
+    """Re-stack a certificate-mode construction's base and re-solve its flags.
+
+    Uses the construction's base points, designated planes and diagonal
+    pairs, and returns ``(points, stacks, vertex_flags, diagonal_flags)``.
+    """
+    plan, planes = construction.plan, construction.designated_planes
+    current = construction.base_points
+    stacks = []
+    for i, (facet, apex) in enumerate(zip(_designated_facets(plan), _apex_labels(plan.q))):
+        guards = [planes[j] for j in range(len(planes)) if j != i]
+        current, cert = geometric_stack_point(current, facet, planes[i], guards, apex)
+        stacks.append(cert)
+    index = {lab: i for i, lab in enumerate(current.labels)}
+    n = len(current)
+    diagonals = [(index[a], index[b]) for a, b in construction.diagonal_partner]
+    flags = list(hull_flags(current.coords, range(n), diagonals))
+    return current, tuple(stacks), tuple(flags[:n]), tuple(flags[n:])

@@ -39,7 +39,7 @@ from galepoly.jsonio import (
 )
 from galepoly.linalg import QQ, dot, parse_rational
 from galepoly.lp import strict_positive_dependence
-from galepoly.mani import build_block_diagram, construct_nonsimplicial_mani
+from galepoly.mani import build_block_diagram, construct_nonsimplicial_mani, dual_spanning_report
 from galepoly.polytope import crosspolytope, simplex
 from galepoly.spanning import standard_minimal_config
 from galepoly.svg import affine_clusters, choose_functional, svg_from_plan
@@ -317,6 +317,38 @@ def test_certificate_report_round_trip_digests_match():
     for payload in rerun:
         assert payload["verdict"]
         assert digest(payload) == report["certificateDigests"][payload["check"]]
+
+
+def test_certificate_report_reuses_the_construction_planes(monkeypatch):
+    import galepoly.jsonio as jsonio
+
+    result = construct_nonsimplicial_mani(6, mode="certificate")
+    assert len(result.designated_planes) == result.plan.q + 1
+    calls = []
+    real = jsonio.supporting_hyperplane
+    monkeypatch.setattr(
+        jsonio, "supporting_hyperplane", lambda *a: calls.append(a) or real(*a)
+    )
+    report = build_report(result)
+    assert calls == []
+    # verify computes them from the report: q + 1 designated, one fat facet
+    for payload in verify_report(report, None):
+        assert digest(payload) == report["certificateDigests"][payload["check"]]
+    assert len(calls) == result.plan.q + 2
+
+
+def test_report_minimal_check_takes_k_from_its_kspanning_check():
+    result = construct_nonsimplicial_mani(6, mode="certificate")
+    report = build_report(result, dual_spanning_report(result, k=2))
+    default = verify_report(report, ["minimal"])
+    assert default[0]["k"] == 2 and default[0]["verdict"]
+    span, minimal = verify_report(report, ["kspanning:3", "minimal"])
+    assert span["k"] == 3 and minimal["k"] == 3
+    # a minimal 2-spanning configuration is not 3-spanning
+    assert not span["verdict"] and not minimal["kSpanning"]
+    with pytest.raises(BadParametersError):
+        verify_report(report, ["kspanning:2", "kspanning:3", "minimal"])
+    assert len(verify_report(report, ["kspanning:2", "kspanning:3"])) == 2
 
 
 def test_choose_functional_avoids_all_vectors():

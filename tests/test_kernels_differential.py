@@ -11,6 +11,7 @@ reduced rhs of a zero row (though never whether it is zero).
 import random
 from fractions import Fraction
 
+import certify_reference
 import fraction_kernels as ref
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -88,7 +89,11 @@ def test_solve_feasibility_matches_reference_on_zero_rhs():
 
 
 def test_solve_feasibility_matches_reference_on_a_build(monkeypatch):
-    """Every LP of a d = 6 certificate build and its dual 2-spanning scan."""
+    """Every LP of a d = 6 certificate build and its dual 2-spanning scan.
+
+    The build reuses what earlier LPs proved, so the LPs of the re-solving
+    reference paths (``certify_reference``) are recorded as well.
+    """
     calls = []
     kernel = lp.solve_feasibility
 
@@ -98,7 +103,9 @@ def test_solve_feasibility_matches_reference_on_a_build(monkeypatch):
 
     monkeypatch.setattr(lp, "solve_feasibility", recording)
     construction = construct_nonsimplicial_mani(6, mode="certificate")
-    dual_spanning_report(construction, k=2)
+    dual = dual_spanning_report(construction, k=2).dual
+    certify_reference.construct_certificate(construction)
+    certify_reference.is_minimal_k_spanning(dual, 2)
     monkeypatch.undo()
     assert len(calls) > 300
     for columns, b in calls:
