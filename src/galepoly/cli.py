@@ -47,7 +47,7 @@ def cmd_build(args) -> int:
     counterexample = None
     if args.mode == "certificate":
         counterexample = dual_spanning_report(construction, k=2, workers=workers)
-    report = jsonio.build_report(construction, counterexample, workers=workers)
+    report = jsonio.build_report(construction, counterexample)
     summary = {key: report[key] for key in ("d", "p", "q", "ell", "f0", "M")}
     print(jsonio.dumps(summary))
     for payload in report["certificates"]:

@@ -591,11 +591,11 @@ def payload_minimal_dual(report: CounterexampleReport) -> dict:
 
 
 # check name -> payload builder, per report mode.  A builder reads its
-# inputs by ``ManiConstruction`` field name (plus ``counterexample``,
-# ``dual``, ``workers`` and the ``k`` of ``minimal``): build passes the
-# construction's own, verify decodes them from the report
-# (``_ReportObjects``).  ``kspanning:k`` checks of a certificate report are
-# built in ``_builder``.
+# inputs by ``ManiConstruction`` field name (plus ``counterexample``, and
+# the ``dual``, ``workers`` and ``k`` of the ``minimal`` and ``kspanning:k``
+# checks that only verify runs): build passes the construction's own,
+# verify decodes them from the report (``_ReportObjects``).  ``kspanning:k``
+# checks of a certificate report are built in ``_builder``.
 CHECKS = {
     "full": {
         "designatedAreFacets": lambda o: payload_designated_full(o["plan"], o["base"]),
@@ -669,7 +669,6 @@ def _stack_to_json(cert) -> dict:
 def build_report(
     construction: ManiConstruction,
     counterexample: CounterexampleReport | None = None,
-    workers: int = 1,
 ) -> dict:
     """The full machine-readable result of a build, either mode.
 
@@ -719,7 +718,6 @@ def build_report(
         vars(construction),
         fat_facet=construction.fat_facet or (),
         counterexample=counterexample,
-        workers=workers,
     )
     ordered = [_builder(construction.mode, n)(objects) for n in _in_check_order(names)]
     doc["checks"] = {p["check"]: p["verdict"] for p in ordered}

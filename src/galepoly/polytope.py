@@ -417,7 +417,10 @@ class MatchingReport:
     """Maximum matching in the inner-diagonal graph.
 
     ``perfect`` means every vertex is matched; ``pairs`` lists the matched
-    diagonals sorted by vertex order.
+    diagonals sorted by vertex order.  The matching is the one Edmonds'
+    blossom algorithm finds growing an alternating tree from each exposed
+    vertex in vertex order and scanning neighbours in vertex order, so it is
+    deterministic but otherwise one maximum matching among many.
     """
 
     perfect: bool
@@ -425,26 +428,165 @@ class MatchingReport:
 
 
 def inner_diagonal_matching(poly: IncidencePolytope) -> MatchingReport:
-    # imported here, its only use: loading networkx costs about 0.2 s and
-    # 20 MB, which callers that never build a matching should not pay
-    import networkx
-
-    diagonals = inner_diagonals(poly)
-    graph = networkx.Graph()
-    graph.add_nodes_from(poly.vertices)
-    graph.add_edges_from(diagonals)
-    matching = networkx.max_weight_matching(graph, maxcardinality=True)
-    order = poly.vertex_index
-    pairs = sorted(
-        (tuple(sorted(edge, key=order)) for edge in matching),
-        key=lambda e: (order(e[0]), order(e[1])),
+    """A maximum matching of the inner diagonals, checked before it is
+    returned: the pairs are disjoint inner diagonals, and a matching that
+    misses a vertex comes with a Tutte–Berge barrier proving it maximum."""
+    masks, labels = poly._masks, poly.vertices
+    adj = [
+        [j for j, other in enumerate(masks) if j != i and not mask & other]
+        for i, mask in enumerate(masks)
+    ]
+    pairs = _certified(adj, _max_matching(adj))
+    return MatchingReport(
+        perfect=2 * len(pairs) == poly.f0,
+        pairs=tuple((labels[i], labels[j]) for i, j in pairs),
     )
-    seen: set[str] = set()
-    for u, v in pairs:
-        if u in seen or v in seen:
+
+
+def _max_matching(adj: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """Maximum-cardinality matching of the graph with adjacency lists
+    ``adj`` (Edmonds 1965), as sorted index pairs.
+
+    A vertex left exposed by a failed search stays exposed for good
+    (Edmonds), so one search from each exposed root, in vertex order,
+    suffices.
+    """
+    mate = [-1] * len(adj)
+    for root in range(len(adj)):
+        if mate[root] < 0:
+            _augment(adj, mate, root)
+    return [(i, j) for i, j in enumerate(mate) if i < j]
+
+
+def _augment(adj: Sequence[Sequence[int]], mate: list[int], root: int) -> bool:
+    """Grow an alternating tree from the exposed vertex ``root``, shrinking
+    blossoms, and flip the first augmenting path found into ``mate``.
+
+    Even vertices are the tree's outer vertices (``outer``); ``parent``
+    links an odd vertex to the even vertex that reached it, and ``base``
+    maps every vertex to the base of the blossom holding it.
+    """
+    n = len(adj)
+    parent = [-1] * n
+    base = list(range(n))
+    outer = [False] * n
+    outer[root] = True
+    queue = [root]
+
+    def ancestor(a: int, b: int) -> int:
+        """Base of the blossom closed by the edge between even a and b."""
+        seen = [False] * n
+        while True:
+            a = base[a]
+            seen[a] = True
+            if mate[a] < 0:
+                break
+            a = parent[mate[a]]
+        while True:
+            b = base[b]
+            if seen[b]:
+                return b
+            b = parent[mate[b]]
+
+    def mark(v: int, top: int, child: int, blossom: list[bool]) -> None:
+        while base[v] != top:
+            blossom[base[v]] = blossom[base[mate[v]]] = True
+            parent[v] = child
+            child = mate[v]
+            v = parent[child]
+
+    for v in queue:
+        for w in adj[v]:
+            if base[v] == base[w] or mate[v] == w:
+                continue
+            if w == root or (mate[w] >= 0 and parent[mate[w]] >= 0):
+                # v and w are both even: the edge closes a blossom
+                top = ancestor(v, w)
+                blossom = [False] * n
+                mark(v, top, w, blossom)
+                mark(w, top, v, blossom)
+                for u in range(n):
+                    if blossom[base[u]]:
+                        base[u] = top
+                        if not outer[u]:
+                            outer[u] = True
+                            queue.append(u)
+            elif parent[w] < 0:
+                parent[w] = v
+                if mate[w] < 0:
+                    while w >= 0:
+                        p = parent[w]
+                        after = mate[p]
+                        mate[w], mate[p] = p, w
+                        w = after
+                    return True
+                outer[mate[w]] = True
+                queue.append(mate[w])
+    return False
+
+
+def _certified(adj: Sequence[Sequence[int]], pairs) -> list[tuple[int, int]]:
+    """``pairs`` sorted, after checking they form a maximum matching.
+
+    The pairs must be disjoint edges.  When they miss a vertex, the
+    Tutte–Berge formula needs a barrier A with
+    odd components(G - A) - |A| = n - 2|M|: every matching misses at least
+    that many vertices, so no matching is larger.
+    """
+    pairs = sorted(tuple(sorted(p)) for p in pairs)
+    seen: set[int] = set()
+    for i, j in pairs:
+        if i in seen or j in seen:
             raise CertificateError("matching repeats a vertex")
-        seen.update((u, v))
-    known = set(diagonals)
-    if not all(p in known for p in pairs):
-        raise CertificateError("matching uses a non-diagonal")
-    return MatchingReport(perfect=2 * len(pairs) == poly.f0, pairs=tuple(pairs))
+        seen.update((i, j))
+        if j not in adj[i]:
+            raise CertificateError("matching uses a non-diagonal")
+    exposed = len(adj) - 2 * len(pairs)
+    if exposed and _deficiency(adj, _barrier(adj, pairs)) != exposed:
+        raise CertificateError("matching is not maximum: no Tutte-Berge barrier fits it")
+    return pairs
+
+
+def _barrier(adj: Sequence[Sequence[int]], pairs) -> set[int]:
+    """The Gallai–Edmonds barrier of the maximum matching ``pairs``: the
+    neighbours outside D of D, the vertices some maximum matching misses.
+
+    An exposed vertex is in D.  A matched vertex v with partner u is in D
+    exactly when G - v has a matching as large; removing the pair leaves
+    one fewer, and any augmenting path in G - v starts at u (one avoiding u
+    would augment the matching of G), so one search from u decides.
+    """
+    mate = [-1] * len(adj)
+    for i, j in pairs:
+        mate[i], mate[j] = j, i
+    deficient = set()
+    for v, u in enumerate(mate):
+        if u < 0:
+            deficient.add(v)
+            continue
+        without = [[w for w in row if w != v] for row in adj]
+        without[v] = []
+        trial = list(mate)
+        trial[v] = trial[u] = -1
+        if _augment(without, trial, u):
+            deficient.add(v)
+    return {w for v in deficient for w in adj[v]} - deficient
+
+
+def _deficiency(adj: Sequence[Sequence[int]], barrier: set[int]) -> int:
+    """Odd components of G - ``barrier``, less the size of the barrier."""
+    seen = set(barrier)
+    odd = 0
+    for start in range(len(adj)):
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, size = [start], 0
+        while stack:
+            size += 1
+            for w in adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        odd += size % 2
+    return odd - len(barrier)

@@ -111,7 +111,7 @@ def illumination_report(vertices, facets):
 
 
 def inner_diagonal_matching(vertices, facets):
-    """``(perfect, pairs)`` from the same networkx matching on the same graph."""
+    """``(perfect, pairs)`` of networkx's maximum matching of the same graph."""
     graph = networkx.Graph()
     graph.add_nodes_from(vertices)
     graph.add_edges_from(inner_diagonals(vertices, facets))

@@ -264,14 +264,14 @@ def test_verdict_checks_survive_optimized_mode():
     code = textwrap.dedent(
         """
         import sys
-        import networkx
         from galepoly import polytope
         from galepoly.errors import CertificateError
 
         cross = polytope.crosspolytope(3)
 
         def forged_matching(pairs):
-            networkx.max_weight_matching = lambda graph, maxcardinality: pairs
+            # indices 0, 1, 2 are +1, -1, +2
+            polytope._max_matching = lambda adj: pairs
             return polytope.inner_diagonal_matching(cross)
 
         def every_pair_an_edge():
@@ -279,8 +279,9 @@ def test_verdict_checks_survive_optimized_mode():
             return polytope.illumination_report(cross)
 
         calls = [
-            lambda: forged_matching({("+1", "-1"), ("-1", "+1")}),
-            lambda: forged_matching({("+1", "+2")}),
+            lambda: forged_matching([(0, 1), (1, 0)]),
+            lambda: forged_matching([(0, 2)]),
+            lambda: forged_matching([(0, 1)]),
             every_pair_an_edge,
         ]
         for call in calls:
@@ -301,8 +302,19 @@ def test_verdict_checks_survive_optimized_mode():
     assert proc.stdout.strip() == "1"
 
 
-def test_importing_the_library_does_not_load_networkx():
-    code = "import sys, galepoly, galepoly.cli, galepoly.jsonio; print('networkx' in sys.modules)"
+def test_building_matchings_does_not_load_networkx():
+    code = textwrap.dedent(
+        """
+        import sys
+        import galepoly.cli, galepoly.jsonio
+        from galepoly import mani, polytope
+
+        assert polytope.inner_diagonal_matching(polytope.crosspolytope(3)).perfect
+        c = mani.construct_nonsimplicial_mani(12, 1, mode="full")
+        assert polytope.inner_diagonal_matching(c.stacked).pairs
+        print('networkx' in sys.modules)
+        """
+    )
     src = os.path.dirname(os.path.dirname(polytope_module.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,

@@ -2,20 +2,44 @@
 
 import ast
 import os
+import sys
 
 import galepoly
 
 SRC = os.path.dirname(galepoly.__file__)
 
 
-def test_library_has_no_assert_statements():
-    # python -O strips asserts, so a certificate check written as one
-    # would silently stop running; checks raise CertificateError instead
-    found = []
+def _trees():
     for name in sorted(os.listdir(SRC)):
         if not name.endswith(".py"):
             continue
         with open(os.path.join(SRC, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=name)
+            yield name, ast.parse(fh.read(), filename=name)
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips asserts, so a certificate check written as one
+    # would silently stop running; checks raise CertificateError instead
+    found = []
+    for name, tree in _trees():
         found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_library_imports_only_the_standard_library_and_itself():
+    # the package has no runtime dependencies; an import of anything else,
+    # at module level or inside a function, would bring one back
+    allowed = set(sys.stdlib_module_names) | {"galepoly"}
+    found = []
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += [
+                f"{name}:{node.lineno} {m}" for m in modules if m.split(".")[0] not in allowed
+            ]
     assert found == []
