@@ -818,6 +818,58 @@ def _diagonal_flags(objects: "_ReportObjects") -> tuple[bool, ...]:
     return tuple(hull_flags(points.coords, (), diagonals, objects["workers"]))
 
 
+def _separators(objects: "_ReportObjects") -> dict[int, tuple[int, ...]]:
+    # verify's own vertex LPs: from an empty map, hull_flags keeps a
+    # separating functional exactly for each point that is a vertex
+    points = objects["points"]
+    separators: dict[int, tuple[int, ...]] = {}
+    list(hull_flags(points.coords, range(len(points)), (), objects["workers"], separators))
+    return separators
+
+
+def _recorded_witnesses(objects: "_ReportObjects") -> list[tuple[str, list[str]]]:
+    """The ``perIndex`` witnesses of the report's ``minimal2spanningDual``.
+
+    Entries of the wrong shape are a ``SchemaError``.  Whether each entry
+    fits its dual vector and breaks 2-spanning is for the check to decide.
+    """
+    where = "report.minimal2spanningDual"
+    certs = _require(objects.report, "certificates", "report")
+    if not isinstance(certs, list):
+        raise SchemaError("report: 'certificates' must be a list")
+    found = [
+        c for c in certs if isinstance(c, dict) and c.get("check") == "minimal2spanningDual"
+    ]
+    if len(found) != 1:
+        raise SchemaError("report: expected one 'minimal2spanningDual' certificate")
+    entries = _require(found[0], "perIndex", where)
+    if not isinstance(entries, list):
+        raise SchemaError(f"{where}: 'perIndex' must be a list")
+    witnesses = []
+    for i, entry in enumerate(entries):
+        at = f"{where}.perIndex[{i}]"
+        if not isinstance(entry, dict):
+            raise SchemaError(f"{at}: must be an object")
+        removed = _require(entry, "removed", at)
+        if not isinstance(removed, str):
+            raise SchemaError(f"{at}: 'removed' must be a label")
+        witnesses.append((removed, _require_labels(entry, "witnessDeletion", at)))
+    return witnesses
+
+
+def _counterexample(objects: "_ReportObjects") -> CounterexampleReport:
+    # the dual's base scan uses verify's own vertex functionals, and its
+    # removal scan checks the recorded witnesses instead of searching
+    witnesses = _recorded_witnesses(objects)
+    construction = ManiConstruction(
+        plan=objects["plan"],
+        mode="certificate",
+        points=objects["points"],
+        separators=objects["separators"],
+    )
+    return dual_spanning_report(construction, 2, objects["workers"], witnesses)
+
+
 def _designated_planes(objects: "_ReportObjects") -> tuple:
     plan = objects["plan"]
     facets = [
@@ -839,13 +891,10 @@ _DECODERS = {
     "base_points": lambda o: realize(o["plan"].config),
     "designated_planes": _designated_planes,
     "fat_facet_plane": lambda o: supporting_hyperplane(o["points"], o["fat_facet"]),
-    "vertex_flags": lambda o: tuple(
-        hull_flags(o["points"].coords, range(len(o["points"])), (), o["workers"])
-    ),
+    "separators": _separators,
+    "vertex_flags": lambda o: tuple(i in o["separators"] for i in range(len(o["points"]))),
     "diagonal_flags": _diagonal_flags,
-    "counterexample": lambda o: dual_spanning_report(
-        ManiConstruction(plan=o["plan"], mode="certificate", points=o["points"]), 2, o["workers"]
-    ),
+    "counterexample": _counterexample,
 }
 
 

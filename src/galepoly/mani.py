@@ -29,7 +29,8 @@ inner diagonal proved by an accepted trial is not proved again.
 dualization: the Gale dual of the resulting 49-vertex polytope is certified
 minimal positively 2-spanning with 49 > 2*2*12 vectors in R^12, beating the
 classical 2km bound on the size of minimal positively k-spanning
-configurations.
+configurations.  The dual's base scan is read off the separating
+functionals of the vertices, with no LP.
 """
 
 from __future__ import annotations
@@ -55,8 +56,13 @@ from .gale import (
     realize,
     supporting_hyperplane,
 )
-from .linalg import QQ, dot, integer_multiple, vec_add, vec_scale
-from .lp import interior_point_test, separating_functional, strict_positive_dependence
+from .linalg import QQ, ExactMatrix, denominator_lcm, dot, integer_multiple, vec_add, vec_scale
+from .lp import (
+    interior_point_test,
+    positively_spans,
+    separating_functional,
+    strict_positive_dependence,
+)
 from .polytope import (
     IncidencePolytope,
     OppositeSetReport,
@@ -65,7 +71,13 @@ from .polytope import (
     illumination_report,
     stack_simplex_facet,
 )
-from .spanning import VectorConfiguration, is_minimal_k_spanning
+from .spanning import (
+    MinimalityReport,
+    SpanningReport,
+    VectorConfiguration,
+    is_positively_k_spanning,
+    removal_scan,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +376,10 @@ class ManiConstruction:
     polytopes); certificate mode fills ``base_points``/``points`` and
     ``stacks`` plus the fat-facet witness, and keeps what its checks
     computed: the supporting hyperplanes ``designated_planes`` (one per
-    designated facet of the base) and ``fat_facet_plane``, and the LP flags
+    designated facet of the base) and ``fat_facet_plane``, the LP flags
     ``vertex_flags`` per point and ``diagonal_flags`` per
-    ``diagonal_partner`` pair.
+    ``diagonal_partner`` pair, and ``separators``, the integer separating
+    functional of each point whose vertex flag holds (``hull_flags``).
     """
 
     plan: BlockDiagramPlan
@@ -383,6 +396,7 @@ class ManiConstruction:
     diagonal_partner: tuple[tuple[str, str], ...] = ()
     vertex_flags: tuple[bool, ...] = ()
     diagonal_flags: tuple[bool, ...] = ()
+    separators: dict[int, tuple[int, ...]] = field(default_factory=dict)
     gamma_report: OppositeSetReport | None = None
 
     @property
@@ -515,6 +529,7 @@ def _construct_certificate(
     unproven = [(index[a], index[b]) for a, b in pairs if frozenset((a, b)) not in proven]
     flags = hull_flags(current.coords, range(n), unproven, workers, separators)
     result.vertex_flags = tuple(next(flags) for _ in range(n))
+    result.separators = {i: separators[i] for i, ok in enumerate(result.vertex_flags) if ok}
     result.diagonal_flags = tuple(frozenset(p) in proven or next(flags) for p in pairs)
     result.checks["allPointsVertices"] = all(result.vertex_flags)
     result.checks["illuminated"] = all(result.diagonal_flags)
@@ -681,14 +696,79 @@ class CounterexampleReport:
         )
 
 
+def _common_scale(rows) -> list[list[int]]:
+    """The rows times one common lcm of all their denominators."""
+    scale = math.lcm(*(denominator_lcm(r) for r in rows))
+    return [[a.numerator * (scale // a.denominator) for a in r] for r in rows]
+
+
+def _positive_dependence(y, lifted, vstar, i: int) -> bool:
+    """Whether y's affine values give V* minus v*_i a positive dependence.
+
+    ``lifted`` and ``vstar`` are the rows (1, p_u) and v*_u, each set scaled
+    to integers by one common factor.  The weights are
+    lam_u = y.(1, p_i) - y.(1, p_u), zero at i; they must be positive at
+    every other u and sum the dual rows to zero.
+    """
+    if len(y) != len(lifted[i]):
+        return False
+    values = [sum(a * b for a, b in zip(y, row)) for row in lifted]
+    lam = [values[i] - v for v in values]
+    if any(w <= 0 for u, w in enumerate(lam) if u != i):
+        return False
+    return all(sum(w * row[c] for w, row in zip(lam, vstar)) == 0 for c in range(len(vstar[i])))
+
+
+def _dual_base_scan(points, dual, separators, k: int, workers: int) -> SpanningReport:
+    """The k-spanning scan of the Gale dual V*, read off vertex functionals.
+
+    For k = 2, V* minus v*_i positively spans exactly when p_i is a vertex.
+    If y separates p_i from the other points, lam_u = y.(1, p_i) - y.(1, p_u)
+    is positive off i, and these values of an affine function are a linear
+    dependence of V* because its columns span the affine dependences of the
+    points.  Each such dependence is re-checked in integers.  One rank test
+    of V* and its all-ones dependence (which leaves no v*_i outside the span
+    of the others) complete the proof that V* minus v*_i spans, with no LP.
+    An index without a functional that passes, and any k != 2, runs the
+    LP scan of ``is_positively_k_spanning``, whose report this equals.
+    """
+    n = len(dual)
+    if k != 2 or dual.m < 1 or n < 2:
+        return is_positively_k_spanning(dual, k, workers)
+    lifted = _common_scale([(QQ(1),) + tuple(p) for p in points.coords])
+    vstar = _common_scale(dual.coords)
+    if not (
+        all(sum(col) == 0 for col in zip(*vstar))
+        and ExactMatrix(dual.coords).rank() == dual.m
+    ):
+        separators = {}  # not a Gale dual: every deletion runs its LP
+    for i in range(n):
+        y = separators.get(i)
+        if y is not None and _positive_dependence(y, lifted, vstar, i):
+            continue
+        ok, cert = positively_spans(dual.coords, [u for u in range(n) if u != i])
+        if not ok:
+            return SpanningReport(False, k, witness_deletion=(i,), certificate=cert)
+    return SpanningReport(True, k)
+
+
 def dual_spanning_report(
-    construction: ManiConstruction, k: int = 2, workers: int = 1
+    construction: ManiConstruction, k: int = 2, workers: int = 1, witnesses=None
 ) -> CounterexampleReport:
-    """Dualize a certificate-mode construction and test minimal k-spanning."""
+    """Dualize a certificate-mode construction and test minimal k-spanning.
+
+    The base scan reads each deletion off the construction's ``separators``
+    where it can (``_dual_base_scan``).  The removal scan finds each
+    removal's least witness deletion; given recorded ``witnesses`` (a
+    ``per_index``) it checks only those (``spanning.removal_scan``).
+    """
     if construction.points is None:
         raise BadParametersError("dual stage needs a certificate-mode construction")
     dual = gale_dual(construction.points)
-    base, minimality = is_minimal_k_spanning(dual, k, workers=workers)
+    base = _dual_base_scan(construction.points, dual, construction.separators, k, workers)
+    minimality = (
+        removal_scan(dual, k, workers, witnesses) if base.spanning else MinimalityReport(False, k)
+    )
     return CounterexampleReport(
         construction=construction,
         dual=dual,

@@ -98,7 +98,8 @@ class MinimalityReport:
     """Verdict of the single-deletion minimality scan.
 
     On a non-minimal verdict ``removable_index`` is the least index whose
-    removal keeps the configuration positively k-spanning.  On a minimal
+    removal keeps the configuration positively k-spanning (None when the
+    scan checked recorded witnesses, see ``removal_scan``).  On a minimal
     verdict ``per_index`` records, for each removed index, the witness
     deletion (as labels of the original configuration) and certificate kind
     that break k-spanning after the removal.
@@ -152,15 +153,19 @@ def is_positively_k_spanning(
 def _check_removal(args):
     """The k-spanning scan of ``config`` without vector ``index``.
 
-    Each LP is keyed in ``memo`` by the original indices it removes: the
-    scans of two removals meet on the same selection of the same vectors in
-    the same order, so a hit is that LP's own ``(ok, cert)``.
+    ``deletions`` lists the (k-1)-deletions to try, as positions among the
+    other vectors; None means all of them in lexicographic order.  Each LP
+    is keyed in ``memo`` by the original indices it removes: the scans of
+    two removals meet on the same selection of the same vectors in the same
+    order, so a hit is that LP's own ``(ok, cert)``.
     """
-    config, k, index, memo = args
+    config, k, index, memo, deletions = args
     rest = [j for j in range(len(config)) if j != index]
     if k - 1 >= len(rest):
         return index, _vacuous_failure(config.delete((index,)), k)
-    for deletion in itertools.combinations(range(len(rest)), k - 1):
+    if deletions is None:
+        deletions = itertools.combinations(range(len(rest)), k - 1)
+    for deletion in deletions:
         removed = frozenset([index, *(rest[t] for t in deletion)])
         hit = memo.get(removed)
         if hit is None:
@@ -173,30 +178,70 @@ def _check_removal(args):
     return index, SpanningReport(True, k)
 
 
+def _recorded_deletions(config: VectorConfiguration, k: int, index: int, entry) -> tuple:
+    """The deletions to try for ``index`` from a recorded witness entry.
+
+    ``entry`` starts ``(removed label, witness labels)``.  It fits when it
+    names vector ``index`` and k - 1 distinct other labels; it then gives
+    its one deletion, as sorted positions among the other vectors, else none.
+    """
+    removed, witness = entry[0], entry[1]
+    if removed != config.labels[index] or len(witness) != k - 1:
+        return ()
+    rest = {lab: t for t, lab in enumerate(config.labels[:index] + config.labels[index + 1:])}
+    deletion = tuple(sorted({rest[lab] for lab in witness if lab in rest}))
+    return (deletion,) if len(deletion) == k - 1 else ()
+
+
+def removal_scan(
+    config: VectorConfiguration, k: int, workers: int = 1, witnesses=None
+) -> MinimalityReport:
+    """The single-removal scan of a positively k-spanning configuration.
+
+    Every removal must leave a configuration that is not k-spanning.  The
+    scan searches each removal for its least witness deletion.  Given
+    ``witnesses``, one entry per vector in configuration order that starts
+    ``(removed label, witness labels)`` as in ``MinimalityReport.per_index``,
+    it only checks that each recorded deletion breaks k-spanning.  That proves
+    minimality but not that a witness is the least one.  An entry that does
+    not fit its vector, or a witness that does not break k-spanning, makes
+    the verdict false with no ``removable_index``.  The removal scans share
+    one memo of their LPs, so each set of removed vectors is solved once
+    (with one worker; a process pool's workers fill copies of it).
+    """
+    n = len(config)
+    if witnesses is None:
+        deletions = [None] * n
+    elif len(witnesses) != n:
+        return MinimalityReport(False, k)
+    else:
+        deletions = [_recorded_deletions(config, k, i, w) for i, w in enumerate(witnesses)]
+    per_index = []
+    memo: dict = {}
+    tasks = ((config, k, i, memo, deletions[i]) for i in range(n))
+    for index, report in parallel.imap(_check_removal, tasks, workers):
+        if report.spanning:
+            removable = index if witnesses is None else None
+            return MinimalityReport(False, k, removable_index=removable)
+        rest = [j for j in range(n) if j != index]
+        witness_labels = tuple(config.labels[rest[t]] for t in report.witness_deletion)
+        per_index.append((config.labels[index], witness_labels, report.certificate.kind))
+    return MinimalityReport(True, k, per_index=tuple(per_index))
+
+
 def is_minimal_k_spanning(
     config: VectorConfiguration, k: int, workers: int = 1
 ) -> tuple[SpanningReport, MinimalityReport]:
     """Check k-spanning, then that every single removal destroys it.
 
-    Returns the base spanning report plus the minimality report; minimality
-    is vacuously false when the configuration is not k-spanning at all.
-    The removal scans share one memo of their LPs, so each set of removed
-    vectors is solved once (with one worker; a process pool's workers fill
-    copies of it).
+    Returns the base spanning report plus the minimality report of
+    ``removal_scan``; minimality is vacuously false when the configuration
+    is not k-spanning at all.
     """
     base = is_positively_k_spanning(config, k, workers=workers)
     if not base.spanning:
         return base, MinimalityReport(False, k)
-    per_index = []
-    memo: dict = {}
-    tasks = ((config, k, i, memo) for i in range(len(config)))
-    for index, report in parallel.imap(_check_removal, tasks, workers):
-        if report.spanning:
-            return base, MinimalityReport(False, k, removable_index=index)
-        rest = [j for j in range(len(config)) if j != index]
-        witness_labels = tuple(config.labels[rest[t]] for t in report.witness_deletion)
-        per_index.append((config.labels[index], witness_labels, report.certificate.kind))
-    return base, MinimalityReport(True, k, per_index=tuple(per_index))
+    return base, removal_scan(config, k, workers)
 
 
 def standard_minimal_config(m: int, k: int) -> VectorConfiguration:

@@ -9,6 +9,9 @@ all of it must give exactly the reference's reports, certificates, apex
 placements and flags.
 """
 
+import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -18,9 +21,27 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from galepoly import lp, mani
-from galepoly.gale import gale_dual
-from galepoly.mani import construct_nonsimplicial_mani, dual_spanning_report, hull_flags
-from galepoly.spanning import VectorConfiguration, is_minimal_k_spanning, standard_minimal_config
+from galepoly.gale import PointConfiguration, gale_dual
+from galepoly.jsonio import (
+    build_report,
+    digest,
+    dumps,
+    payload_minimal_dual,
+    rederive_report_payload,
+    verify_report,
+)
+from galepoly.mani import (
+    CounterexampleReport,
+    construct_nonsimplicial_mani,
+    dual_spanning_report,
+    hull_flags,
+)
+from galepoly.spanning import (
+    VectorConfiguration,
+    is_minimal_k_spanning,
+    is_positively_k_spanning,
+    standard_minimal_config,
+)
 
 QQ = Fraction
 
@@ -132,10 +153,181 @@ def _count_lps(monkeypatch):
 
 def test_lp_counts_of_a_d12_certificate_build_and_dual_scan(monkeypatch):
     # without reuse these were 669 construct LPs (575 of them vertex LPs)
-    # and 310 dual-scan LPs (110 of them repeated pairs)
+    # and 310 dual-scan LPs (20 base, 110 of the rest repeated pairs); the
+    # base scan now reads the vertex functionals, and verify checks the 20
+    # recorded witnesses (15 distinct removed sets) after its 20 vertex LPs
+    # instead of searching (200 LPs)
     count = _count_lps(monkeypatch)
     c = construct_nonsimplicial_mani(12, 1, mode="certificate")
     assert count[0] == 119
     report = dual_spanning_report(c, k=2)
     assert report.spanning and report.minimal
-    assert count[0] == 119 + 200
+    assert count[0] == 119 + 180
+    doc = json.loads(dumps(build_report(c, report)))
+    count[0] = 0
+    payload = rederive_report_payload(doc, "minimal2spanningDual")
+    assert payload["verdict"]
+    assert digest(payload) == doc["certificateDigests"]["minimal2spanningDual"]
+    assert count[0] == 20 + 15
+
+
+@pytest.mark.parametrize("d,p", [(d, p) for d in range(6, 10) for p in (3, 4, 5)])
+def test_base_scan_from_functionals_matches_the_lp_scan(monkeypatch, d, p):
+    c = construct_nonsimplicial_mani(d, 1, p=p, mode="certificate")
+    dual = gale_dual(c.points)
+    assert sorted(c.separators) == list(range(len(c.points)))
+    count = _count_lps(monkeypatch)
+    got = mani._dual_base_scan(c.points, dual, c.separators, 2, 1)
+    assert count[0] == 0
+    assert got == is_positively_k_spanning(dual, 2)
+    assert got.spanning
+
+
+def test_a_wrong_or_missing_functional_falls_back_to_the_lp(monkeypatch):
+    c = construct_nonsimplicial_mani(6, 1, p=3, mode="certificate")
+    dual = gale_dual(c.points)
+    expected = is_positively_k_spanning(dual, 2)
+    forged = dict(c.separators)
+    del forged[0]  # missing
+    forged[1] = forged[2]  # separates another point
+    forged[3] = (0,) * len(forged[3])  # zero
+    forged[4] = tuple(-a for a in forged[4])  # negated
+    forged[5] = forged[5][:-1]  # wrong length
+    # a constant added to a functional leaves every weight as it was
+    forged[6] = (forged[6][0] + 7,) + forged[6][1:]
+    count = _count_lps(monkeypatch)
+    assert mani._dual_base_scan(c.points, dual, forged, 2, 1) == expected
+    assert count[0] == 5
+    count[0] = 0
+    assert mani._dual_base_scan(c.points, dual, {}, 2, 1) == expected
+    assert count[0] == len(dual)
+
+
+@pytest.mark.parametrize("forgery", ["doubled row", "swapped rows"])
+def test_a_dual_that_is_no_gale_dual_gets_no_lp_free_proofs(monkeypatch, forgery):
+    # doubling one row breaks the all-ones dependence, so no functional
+    # proves anything.  Swapping rows 0 and 1 keeps it and the rank, and
+    # the values of functional i stay a dependence only where they agree
+    # at points 0 and 1; every other deletion runs its LP.
+    c = construct_nonsimplicial_mani(6, 1, p=4, mode="certificate")
+    dual = gale_dual(c.points)
+    v = dual.coords
+    if forgery == "doubled row":
+        coords = (tuple(2 * a for a in v[0]),) + v[1:]
+        solved = len(dual)
+    else:
+        coords = (v[1], v[0]) + v[2:]
+        values = [
+            [y[0] + sum(a * b for a, b in zip(y[1:], p)) for p in c.points.coords[:2]]
+            for y in c.separators.values()
+        ]
+        solved = sum(a != b for a, b in values)
+        assert 0 < solved < len(dual)
+    forged = VectorConfiguration(m=dual.m, labels=dual.labels, coords=coords)
+    expected = is_positively_k_spanning(forged, 2)
+    count = _count_lps(monkeypatch)
+    assert mani._dual_base_scan(c.points, forged, c.separators, 2, 1) == expected
+    assert count[0] == solved
+
+
+def test_a_dual_that_fails_reports_the_lp_scans_witness(monkeypatch):
+    # an interior point has no functional; its deletion fails on its LP
+    c = construct_nonsimplicial_mani(6, 1, p=3, mode="certificate")
+    points = c.points
+    center = tuple(sum(col) / len(points) for col in zip(*points.coords))
+    inner = PointConfiguration(
+        d=points.d, labels=points.labels + ("mid",), coords=points.coords + (center,)
+    )
+    separators = {}
+    flags = list(hull_flags(inner.coords, range(len(inner)), (), 1, separators))
+    assert flags == [True] * len(points) + [False]
+    dual = gale_dual(inner)
+    got = mani._dual_base_scan(inner, dual, separators, 2, 1)
+    assert got == is_positively_k_spanning(dual, 2)
+    assert not got.spanning and got.witness_deletion == (len(points),)
+
+
+def _certificate_report(d, p, ell):
+    c = construct_nonsimplicial_mani(d, ell, p=p, mode="certificate")
+    return c, json.loads(dumps(build_report(c, dual_spanning_report(c, k=2))))
+
+
+@pytest.mark.parametrize("d,p,ell", [b for b in BUILDS if b[0] <= 8])
+def test_recorded_witness_verify_matches_the_search(d, p, ell):
+    c, doc = _certificate_report(d, p, ell)
+    dual = gale_dual(c.points)
+    base, minimality = ref.is_minimal_k_spanning(dual, 2)
+    searched = CounterexampleReport(
+        construction=c,
+        dual=dual,
+        k=2,
+        classical_bound=4 * dual.m,
+        spanning=base.spanning,
+        minimal=minimality.minimal,
+        exceeds_bound=len(dual) > 4 * dual.m,
+        per_index=minimality.per_index,
+    )
+    checked = rederive_report_payload(doc, "minimal2spanningDual")
+    assert dumps(checked) == dumps(payload_minimal_dual(searched))
+
+
+def _edge_partner(dual, i):
+    """The least j != i whose removal with i leaves V* positively spanning."""
+    for j in range(len(dual)):
+        if j != i and lp.positively_spans(dual.coords, [u for u in range(len(dual)) if u not in (i, j)])[0]:
+            return j
+    raise AssertionError("no edge through the vertex")
+
+
+def test_a_witness_replaced_by_an_edge_partner_fails():
+    c, doc = _certificate_report(6, 3, 1)
+    dual = gale_dual(c.points)
+    cert = next(x for x in doc["certificates"] if x["check"] == "minimal2spanningDual")
+    assert cert["verdict"] and cert["perIndex"][0]["removed"] == dual.labels[0]
+    cert["perIndex"][0]["witnessDeletion"] = [dual.labels[_edge_partner(dual, 0)]]
+    payload = rederive_report_payload(doc, "minimal2spanningDual")
+    assert payload["verdict"] is False
+    assert payload["spanning"] is True and payload["minimal"] is False
+    assert payload["perIndex"] == []
+    again = {p["check"]: p for p in verify_report(doc, None)}
+    assert again["minimal2spanningDual"] == payload
+    assert all(v for name, v in doc["checks"].items() if name != "minimal2spanningDual")
+
+
+def test_dual_checks_survive_optimized_mode():
+    code = "\n".join(
+        [
+            "import json, sys",
+            "from galepoly import jsonio, lp, mani",
+            "count = [0]",
+            "real = lp.solve_feasibility",
+            "def counting(*args):",
+            "    count[0] += 1",
+            "    return real(*args)",
+            "lp.solve_feasibility = counting",
+            "c = mani.construct_nonsimplicial_mani(6, 1, p=3, mode='certificate')",
+            "count[0] = 0",
+            "report = mani.dual_spanning_report(c)",
+            "clean = count[0]",
+            "c.separators = {i: tuple(-a for a in y) for i, y in c.separators.items()}",
+            "count[0] = 0",
+            "forged = mani.dual_spanning_report(c)",
+            "if (forged.spanning, forged.per_index) != (report.spanning, report.per_index):",
+            "    sys.exit('a forged functional changed the report')",
+            "if count[0] != clean + len(c.points):",
+            "    sys.exit('a forged functional did not fall back to the LP')",
+            "doc = json.loads(jsonio.dumps(jsonio.build_report(c, report)))",
+            "cert = [x for x in doc['certificates'] if x['check'] == 'minimal2spanningDual'][0]",
+            "cert['perIndex'][0]['witnessDeletion'] = [cert['perIndex'][0]['removed']]",
+            "if jsonio.rederive_report_payload(doc, 'minimal2spanningDual')['verdict']:",
+            "    sys.exit('a forged witness went unnoticed')",
+            "print(sys.flags.optimize)",
+        ]
+    )
+    src = os.path.dirname(os.path.dirname(mani.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"

@@ -6,11 +6,16 @@ three mutations at random places in it: a key dropped, a value replaced by
 a list, an integer, a string, a boolean or null, or a list truncated.  The
 documents are small and every check has k <= 2, so no example can start
 unbounded ``kspanning:k`` work.
+
+Verify checks the minimality witnesses a certificate report records, so the
+last tests change only those: each hostile ``perIndex`` list must end in a
+GalepolyError or a false ``minimal2spanningDual`` verdict.
 """
 
 import functools
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -97,3 +102,93 @@ def test_mutated_documents_raise_only_galepoly_errors(data):
         verify_document(doc, checks)
     except GalepolyError:
         pass
+
+
+# mutations of a certificate report's recorded minimality witnesses: each
+# takes the ``perIndex`` list and the dual's labels and returns the new list
+# (or ``DROP`` to remove the key)
+DROP = object()
+PER_INDEX_MUTATIONS = {
+    "missing": lambda entries, labels: DROP,
+    "not a list": lambda entries, labels: {"removed": labels[0]},
+    "entry not an object": lambda entries, labels: [labels[0]] + entries[1:],
+    "removed not a label": lambda entries, labels: [dict(entries[0], removed=0)] + entries[1:],
+    "witness not a list": lambda entries, labels: [dict(entries[0], witnessDeletion=labels[1])]
+    + entries[1:],
+    "duplicate entry": lambda entries, labels: entries[:1] + entries[:-1],
+    "extra entry": lambda entries, labels: entries + entries[-1:],
+    "entry dropped": lambda entries, labels: entries[1:],
+    "unknown removed label": lambda entries, labels: [dict(entries[0], removed="nowhere")]
+    + entries[1:],
+    "unknown witness label": lambda entries, labels: [dict(entries[0], witnessDeletion=["nowhere"])]
+    + entries[1:],
+    "empty witness": lambda entries, labels: [dict(entries[0], witnessDeletion=[])] + entries[1:],
+    "witness too long": lambda entries, labels: [
+        dict(entries[0], witnessDeletion=entries[0]["witnessDeletion"] + [labels[-1]])
+    ]
+    + entries[1:],
+    "witness holds the removed label": lambda entries, labels: [
+        dict(entries[0], witnessDeletion=[labels[0]])
+    ]
+    + entries[1:],
+    "entries out of order": lambda entries, labels: entries[1:2] + entries[:1] + entries[2:],
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _certificate_report_text() -> str:
+    certificate = construct_nonsimplicial_mani(6, mode="certificate")
+    return dumps(build_report(certificate, dual_spanning_report(certificate)))
+
+
+def _with_per_index(mutation) -> dict:
+    doc = json.loads(_certificate_report_text())
+    cert = next(c for c in doc["certificates"] if c["check"] == "minimal2spanningDual")
+    labels = [v["label"] for v in doc["dualConfiguration"]["vectors"]]
+    entries = mutation(cert["perIndex"], labels)
+    if entries is DROP:
+        del cert["perIndex"]
+    else:
+        cert["perIndex"] = entries
+    return doc
+
+
+@pytest.mark.parametrize("name", sorted(PER_INDEX_MUTATIONS))
+def test_hostile_recorded_witnesses_fail_cleanly(name):
+    doc = _with_per_index(PER_INDEX_MUTATIONS[name])
+    try:
+        payloads = verify_document(doc, None)
+    except GalepolyError:
+        return
+    minimal = next(p for p in payloads if p["check"] == "minimal2spanningDual")
+    assert minimal["verdict"] is False
+    assert minimal["perIndex"] == []
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_shuffled_and_replaced_witnesses_never_escape(data):
+    labels = [v["label"] for v in json.loads(_certificate_report_text())["dualConfiguration"]["vectors"]]
+    names = st.sampled_from(labels + ["", "nowhere"])
+    entry = st.fixed_dictionaries(
+        {"removed": names, "witnessDeletion": st.lists(names, max_size=2)}
+    )
+
+    def mutation(entries, _labels):
+        entries = data.draw(st.permutations(entries))
+        for _ in range(data.draw(st.integers(0, 2))):
+            entries[data.draw(st.integers(0, len(entries) - 1))] = data.draw(entry)
+        return entries
+
+    doc = _with_per_index(mutation)
+    try:
+        payloads = verify_document(doc, None)
+    except GalepolyError:
+        return
+    minimal = next(p for p in payloads if p["check"] == "minimal2spanningDual")
+    cert = next(c for c in doc["certificates"] if c["check"] == "minimal2spanningDual")
+    # a true verdict must come with the recorded witnesses it checked
+    if minimal["verdict"]:
+        assert [[e["removed"], e["witnessDeletion"]] for e in minimal["perIndex"]] == [
+            [e["removed"], e["witnessDeletion"]] for e in cert["perIndex"]
+        ]
