@@ -2,9 +2,7 @@
 
 Exit codes: 0 = verified/built, 1 = a requested or built check came back
 false (a verdict, not a tool failure), 2 = usage or input error.  All
-stdout is line-oriented JSON in canonical form, byte-stable across runs
-and thread counts.  Worker count comes from --threads, else the
-GALEPOLY_THREADS environment variable, else 1.
+stdout is line-oriented JSON in canonical form, byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -12,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import jsonio, parallel
+from . import jsonio
 from .errors import GalepolyError, SchemaError
 from .mani import (
     construct_nonsimplicial_mani,
@@ -34,19 +32,17 @@ def _check_line(payload: dict) -> str:
 
 
 def cmd_build(args) -> int:
-    workers = parallel.resolve_workers(args.threads)
     construction = construct_nonsimplicial_mani(
         args.dim,
         ell=args.ell,
         p=args.p,
         mode=args.mode,
         gamma_cap=args.gamma_cap,
-        workers=workers,
         strict=False,
     )
     counterexample = None
     if args.mode == "certificate":
-        counterexample = dual_spanning_report(construction, k=2, workers=workers)
+        counterexample = dual_spanning_report(construction, k=2)
     report = jsonio.build_report(construction, counterexample)
     summary = {key: report[key] for key in ("d", "p", "q", "ell", "f0", "M")}
     print(jsonio.dumps(summary))
@@ -62,8 +58,7 @@ def cmd_build(args) -> int:
 def cmd_verify(args) -> int:
     doc = jsonio.read_document(args.input)
     checks = [c for c in (args.checks or "").split(",") if c.strip()]
-    workers = parallel.resolve_workers(args.threads)
-    payloads = jsonio.verify_document(doc, checks or None, workers=workers)
+    payloads = jsonio.verify_document(doc, checks or None)
     for payload in payloads:
         print(_check_line(payload))
     if args.out:
@@ -156,7 +151,6 @@ def make_parser() -> argparse.ArgumentParser:
         dest="gamma_cap",
         help="if > 0 and f0 <= cap, also brute-force the opposite-set number",
     )
-    build.add_argument("--threads", type=int, default=None, help="worker processes")
     build.set_defaults(fn=cmd_build)
 
     verify = sub.add_parser(
@@ -173,7 +167,6 @@ def make_parser() -> argparse.ArgumentParser:
         ),
     )
     verify.add_argument("--out", default=None, help="write a verify report here")
-    verify.add_argument("--threads", type=int, default=None, help="worker processes")
     verify.set_defaults(fn=cmd_verify)
 
     table = sub.add_parser(

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import BadParametersError, SchemaError
-from .gale import PointConfiguration, realize, supporting_hyperplane
+from .gale import PointConfiguration, gale_dual, realize, supporting_hyperplane
 from .linalg import format_rational, parse_rational
 from .lp import DependenceCertificate
 from .mani import (
@@ -519,8 +519,8 @@ def payload_simplicial_points(points: PointConfiguration, fat_facet: Sequence[st
 # Check payloads (vector configurations)
 
 
-def payload_kspanning(config: VectorConfiguration, k: int, workers: int = 1) -> dict:
-    report = is_positively_k_spanning(config, k, workers=workers)
+def payload_kspanning(config: VectorConfiguration, k: int) -> dict:
+    report = is_positively_k_spanning(config, k)
     doc = {
         "check": f"kspanning:{k}",
         "verdict": report.spanning,
@@ -542,8 +542,8 @@ def payload_kspanning(config: VectorConfiguration, k: int, workers: int = 1) -> 
     return doc
 
 
-def payload_minimal(config: VectorConfiguration, k: int, workers: int = 1) -> dict:
-    base, minimality = is_minimal_k_spanning(config, k, workers=workers)
+def payload_minimal(config: VectorConfiguration, k: int) -> dict:
+    base, minimality = is_minimal_k_spanning(config, k)
     doc = {
         "check": "minimal",
         "verdict": base.spanning and minimality.minimal,
@@ -592,7 +592,7 @@ def payload_minimal_dual(report: CounterexampleReport) -> dict:
 
 # check name -> payload builder, per report mode.  A builder reads its
 # inputs by ``ManiConstruction`` field name (plus ``counterexample``, and
-# the ``dual``, ``workers`` and ``k`` of the ``minimal`` and ``kspanning:k``
+# the ``dual`` and ``k`` of the ``minimal`` and ``kspanning:k``
 # checks that only verify runs): build passes the construction's own,
 # verify decodes them from the report (``_ReportObjects``).  ``kspanning:k``
 # checks of a certificate report are built in ``_builder``.
@@ -626,7 +626,7 @@ CHECKS = {
             o["points"], o["fat_facet"], o["fat_facet_plane"]
         ),
         "minimal2spanningDual": lambda o: payload_minimal_dual(o["counterexample"]),
-        "minimal": lambda o: payload_minimal(o["dual"], o["k"], o["workers"]),
+        "minimal": lambda o: payload_minimal(o["dual"], o["k"]),
     },
 }
 
@@ -637,9 +637,7 @@ def _builder(mode, name: str):
     if table is None:
         raise SchemaError(f"report: unknown mode {mode!r}")
     if mode == "certificate" and name.startswith("kspanning:"):
-        return lambda o: payload_kspanning(
-            o["dual"], _parse_check_names([name])[0][1], o["workers"]
-        )
+        return lambda o: payload_kspanning(o["dual"], _parse_check_names([name])[0][1])
     if name not in table:
         raise BadParametersError(f"cannot re-derive check {name!r} from a {mode} report")
     return table[name]
@@ -754,22 +752,20 @@ def _parse_check_names(checks: Sequence[str]) -> list[tuple[str, int | None]]:
     return out
 
 
-def verify_configuration(
-    config: VectorConfiguration, checks: Sequence[str], workers: int = 1
-) -> list[dict]:
+def verify_configuration(config: VectorConfiguration, checks: Sequence[str]) -> list[dict]:
     parsed = _parse_check_names(checks)
     ks = [k for n, k in parsed if n.startswith("kspanning:")]
     payloads = []
     for name, k in parsed:
         if name.startswith("kspanning:"):
-            payloads.append(payload_kspanning(config, k, workers))
+            payloads.append(payload_kspanning(config, k))
         elif name == "minimal":
             if len(ks) != 1:
                 raise BadParametersError(
                     "the 'minimal' check needs exactly one kspanning:k check "
                     "alongside it to fix k"
                 )
-            payloads.append(payload_minimal(config, ks[0], workers))
+            payloads.append(payload_minimal(config, ks[0]))
         else:
             raise BadParametersError(
                 f"check {name!r} does not apply to a vector configuration"
@@ -777,9 +773,7 @@ def verify_configuration(
     return payloads
 
 
-def verify_polytope(
-    poly: IncidencePolytope, checks: Sequence[str], workers: int = 1
-) -> list[dict]:
+def verify_polytope(poly: IncidencePolytope, checks: Sequence[str]) -> list[dict]:
     # the checks that apply are those of a full report's stacked polytope
     table = CHECKS["full"]
     payloads = []
@@ -803,10 +797,17 @@ def _diagonal_partner(objects: "_ReportObjects") -> list[list[str]]:
     return pairs
 
 
+def _embedded_dual(objects: "_ReportObjects", dual: VectorConfiguration) -> VectorConfiguration:
+    """``dual``, once the report's ``dualConfiguration`` is shown to equal it."""
+    if config_from_json(objects.report["dualConfiguration"]) != dual:
+        raise SchemaError("report: 'dualConfiguration' is not the Gale dual of its points")
+    return dual
+
+
 def _dual_configuration(objects: "_ReportObjects") -> VectorConfiguration:
     if "dualConfiguration" not in objects.report:
         raise BadParametersError("this check needs a report with a dual configuration")
-    return config_from_json(objects.report["dualConfiguration"])
+    return _embedded_dual(objects, gale_dual(objects["points"]))
 
 
 def _diagonal_flags(objects: "_ReportObjects") -> tuple[bool, ...]:
@@ -815,7 +816,7 @@ def _diagonal_flags(objects: "_ReportObjects") -> tuple[bool, ...]:
         return ()
     index = {lab: i for i, lab in enumerate(points.labels)}
     diagonals = [(index[a], index[b]) for a, b in pairs]
-    return tuple(hull_flags(points.coords, (), diagonals, objects["workers"]))
+    return tuple(hull_flags(points.coords, (), diagonals))
 
 
 def _separators(objects: "_ReportObjects") -> dict[int, tuple[int, ...]]:
@@ -823,7 +824,7 @@ def _separators(objects: "_ReportObjects") -> dict[int, tuple[int, ...]]:
     # separating functional exactly for each point that is a vertex
     points = objects["points"]
     separators: dict[int, tuple[int, ...]] = {}
-    list(hull_flags(points.coords, range(len(points)), (), objects["workers"], separators))
+    list(hull_flags(points.coords, range(len(points)), (), separators))
     return separators
 
 
@@ -859,7 +860,8 @@ def _recorded_witnesses(objects: "_ReportObjects") -> list[tuple[str, list[str]]
 
 def _counterexample(objects: "_ReportObjects") -> CounterexampleReport:
     # the dual's base scan uses verify's own vertex functionals, and its
-    # removal scan checks the recorded witnesses instead of searching
+    # removal scan checks the recorded witnesses instead of searching; an
+    # embedded dual must be the Gale dual that the scans certify
     witnesses = _recorded_witnesses(objects)
     construction = ManiConstruction(
         plan=objects["plan"],
@@ -867,7 +869,10 @@ def _counterexample(objects: "_ReportObjects") -> CounterexampleReport:
         points=objects["points"],
         separators=objects["separators"],
     )
-    return dual_spanning_report(construction, 2, objects["workers"], witnesses)
+    counterexample = dual_spanning_report(construction, 2, witnesses)
+    if "dualConfiguration" in objects.report:
+        _embedded_dual(objects, counterexample.dual)
+    return counterexample
 
 
 def _designated_planes(objects: "_ReportObjects") -> tuple:
@@ -901,8 +906,8 @@ _DECODERS = {
 class _ReportObjects(dict):
     """A build report's objects by key, each obtained on first use and kept."""
 
-    def __init__(self, report: dict, workers: int, k: int = 2):
-        super().__init__(workers=workers, k=k)
+    def __init__(self, report: dict, k: int = 2):
+        super().__init__(k=k)
         self.report = report
 
     def __missing__(self, key: str):
@@ -922,12 +927,12 @@ def _rederive(objects: _ReportObjects, name: str) -> dict:
     return _builder(mode, name)(objects)
 
 
-def rederive_report_payload(report: dict, name: str, workers: int = 1) -> dict:
+def rederive_report_payload(report: dict, name: str) -> dict:
     """Recompute one check certificate from a build report's embedded data."""
-    return _rederive(_ReportObjects(report, workers), name)
+    return _rederive(_ReportObjects(report), name)
 
 
-def verify_report(report: dict, checks: Sequence[str] | None, workers: int = 1) -> list[dict]:
+def verify_report(report: dict, checks: Sequence[str] | None) -> list[dict]:
     """Re-derive certificates for a build report.
 
     With no explicit checks, every check recorded in the report is re-run
@@ -962,11 +967,11 @@ def verify_report(report: dict, checks: Sequence[str] | None, workers: int = 1) 
     else:
         # same ordering as the build output, so round trips are line-stable
         requested = _in_check_order(recorded)
-    objects = _ReportObjects(report, workers, k)
+    objects = _ReportObjects(report, k)
     return [_rederive(objects, name) for name in requested]
 
 
-def verify_document(doc, checks: Sequence[str] | None, workers: int = 1) -> list[dict]:
+def verify_document(doc, checks: Sequence[str] | None) -> list[dict]:
     """Dispatch verification by detected schema; returns check payloads."""
     schema = detect_schema(doc)
     if schema == "configuration":
@@ -974,13 +979,13 @@ def verify_document(doc, checks: Sequence[str] | None, workers: int = 1) -> list
             raise BadParametersError(
                 "a vector configuration needs explicit --checks (e.g. kspanning:2)"
             )
-        return verify_configuration(config_from_json(doc), checks, workers)
+        return verify_configuration(config_from_json(doc), checks)
     if schema == "polytope":
         if not checks:
             raise BadParametersError(
                 "a polytope needs explicit --checks (e.g. illuminated)"
             )
-        return verify_polytope(polytope_from_json(doc), checks, workers)
+        return verify_polytope(polytope_from_json(doc), checks)
     if schema == "report":
-        return verify_report(doc, checks, workers)
+        return verify_report(doc, checks)
     raise BadParametersError(f"no checks are defined for {schema} documents")

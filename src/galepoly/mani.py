@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import parallel
 from .errors import (
     BadParametersError,
     CertificateError,
@@ -251,27 +250,13 @@ def _separates(y: tuple[int, ...], rows: list[list[int]], i: int) -> bool:
     return True
 
 
-def _hull_task(args):
-    coords, i, j, rows, kept = args
-    if j is not None:
-        mid = vec_scale(QQ(1, 2), vec_add(coords[i], coords[j]))
-        ok, _ = interior_point_test(coords, mid)
-        return ok, None
-    if kept is not None and _separates(kept, rows, i):
-        return True, kept
-    y = separating_functional(coords, i)
-    if y is None:
-        return False, None
-    return True, tuple(integer_multiple(y))
-
-
-def hull_flags(coords, vertices, diagonals, workers: int = 1, separators=None):
+def hull_flags(coords, vertices, diagonals, separators=None):
     """Exact LP flags on the hull of ``coords``, yielded lazily in order.
 
     First, for each index in ``vertices``, whether that point is a vertex;
     then, for each index pair in ``diagonals``, whether the pair's midpoint
-    lies in the interior (so the segment is an inner diagonal).  With one
-    worker ``all()`` over the flags stops at the first failing LP.
+    lies in the interior (so the segment is an inner diagonal).  ``all()``
+    over the flags stops at the first failing LP.
 
     ``separators`` maps point indices to kept separating functionals, as
     integer multiples of ``separating_functional`` vectors.  A kept
@@ -284,12 +269,18 @@ def hull_flags(coords, vertices, diagonals, workers: int = 1, separators=None):
     if separators is None:
         separators = {}
     rows = [integer_multiple((QQ(1),) + tuple(p)) for p in coords] if separators else None
-    tasks = [(coords, i, None, rows, separators.get(i)) for i in vertices]
-    tasks += [(coords, i, j, None, None) for i, j in diagonals]
-    for (_, i, _, _, _), (flag, y) in zip(tasks, parallel.imap(_hull_task, tasks, workers)):
+    for i in vertices:
+        kept = separators.get(i)
+        if kept is not None and _separates(kept, rows, i):
+            yield True
+            continue
+        y = separating_functional(coords, i)
         if y is not None:
-            separators[i] = y
-        yield flag
+            separators[i] = tuple(integer_multiple(y))
+        yield y is not None
+    for i, j in diagonals:
+        mid = vec_scale(QQ(1, 2), vec_add(coords[i], coords[j]))
+        yield interior_point_test(coords, mid)[0]
 
 
 def geometric_stack_point(
@@ -299,7 +290,6 @@ def geometric_stack_point(
     guard_planes=(),
     new_label: str | None = None,
     max_halvings: int = 60,
-    workers: int = 1,
     separators=None,
 ) -> tuple[PointConfiguration, StackCertificate]:
     """Place an apex just beyond a simplex facet and certify the placement.
@@ -341,7 +331,7 @@ def geometric_stack_point(
             coords = points.coords + (apex,)
             n = len(coords)
             diagonals = [(n - 1, i) for i in off_facet]
-            if all(hull_flags(coords, range(n - 1), diagonals, workers, separators)):
+            if all(hull_flags(coords, range(n - 1), diagonals, separators)):
                 stacked = PointConfiguration(
                     d=points.d,
                     labels=points.labels + (new_label,),
@@ -462,9 +452,7 @@ def _construct_full(plan: BlockDiagramPlan, gamma_cap: int) -> ManiConstruction:
     return result
 
 
-def _construct_certificate(
-    plan: BlockDiagramPlan, gamma_cap: int, workers: int
-) -> ManiConstruction:
+def _construct_certificate(plan: BlockDiagramPlan, gamma_cap: int) -> ManiConstruction:
     result = ManiConstruction(plan=plan, mode="certificate")
     config = plan.config
     for _, comp in plan.designated:
@@ -506,7 +494,6 @@ def _construct_certificate(
             hyperplane=planes[i],
             guard_planes=guards,
             new_label=apex,
-            workers=workers,
             separators=separators,
         )
         fset = set(facet)
@@ -527,7 +514,7 @@ def _construct_certificate(
     index = {lab: i for i, lab in enumerate(current.labels)}
     n = len(current)
     unproven = [(index[a], index[b]) for a, b in pairs if frozenset((a, b)) not in proven]
-    flags = hull_flags(current.coords, range(n), unproven, workers, separators)
+    flags = hull_flags(current.coords, range(n), unproven, separators)
     result.vertex_flags = tuple(next(flags) for _ in range(n))
     result.separators = {i: separators[i] for i, ok in enumerate(result.vertex_flags) if ok}
     result.diagonal_flags = tuple(frozenset(p) in proven or next(flags) for p in pairs)
@@ -553,7 +540,6 @@ def construct_nonsimplicial_mani(
     p: int | None = None,
     mode: str = "full",
     gamma_cap: int = 0,
-    workers: int = 1,
     strict: bool = True,
 ) -> ManiConstruction:
     """Build and check the stacked block-diagram polytope for dimension d.
@@ -568,7 +554,7 @@ def construct_nonsimplicial_mani(
     if mode == "full":
         result = _construct_full(plan, gamma_cap)
     elif mode == "certificate":
-        result = _construct_certificate(plan, gamma_cap, workers)
+        result = _construct_certificate(plan, gamma_cap)
     else:
         raise BadParametersError(f"unknown mode {mode!r}")
     if strict:
@@ -719,7 +705,7 @@ def _positive_dependence(y, lifted, vstar, i: int) -> bool:
     return all(sum(w * row[c] for w, row in zip(lam, vstar)) == 0 for c in range(len(vstar[i])))
 
 
-def _dual_base_scan(points, dual, separators, k: int, workers: int) -> SpanningReport:
+def _dual_base_scan(points, dual, separators, k: int) -> SpanningReport:
     """The k-spanning scan of the Gale dual V*, read off vertex functionals.
 
     For k = 2, V* minus v*_i positively spans exactly when p_i is a vertex.
@@ -734,7 +720,7 @@ def _dual_base_scan(points, dual, separators, k: int, workers: int) -> SpanningR
     """
     n = len(dual)
     if k != 2 or dual.m < 1 or n < 2:
-        return is_positively_k_spanning(dual, k, workers)
+        return is_positively_k_spanning(dual, k)
     lifted = _common_scale([(QQ(1),) + tuple(p) for p in points.coords])
     vstar = _common_scale(dual.coords)
     if not (
@@ -753,7 +739,7 @@ def _dual_base_scan(points, dual, separators, k: int, workers: int) -> SpanningR
 
 
 def dual_spanning_report(
-    construction: ManiConstruction, k: int = 2, workers: int = 1, witnesses=None
+    construction: ManiConstruction, k: int = 2, witnesses=None
 ) -> CounterexampleReport:
     """Dualize a certificate-mode construction and test minimal k-spanning.
 
@@ -765,10 +751,8 @@ def dual_spanning_report(
     if construction.points is None:
         raise BadParametersError("dual stage needs a certificate-mode construction")
     dual = gale_dual(construction.points)
-    base = _dual_base_scan(construction.points, dual, construction.separators, k, workers)
-    minimality = (
-        removal_scan(dual, k, workers, witnesses) if base.spanning else MinimalityReport(False, k)
-    )
+    base = _dual_base_scan(construction.points, dual, construction.separators, k)
+    minimality = removal_scan(dual, k, witnesses) if base.spanning else MinimalityReport(False, k)
     return CounterexampleReport(
         construction=construction,
         dual=dual,
@@ -781,9 +765,7 @@ def dual_spanning_report(
     )
 
 
-def spanning_bound_counterexample(workers: int = 1) -> CounterexampleReport:
+def spanning_bound_counterexample() -> CounterexampleReport:
     """Build the d = 36 polytope and certify its dual past the 2km bound."""
-    construction = construct_nonsimplicial_mani(
-        36, ell=1, mode="certificate", workers=workers, strict=False
-    )
-    return dual_spanning_report(construction, k=2, workers=workers)
+    construction = construct_nonsimplicial_mani(36, ell=1, mode="certificate", strict=False)
+    return dual_spanning_report(construction, k=2)

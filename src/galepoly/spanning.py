@@ -18,7 +18,6 @@ from typing import Iterable, Sequence
 from .errors import BadParametersError, DimensionMismatchError
 from .linalg import QQ, as_vector
 from .lp import DependenceCertificate, positively_spans
-from . import parallel
 
 
 @dataclass(frozen=True)
@@ -120,16 +119,7 @@ def _vacuous_failure(config: VectorConfiguration, k: int) -> SpanningReport:
     return SpanningReport(False, k, witness_deletion=tuple(range(size)), certificate=cert)
 
 
-def _check_deletion(args):
-    config, k, deletion = args
-    remaining = [i for i in range(len(config)) if i not in set(deletion)]
-    ok, cert = positively_spans(config.coords, remaining)
-    return deletion, ok, cert
-
-
-def is_positively_k_spanning(
-    config: VectorConfiguration, k: int, workers: int = 1
-) -> SpanningReport:
+def is_positively_k_spanning(config: VectorConfiguration, k: int) -> SpanningReport:
     """Scan all (k-1)-deletions; report the least failing one, if any.
 
     Deleting k-1 of fewer than k-1 vectors is impossible, so configurations
@@ -142,15 +132,15 @@ def is_positively_k_spanning(
     n = len(config)
     if k - 1 >= n:
         return _vacuous_failure(config, k)
-    deletions = itertools.combinations(range(n), k - 1)
-    tasks = ((config, k, d) for d in deletions)
-    for deletion, ok, cert in parallel.imap(_check_deletion, tasks, workers):
+    for deletion in itertools.combinations(range(n), k - 1):
+        dropped = set(deletion)
+        ok, cert = positively_spans(config.coords, [i for i in range(n) if i not in dropped])
         if not ok:
             return SpanningReport(False, k, witness_deletion=deletion, certificate=cert)
     return SpanningReport(True, k)
 
 
-def _check_removal(args):
+def _check_removal(config: VectorConfiguration, k: int, index: int, memo: dict, deletions):
     """The k-spanning scan of ``config`` without vector ``index``.
 
     ``deletions`` lists the (k-1)-deletions to try, as positions among the
@@ -159,10 +149,9 @@ def _check_removal(args):
     two removals meet on the same selection of the same vectors in the same
     order, so a hit is that LP's own ``(ok, cert)``.
     """
-    config, k, index, memo, deletions = args
     rest = [j for j in range(len(config)) if j != index]
     if k - 1 >= len(rest):
-        return index, _vacuous_failure(config.delete((index,)), k)
+        return _vacuous_failure(config.delete((index,)), k)
     if deletions is None:
         deletions = itertools.combinations(range(len(rest)), k - 1)
     for deletion in deletions:
@@ -174,8 +163,8 @@ def _check_removal(args):
             )
         ok, cert = hit
         if not ok:
-            return index, SpanningReport(False, k, witness_deletion=deletion, certificate=cert)
-    return index, SpanningReport(True, k)
+            return SpanningReport(False, k, witness_deletion=deletion, certificate=cert)
+    return SpanningReport(True, k)
 
 
 def _recorded_deletions(config: VectorConfiguration, k: int, index: int, entry) -> tuple:
@@ -193,9 +182,7 @@ def _recorded_deletions(config: VectorConfiguration, k: int, index: int, entry) 
     return (deletion,) if len(deletion) == k - 1 else ()
 
 
-def removal_scan(
-    config: VectorConfiguration, k: int, workers: int = 1, witnesses=None
-) -> MinimalityReport:
+def removal_scan(config: VectorConfiguration, k: int, witnesses=None) -> MinimalityReport:
     """The single-removal scan of a positively k-spanning configuration.
 
     Every removal must leave a configuration that is not k-spanning.  The
@@ -206,8 +193,7 @@ def removal_scan(
     minimality but not that a witness is the least one.  An entry that does
     not fit its vector, or a witness that does not break k-spanning, makes
     the verdict false with no ``removable_index``.  The removal scans share
-    one memo of their LPs, so each set of removed vectors is solved once
-    (with one worker; a process pool's workers fill copies of it).
+    one memo of their LPs, so each set of removed vectors is solved once.
     """
     n = len(config)
     if witnesses is None:
@@ -218,8 +204,8 @@ def removal_scan(
         deletions = [_recorded_deletions(config, k, i, w) for i, w in enumerate(witnesses)]
     per_index = []
     memo: dict = {}
-    tasks = ((config, k, i, memo, deletions[i]) for i in range(n))
-    for index, report in parallel.imap(_check_removal, tasks, workers):
+    for index in range(n):
+        report = _check_removal(config, k, index, memo, deletions[index])
         if report.spanning:
             removable = index if witnesses is None else None
             return MinimalityReport(False, k, removable_index=removable)
@@ -230,7 +216,7 @@ def removal_scan(
 
 
 def is_minimal_k_spanning(
-    config: VectorConfiguration, k: int, workers: int = 1
+    config: VectorConfiguration, k: int
 ) -> tuple[SpanningReport, MinimalityReport]:
     """Check k-spanning, then that every single removal destroys it.
 
@@ -238,10 +224,10 @@ def is_minimal_k_spanning(
     ``removal_scan``; minimality is vacuously false when the configuration
     is not k-spanning at all.
     """
-    base = is_positively_k_spanning(config, k, workers=workers)
+    base = is_positively_k_spanning(config, k)
     if not base.spanning:
         return base, MinimalityReport(False, k)
-    return base, removal_scan(config, k, workers)
+    return base, removal_scan(config, k)
 
 
 def standard_minimal_config(m: int, k: int) -> VectorConfiguration:

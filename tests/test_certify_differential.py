@@ -117,7 +117,7 @@ def test_a_forged_kept_functional_falls_back_to_the_lp(monkeypatch):
     # a square and its center: four vertices, one interior point
     coords = [tuple(map(QQ, p)) for p in [(0, 0), (2, 0), (0, 2), (2, 2), (1, 1)]]
     separators = {}
-    assert list(hull_flags(coords, range(5), (), 1, separators)) == [True] * 4 + [False]
+    assert list(hull_flags(coords, range(5), (), separators)) == [True] * 4 + [False]
     assert sorted(separators) == [0, 1, 2, 3]
     assert all(_separates(separators[i], coords, i) for i in range(4))
 
@@ -127,13 +127,13 @@ def test_a_forged_kept_functional_falls_back_to_the_lp(monkeypatch):
     separators[1] = separators[0]  # separates point 0, not point 1
     separators[2] = (0, 0, 0)
     separators[4] = (1, 0, 0)  # positive on every point
-    assert list(hull_flags(coords, range(5), (), 1, separators)) == [True] * 4 + [False]
+    assert list(hull_flags(coords, range(5), (), separators)) == [True] * 4 + [False]
     assert solved == [1, 2, 4]
     assert all(_separates(separators[i], coords, i) for i in range(4))
 
     # without kept functionals every flag solves its LP
     solved.clear()
-    assert list(hull_flags(coords, range(5), (), 1)) == [True] * 4 + [False]
+    assert list(hull_flags(coords, range(5), ())) == [True] * 4 + [False]
     assert solved == [0, 1, 2, 3, 4]
 
 
@@ -177,7 +177,7 @@ def test_base_scan_from_functionals_matches_the_lp_scan(monkeypatch, d, p):
     dual = gale_dual(c.points)
     assert sorted(c.separators) == list(range(len(c.points)))
     count = _count_lps(monkeypatch)
-    got = mani._dual_base_scan(c.points, dual, c.separators, 2, 1)
+    got = mani._dual_base_scan(c.points, dual, c.separators, 2)
     assert count[0] == 0
     assert got == is_positively_k_spanning(dual, 2)
     assert got.spanning
@@ -196,10 +196,10 @@ def test_a_wrong_or_missing_functional_falls_back_to_the_lp(monkeypatch):
     # a constant added to a functional leaves every weight as it was
     forged[6] = (forged[6][0] + 7,) + forged[6][1:]
     count = _count_lps(monkeypatch)
-    assert mani._dual_base_scan(c.points, dual, forged, 2, 1) == expected
+    assert mani._dual_base_scan(c.points, dual, forged, 2) == expected
     assert count[0] == 5
     count[0] = 0
-    assert mani._dual_base_scan(c.points, dual, {}, 2, 1) == expected
+    assert mani._dual_base_scan(c.points, dual, {}, 2) == expected
     assert count[0] == len(dual)
 
 
@@ -226,7 +226,7 @@ def test_a_dual_that_is_no_gale_dual_gets_no_lp_free_proofs(monkeypatch, forgery
     forged = VectorConfiguration(m=dual.m, labels=dual.labels, coords=coords)
     expected = is_positively_k_spanning(forged, 2)
     count = _count_lps(monkeypatch)
-    assert mani._dual_base_scan(c.points, forged, c.separators, 2, 1) == expected
+    assert mani._dual_base_scan(c.points, forged, c.separators, 2) == expected
     assert count[0] == solved
 
 
@@ -239,10 +239,10 @@ def test_a_dual_that_fails_reports_the_lp_scans_witness(monkeypatch):
         d=points.d, labels=points.labels + ("mid",), coords=points.coords + (center,)
     )
     separators = {}
-    flags = list(hull_flags(inner.coords, range(len(inner)), (), 1, separators))
+    flags = list(hull_flags(inner.coords, range(len(inner)), (), separators))
     assert flags == [True] * len(points) + [False]
     dual = gale_dual(inner)
-    got = mani._dual_base_scan(inner, dual, separators, 2, 1)
+    got = mani._dual_base_scan(inner, dual, separators, 2)
     assert got == is_positively_k_spanning(dual, 2)
     assert not got.spanning and got.witness_deletion == (len(points),)
 

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from galepoly.cli import main
 from galepoly.jsonio import (
     config_to_json,
@@ -228,20 +230,20 @@ def test_export_svg_rejects_undrawable_plan(tmp_path, capsys):
     assert "needs a plan or build report" in err
 
 
-def test_output_is_byte_stable_across_thread_counts(capsys):
-    _, serial, _ = run(capsys, "build", "--dim", "6", "--mode", "certificate")
-    _, forked, _ = run(
-        capsys, "build", "--dim", "6", "--mode", "certificate", "--threads", "2"
-    )
-    assert serial == forked
-
-
-def test_threads_env_variable_fallback(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("GALEPOLY_THREADS", "2")
-    _, env_out, _ = run(capsys, "build", "--dim", "6")
-    monkeypatch.delenv("GALEPOLY_THREADS")
-    _, default_out, _ = run(capsys, "build", "--dim", "6")
-    assert env_out == default_out
+def test_threads_option_is_gone(tmp_path, capsys):
+    # every scan is serial: --threads is an unknown option, a usage error
+    cfg = str(tmp_path / "cfg.json")
+    write_document(config_to_json(standard_minimal_config(2, 2)), cfg)
+    for argv in (
+        ["build", "--dim", "6", "--threads", "2"],
+        ["verify", cfg, "--checks", "kspanning:2", "--threads", "2"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments: --threads 2" in captured.err
 
 
 def test_console_entry_point_runs():
@@ -284,6 +286,21 @@ def test_verify_malformed_report_is_a_usage_error(tmp_path, capsys):
     assert out == ""
     assert err.startswith("galepoly: error:")
     assert "Traceback" not in err
+
+
+def test_verify_report_with_a_forged_dual_is_a_usage_error(tmp_path, capsys):
+    path = str(tmp_path / "d6.json")
+    code, _, _ = run(capsys, "build", "--dim", "6", "--mode", "certificate", "--out", path)
+    assert code == 0
+    report = read_document(path)
+    vector = report["dualConfiguration"]["vectors"][0]
+    vector["coords"] = ["7"] * len(vector["coords"])
+    write_document(report, path)
+    for checks in ([], ["--checks", "kspanning:2,minimal"]):
+        code, out, err = run(capsys, "verify", path, *checks)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("galepoly: error: report: 'dualConfiguration' is not the Gale dual")
 
 
 def test_verify_report_with_a_non_object_plan_is_a_usage_error(tmp_path, capsys):

@@ -351,6 +351,22 @@ def test_report_minimal_check_takes_k_from_its_kspanning_check():
     assert len(verify_report(report, ["kspanning:2", "kspanning:3"])) == 2
 
 
+def test_embedded_dual_must_be_the_gale_dual_of_the_points():
+    result = construct_nonsimplicial_mani(6, mode="certificate")
+    report = json.loads(dumps(build_report(result, dual_spanning_report(result, k=2))))
+    embedded = config_from_json(report["dualConfiguration"])
+    assert embedded == gale_dual(points_from_json(report["points"]))
+    # the scans certify the Gale dual of the points, so an embedded dual
+    # that is not it is rejected on the default path and on kspanning/minimal
+    vector = report["dualConfiguration"]["vectors"][0]
+    vector["coords"] = ["7"] * len(vector["coords"])
+    for checks in (None, ["kspanning:2"], ["minimal"], ["kspanning:2", "minimal"]):
+        with pytest.raises(SchemaError, match="not the Gale dual"):
+            verify_document(report, checks)
+    with pytest.raises(SchemaError, match="not the Gale dual"):
+        rederive_report_payload(report, "minimal2spanningDual")
+
+
 def test_choose_functional_avoids_all_vectors():
     plan = build_block_diagram(6)
     c = choose_functional(plan.config.coords)

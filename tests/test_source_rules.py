@@ -26,20 +26,31 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield node.lineno, [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, [node.module]
+
+
 def test_library_imports_only_the_standard_library_and_itself():
     # the package has no runtime dependencies; an import of anything else,
     # at module level or inside a function, would bring one back
     allowed = set(sys.stdlib_module_names) | {"galepoly"}
     found = []
     for name, tree in _trees():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                modules = [node.module]
-            else:
-                continue
-            found += [
-                f"{name}:{node.lineno} {m}" for m in modules if m.split(".")[0] not in allowed
-            ]
+        for lineno, modules in _imported_modules(tree):
+            found += [f"{name}:{lineno} {m}" for m in modules if m.split(".")[0] not in allowed]
+    assert found == []
+
+
+def test_library_imports_no_process_pool():
+    # every scan runs serially in the calling process: measured, a pool
+    # started per call cost more than it saved
+    banned = {"multiprocessing", "concurrent"}
+    found = []
+    for name, tree in _trees():
+        for lineno, modules in _imported_modules(tree):
+            found += [f"{name}:{lineno} {m}" for m in modules if m.split(".")[0] in banned]
     assert found == []

@@ -212,16 +212,6 @@ def test_recorded_witnesses_are_checked_not_searched():
     assert removal_scan(cfg, 2, witnesses=entries + entries[:1]) == MinimalityReport(False, 2)
 
 
-def test_workers_do_not_change_the_verdict():
-    c = standard_minimal_config(2, 2)
-    serial = is_positively_k_spanning(c, 2, workers=1)
-    parallel = is_positively_k_spanning(c, 2, workers=2)
-    assert serial == parallel
-    s_base, s_min = is_minimal_k_spanning(c, 2, workers=1)
-    p_base, p_min = is_minimal_k_spanning(c, 2, workers=2)
-    assert s_base == p_base and s_min == p_min
-
-
 def test_importing_the_library_does_not_load_multiprocessing():
     code = (
         "import sys, galepoly, galepoly.cli, galepoly.jsonio; "
