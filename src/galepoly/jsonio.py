@@ -79,9 +79,12 @@ def write_document(doc, path: str) -> None:
 
 def read_document(path: str):
     with open(path, "r", encoding="utf-8") as fh:
+        # ValueError covers invalid JSON, bytes that are not UTF-8 and an
+        # integer past the interpreter's digit limit; RecursionError covers
+        # nesting deeper than the decoder's stack
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise SchemaError(f"{path}: not valid JSON ({exc})") from None
     return doc
 
@@ -108,6 +111,8 @@ def _parse_rat_list(values, where: str) -> tuple[Fraction, ...]:
         return tuple(parse_rational(v) for v in values)
     except ZeroDivisionError:
         raise SchemaError(f"{where}: a rational has denominator zero") from None
+    except ValueError:  # past the interpreter's integer digit limit
+        raise SchemaError(f"{where}: a rational has too many digits") from None
 
 
 def _is_int(value) -> bool:
@@ -528,17 +533,14 @@ def payload_kspanning(config: VectorConfiguration, k: int) -> dict:
         "n": len(config),
         "m": config.m,
     }
-    if report.spanning:
-        if report.certificate is not None:
-            doc["certificate"] = certificate_to_json(report.certificate)
-    else:
+    if not report.spanning:
         doc["witnessDeletion"] = (
             [config.labels[i] for i in report.witness_deletion]
             if report.witness_deletion is not None
             else None
         )
-        if report.certificate is not None:
-            doc["certificate"] = certificate_to_json(report.certificate)
+    if report.certificate is not None:
+        doc["certificate"] = certificate_to_json(report.certificate)
     return doc
 
 

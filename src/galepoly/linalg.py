@@ -4,10 +4,14 @@ Scalars are ``fractions.Fraction`` at every boundary; vectors are plain
 tuples of Fractions and matrices are immutable row-major grids.  Elimination
 scales each row to integers and runs fraction-free (Edmonds/Bareiss)
 Gauss-Jordan steps over one common denominator, converting back to Fraction
-only in ``kernel_basis`` and ``solve``.  It uses a fixed pivot rule (scan
-columns left to right, take the first unused row with a nonzero entry), and
-kernel bases fix each free variable to one with the others zero, so every
-result is reproducible across runs and platforms.
+only in ``kernel_basis`` and ``solve``.  The step is ``bareiss_pivot``, the
+one pivot step of the library: ``lp``'s simplex pivots through it too.
+Likewise ``separates`` is the one integer separation check, used by
+``lp``'s Farkas self-check and by ``mani``'s kept vertex functionals.
+Elimination uses a fixed pivot rule (scan columns left to right, take the
+first unused row with a nonzero entry), and kernel bases fix each free
+variable to one with the others zero, so every result is reproducible
+across runs and platforms.
 """
 
 from __future__ import annotations
@@ -108,6 +112,41 @@ def primitive(u: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(QQ(z // g) for z in ints)
 
 
+def bareiss_pivot(rows: list[list[int]], r: int, c: int, den: int) -> int:
+    """One fraction-free Gauss-Jordan pivot on ``rows[r][c]``, in place.
+
+    ``rows`` are integers over the common denominator ``den``.  Every other
+    row i becomes ``(rows[i] * pv - rows[i][c] * rows[r]) // den`` with
+    ``pv = rows[r][c]``; by the Edmonds/Bareiss identity each division is
+    exact.  The pivot row keeps its entries, and ``pv`` is returned as the
+    new common denominator.
+    """
+    pv = rows[r][c]
+    prow = rows[r]
+    for i, row in enumerate(rows):
+        if i == r:
+            continue
+        f = row[c]
+        if f:
+            rows[i] = [(x * pv - f * y) // den for x, y in zip(row, prow)]
+        elif pv != den:
+            rows[i] = [x * pv // den for x in row]
+    return pv
+
+
+def separates(y: Sequence[int], rows: Sequence[Sequence[int]], i: int) -> bool:
+    """Whether y is positive on ``rows[i]`` and nonpositive on every other row.
+
+    Integer arithmetic only: the check that a Farkas vector or a kept
+    separating functional still separates one row from the rest.
+    """
+    for j, row in enumerate(rows):
+        value = sum(a * b for a, b in zip(y, row))
+        if value <= 0 if j == i else value > 0:
+            return False
+    return True
+
+
 class ExactMatrix:
     """Immutable dense matrix over Fraction."""
 
@@ -179,24 +218,18 @@ class ExactMatrix:
     def _eliminate(self, rhs: Sequence[Fraction] | None = None):
         """Fraction-free reduced row echelon form.
 
-        Returns ``(rows, pivot_columns, reduced_rhs, den)`` with integer
-        ``rows`` and ``reduced_rhs``; the reduced row echelon form is
-        ``rows / den``.  Each row is first scaled, together with its rhs
-        entry, by the lcm of its denominators; that leaves the reduced rows
-        and the pivot-row rhs unchanged, and on zero rows changes only the
-        magnitude of the rhs, never whether it is zero.
+        Returns ``(rows, pivot_columns, den)`` with integer ``rows``; the
+        reduced row echelon form is ``rows / den``.  The optional right-hand
+        side is carried as each row's last column.  Each row is first
+        scaled, with its rhs entry, by the lcm of its denominators; that
+        leaves the reduced rows and the pivot-row rhs unchanged, and on zero
+        rows changes only the magnitude of the rhs, never whether it is zero.
 
         Pivot rule: for each column left to right, use the first remaining
-        row with a nonzero entry.  The optional right-hand side is carried
-        through the same operations.
+        row with a nonzero entry.
         """
-        if rhs is None:
-            rows = [integer_multiple(r) for r in self.entries]
-            b = None
-        else:
-            scaled = [integer_multiple(r + (bi,)) for r, bi in zip(self.entries, rhs)]
-            rows = [r[:-1] for r in scaled]
-            b = [r[-1] for r in scaled]
+        entries = self.entries if rhs is None else [r + (bi,) for r, bi in zip(self.entries, rhs)]
+        rows = [integer_multiple(r) for r in entries]
         pivots: list[int] = []
         den = 1
         r = 0
@@ -209,32 +242,15 @@ class ExactMatrix:
             if pivot_row is None:
                 continue
             rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            if b is not None:
-                b[r], b[pivot_row] = b[pivot_row], b[r]
-            # Edmonds/Bareiss step: exact divisions by den, den <- pivot
-            pv = rows[r][c]
-            prow = rows[r]
-            for i in range(len(rows)):
-                if i == r:
-                    continue
-                f = rows[i][c]
-                if f:
-                    rows[i] = [(x * pv - f * y) // den for x, y in zip(rows[i], prow)]
-                    if b is not None:
-                        b[i] = (b[i] * pv - f * b[r]) // den
-                elif pv != den:
-                    rows[i] = [x * pv // den for x in rows[i]]
-                    if b is not None:
-                        b[i] = b[i] * pv // den
-            den = pv
+            den = bareiss_pivot(rows, r, c, den)
             pivots.append(c)
             r += 1
             if r == len(rows):
                 break
-        return rows, pivots, b, den
+        return rows, pivots, den
 
     def rank(self) -> int:
-        _, pivots, _, _ = self._eliminate()
+        _, pivots, _ = self._eliminate()
         return len(pivots)
 
     def kernel_basis(self) -> "ExactMatrix":
@@ -244,7 +260,7 @@ class ExactMatrix:
         for free column f has x_f = 1, every other free variable 0, and the
         pivot variables back-substituted.
         """
-        rows, pivots, _, den = self._eliminate()
+        rows, pivots, den = self._eliminate()
         pivot_set = set(pivots)
         free = [c for c in range(self.cols) if c not in pivot_set]
         columns = []
@@ -264,12 +280,12 @@ class ExactMatrix:
         b = as_vector(b)
         if len(b) != self.rows:
             raise DimensionMismatchError("rhs length mismatch")
-        rows, pivots, rb, den = self._eliminate(b)
-        # the rows below the pivot rows are zero
+        rows, pivots, den = self._eliminate(b)
+        # the rows below the pivot rows are zero but for their rhs
         for i in range(len(pivots), len(rows)):
-            if rb[i] != 0:
+            if rows[i][-1] != 0:
                 return None
         x = [QQ(0)] * self.cols
         for r, pc in enumerate(pivots):
-            x[pc] = QQ(rb[r], den)
+            x[pc] = QQ(rows[r][-1], den)
         return tuple(x)

@@ -5,9 +5,13 @@ does ``sum_j x_j * columns[j] = b`` admit a solution with every ``x_j >= 0``?
 It runs a phase-1 simplex with Bland's least-index rule, so it terminates on
 every input and returns either a feasible point or a Farkas vector ``y``
 with ``y . columns[j] <= 0`` for all j and ``y . b > 0``.  The tableau is
-pivoted fraction-free: plain integers over one common denominator, updated
-by the Edmonds/Bareiss rule, so no gcd is taken inside the loop.  Inputs
-and results are Fractions; the integers never leave the solver.
+pivoted fraction-free: plain integers over one common denominator, each
+row ending in its rhs and the objective row in the phase-1 value, updated
+by ``linalg.bareiss_pivot``, the one pivot step that ``ExactMatrix``
+elimination also uses, so no gcd is taken inside the loop.  The result is
+re-checked in integers before it leaves, the Farkas vector by
+``linalg.separates``.  Inputs and results are Fractions; the integers never
+leave the solver.
 
 Everything else is a thin layer over that kernel:
 
@@ -43,9 +47,11 @@ from .linalg import (
     QQ,
     ExactMatrix,
     as_vector,
+    bareiss_pivot,
     denominator_lcm,
     dot,
     is_zero_vector,
+    separates,
     vec_sub,
     vec_sum,
     zero_vector,
@@ -109,25 +115,27 @@ def solve_feasibility(
     b_scale = denominator_lcm(b)
     int_b = [a.numerator * (b_scale // a.denominator) for a in b]
     signs = [-1 if bi < 0 else 1 for bi in int_b]
+    # m constraint rows [columns | artificials | rhs], then the objective
+    # row of reduced costs for minimizing the sum of artificials, ending in
+    # that sum; a positive reduced cost improves it
     tab = [
-        [signs[i] * c[i] for c in int_cols] + [1 if k == i else 0 for k in range(m)]
+        [signs[i] * c[i] for c in int_cols]
+        + [1 if k == i else 0 for k in range(m)]
+        + [signs[i] * int_b[i]]
         for i in range(m)
     ]
-    rhs = [signs[i] * int_b[i] for i in range(m)]
+    objective = [sum(col) for col in zip(*tab)]
+    objective[n:n + m] = [0] * m
+    tab.append(objective)
     basis = list(range(n, n + m))
-    # reduced costs for minimizing the sum of artificials; z[j] > 0 improves
-    z = [sum(tab[i][j] for i in range(m)) for j in range(n)] + [0] * m
-    value = sum(rhs)
     den = 1
 
-    total = n + m
     while True:
-        enter = None
-        for j in range(total):
-            if z[j] > 0:
-                enter = j
+        z = tab[m]
+        for enter in range(n + m):
+            if z[enter] > 0:
                 break
-        if enter is None:
+        else:  # no reduced cost is positive: the phase-1 value is minimal
             break
         leave = None
         for i in range(m):
@@ -137,53 +145,34 @@ def solve_feasibility(
                 if leave is None:
                     leave = i
                     continue
-                lhs, best = rhs[i] * tab[leave][enter], rhs[leave] * t
+                lhs, best = tab[i][-1] * tab[leave][enter], tab[leave][-1] * t
                 if lhs < best or (lhs == best and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
-            raise AssertionError("phase-1 objective is bounded; no unbounded ray exists")
-        # Edmonds/Bareiss update: every division by den is exact, and the
-        # pivot row keeps its entries while den becomes the pivot
-        pv = tab[leave][enter]
-        prow, prhs = tab[leave], rhs[leave]
-        for i in range(m):
-            if i == leave:
-                continue
-            f = tab[i][enter]
-            if f:
-                tab[i] = [(x * pv - f * y) // den for x, y in zip(tab[i], prow)]
-                rhs[i] = (rhs[i] * pv - f * prhs) // den
-            elif pv != den:
-                tab[i] = [x * pv // den for x in tab[i]]
-                rhs[i] = rhs[i] * pv // den
-        f = z[enter]
-        z = [(x * pv - f * y) // den for x, y in zip(z, prow)]
-        value = (value * pv - f * prhs) // den
-        den = pv
+            raise CertificateError("phase-1 objective is bounded; no unbounded ray exists")
+        den = bareiss_pivot(tab, leave, enter, den)
         basis[leave] = enter
 
-    if value == 0:
+    if tab[m][-1] == 0:
         # x_j = rhs_i * scale_j / (den * b_scale), so sum_j x_j columns[j] = b
         # holds exactly when sum_j rhs_i * int_cols[j] = den * int_b
         x = [QQ(0)] * n
         total_b = [0] * m
         for i, bv in enumerate(basis):
             if bv < n:
-                x[bv] = QQ(rhs[i] * scales[bv], den * b_scale)
-                total_b = [t + rhs[i] * a for t, a in zip(total_b, int_cols[bv])]
+                rhs = tab[i][-1]
+                x[bv] = QQ(rhs * scales[bv], den * b_scale)
+                total_b = [t + rhs * a for t, a in zip(total_b, int_cols[bv])]
         if total_b != [den * a for a in int_b]:
             raise CertificateError("feasible point fails to reproduce the rhs")
         return tuple(x), None
 
-    # value = min sum of artificials > 0; read the dual from the z-row.
-    # den * y is integral and den > 0, so its signs against the scaled data
-    # are those of y against the input.
-    int_y = [signs[i] * (z[n + i] + den) for i in range(m)]
-    if sum(a * c for a, c in zip(int_y, int_b)) <= 0:
-        raise CertificateError("Farkas vector must have positive value on b")
-    for c in int_cols:
-        if sum(a * ci for a, ci in zip(int_y, c)) > 0:
-            raise CertificateError("Farkas vector must be nonpositive on every column")
+    # the minimum sum of artificials is positive; read the dual from the
+    # objective row.  den * y is integral and den > 0, so its signs against
+    # the scaled data are those of y against the input.
+    int_y = [signs[i] * (tab[m][n + i] + den) for i in range(m)]
+    if not separates(int_y, int_cols + [int_b], n):
+        raise CertificateError("Farkas vector must be positive on b, nonpositive on each column")
     return None, tuple(QQ(a, den) for a in int_y)
 
 

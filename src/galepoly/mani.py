@@ -55,7 +55,16 @@ from .gale import (
     realize,
     supporting_hyperplane,
 )
-from .linalg import QQ, ExactMatrix, denominator_lcm, dot, integer_multiple, vec_add, vec_scale
+from .linalg import (
+    QQ,
+    ExactMatrix,
+    denominator_lcm,
+    dot,
+    integer_multiple,
+    separates,
+    vec_add,
+    vec_scale,
+)
 from .lp import (
     interior_point_test,
     positively_spans,
@@ -241,15 +250,6 @@ class StackCertificate:
     trials: int
 
 
-def _separates(y: tuple[int, ...], rows: list[list[int]], i: int) -> bool:
-    """Whether y is positive on rows[i] and nonpositive on every other row."""
-    for j, row in enumerate(rows):
-        value = sum(a * b for a, b in zip(y, row))
-        if value <= 0 if j == i else value > 0:
-            return False
-    return True
-
-
 def hull_flags(coords, vertices, diagonals, separators=None):
     """Exact LP flags on the hull of ``coords``, yielded lazily in order.
 
@@ -271,7 +271,7 @@ def hull_flags(coords, vertices, diagonals, separators=None):
     rows = [integer_multiple((QQ(1),) + tuple(p)) for p in coords] if separators else None
     for i in vertices:
         kept = separators.get(i)
-        if kept is not None and _separates(kept, rows, i):
+        if kept is not None and separates(kept, rows, i):
             yield True
             continue
         y = separating_functional(coords, i)

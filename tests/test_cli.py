@@ -315,3 +315,44 @@ def test_verify_report_with_a_non_object_plan_is_a_usage_error(tmp_path, capsys)
     assert out == ""
     assert err.startswith("galepoly: error: plan: must be a JSON object")
     assert "Traceback" not in err
+
+
+HUGE = "1" * 5000  # past the interpreter's 4,300-digit limit on int conversion
+
+
+def test_verify_huge_coordinates_are_usage_errors(tmp_path, capsys):
+    cfg = str(tmp_path / "cfg.json")
+    doc = config_to_json(standard_minimal_config(2, 2))
+    doc["vectors"][0]["coords"][0] = HUGE
+    write_document(doc, cfg)
+    report = str(tmp_path / "d6.json")
+    code, _, _ = run(capsys, "build", "--dim", "6", "--mode", "certificate", "--out", report)
+    assert code == 0
+    doc = read_document(report)
+    doc["points"]["points"][0]["coords"][0] = HUGE
+    write_document(doc, report)
+    for argv, where in (
+        ([cfg, "--checks", "kspanning:2"], "configuration.vectors[0].coords"),
+        ([report], "points.points[0].coords"),
+    ):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"galepoly: error: {where}: a rational has too many digits")
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"schemaVersion": 1, "m": ' + HUGE.encode() + b', "vectors": []}',
+        b"[" * 200_000,
+        b"\xff\xfe{}",
+    ],
+    ids=["huge-integer", "deep-nesting", "utf16-bom"],
+)
+def test_undecodable_documents_are_usage_errors(tmp_path, capsys, content):
+    path = tmp_path / "hostile.json"
+    path.write_bytes(content)
+    for command in ("verify", "export-svg"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"galepoly: error: {path}: not valid JSON")

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -256,6 +257,67 @@ def test_certificate_checks_survive_optimized_mode():
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
+
+
+# Forge the kernel's shared steps one at a time: each solve must end in the
+# CertificateError of the integer self-check that catches the forgery.
+KERNEL_FORGERIES = textwrap.dedent(
+    """
+    import sys
+    from galepoly import lp
+    from galepoly.errors import CertificateError
+
+    real_pivot, real_separates = lp.bareiss_pivot, lp.separates
+
+    def rhs_off(rows, r, c, den):
+        # the entering variable's value grows by one
+        pv = real_pivot(rows, r, c, den)
+        rows[r][-1] += pv
+        return pv
+
+    def no_leaving_row(rows, r, c, den):
+        # column c improves the objective again but has no positive entry
+        pv = real_pivot(rows, r, c, den)
+        for row in rows[:-1]:
+            row[c] = -1
+        rows[-1][c] = 1
+        return pv
+
+    cases = [
+        ("bareiss_pivot", rhs_off, [(1, 0), (0, 1)], (1, 1), "fails to reproduce the rhs"),
+        ("bareiss_pivot", no_leaving_row, [(1,)], (1,), "no unbounded ray"),
+        ("separates", lambda *args: False, [(1,)], (-1,), "Farkas vector"),
+    ]
+    for name, forged, columns, b, message in cases:
+        lp.solve_feasibility(columns, b)
+        setattr(lp, name, forged)
+        try:
+            lp.solve_feasibility(columns, b)
+        except CertificateError as exc:
+            if message not in str(exc):
+                sys.exit(f"a forged {name} raised the wrong check: {exc}")
+        else:
+            sys.exit(f"a forged {name} went unnoticed")
+        finally:
+            lp.bareiss_pivot, lp.separates = real_pivot, real_separates
+    print(sys.flags.optimize)
+    """
+)
+
+
+def test_kernel_self_checks_catch_a_forged_pivot_or_separation(capsys):
+    exec(KERNEL_FORGERIES, {})
+    assert capsys.readouterr().out.strip() == str(sys.flags.optimize)
+
+
+def test_kernel_self_checks_survive_optimized_mode():
+    src = os.path.dirname(os.path.dirname(lp_module.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", KERNEL_FORGERIES], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "1"

@@ -54,3 +54,23 @@ def test_library_imports_no_process_pool():
         for lineno, modules in _imported_modules(tree):
             found += [f"{name}:{lineno} {m}" for m in modules if m.split(".")[0] in banned]
     assert found == []
+
+
+def _divides_by_den(node) -> bool:
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.FloorDiv):
+        divisor = node.right if isinstance(node, ast.BinOp) else node.value
+        return isinstance(divisor, ast.Name) and divisor.id == "den"
+    return False
+
+
+def test_bareiss_division_lives_only_in_linalg():
+    # the exact division by the common denominator is the Bareiss pivot
+    # step; a second copy of it outside linalg.bareiss_pivot is a fork of
+    # the one kernel that lp's simplex and ExactMatrix elimination share
+    found = {}
+    for name, tree in _trees():
+        lines = [node.lineno for node in ast.walk(tree) if _divides_by_den(node)]
+        if lines:
+            found[name] = lines
+    assert found.pop("linalg.py")
+    assert found == {}
