@@ -192,10 +192,11 @@ def gale_dual(points: PointConfiguration) -> VectorConfiguration:
         [[QQ(1)] * n] + [[points.coords[j][i] for j in range(n)] for i in range(d)],
         cols=n,
     )
-    if lifted_t.rank() != d + 1:
-        raise DegenerateInputError("points do not affinely span the ambient space")
+    # one elimination: the kernel has n - d - 1 columns exactly at rank d + 1
     kernel = lifted_t.kernel_basis()
     m = n - d - 1
+    if kernel.cols != m:
+        raise DegenerateInputError("points do not affinely span the ambient space")
     return VectorConfiguration(
         m=m,
         labels=points.labels,

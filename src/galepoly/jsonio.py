@@ -7,7 +7,13 @@ and an independent re-verification of the same object produce identical
 digests.  For exactly that reason one table, ``CHECKS``, maps each check
 name to its payload builder for both: ``build`` feeds the builders the
 construction's objects, ``verify`` the report's embedded ones, each decoded
-once per report.
+once per report.  What a builder reads that a report does not embed (the
+designated planes, the vertex and midpoint LP flags, the dual scans),
+verify obtains from the same ``mani`` steps the certificate-mode build
+runs, without the build's kept proofs; this module only decodes, rejects
+hostile input, builds payloads and caches objects.  Verify also rejects a
+report whose ``stacks`` do not place its apexes (``mani.stack_mismatch``)
+or whose header disagrees with its plan and its polytope or points.
 """
 
 from __future__ import annotations
@@ -19,16 +25,20 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import BadParametersError, SchemaError
-from .gale import PointConfiguration, gale_dual, realize, supporting_hyperplane
+from .gale import PointConfiguration, gale_dual, supporting_hyperplane
 from .linalg import format_rational, parse_rational
 from .lp import DependenceCertificate
 from .mani import (
     BlockDiagramPlan,
     CounterexampleReport,
     ManiConstruction,
+    StackCertificate,
     dual_spanning_report,
     formulas,
-    hull_flags,
+    midpoint_flags,
+    realized_base,
+    stack_mismatch,
+    vertex_proofs,
 )
 from .polytope import IncidencePolytope, illumination_report
 from .spanning import (
@@ -407,28 +417,17 @@ def payload_f0(plan: BlockDiagramPlan, f0: int) -> dict:
 
 
 def payload_designated_full(plan: BlockDiagramPlan, base: IncidencePolytope) -> dict:
+    # a facet of the enumerated base is known without a hyperplane: ()
     complements = {frozenset(base.vertices) - frozenset(f) for f in base.facets}
-    entries = []
-    for name, comp in plan.designated:
-        entries.append(
-            {
-                "name": name,
-                "complement": list(comp),
-                "isFacetComplement": frozenset(comp) in complements,
-            }
-        )
-    return {
-        "check": "designatedAreFacets",
-        "verdict": all(e["isFacetComplement"] for e in entries),
-        "designated": entries,
-    }
+    found = [() if frozenset(comp) in complements else None for _, comp in plan.designated]
+    return payload_designated_points(plan, found)
 
 
 def payload_designated_points(plan: BlockDiagramPlan, planes: Sequence) -> dict:
     """Hyperplane certificates for each designated facet on the realized plan.
 
     ``planes`` holds one supporting hyperplane (or None) per designated
-    complement, in plan order (``mani.designated_planes``).
+    complement, in plan order (``mani.realized_base``).
     """
     entries = []
     for (name, comp), plane in zip(plan.designated, planes):
@@ -437,7 +436,7 @@ def payload_designated_points(plan: BlockDiagramPlan, planes: Sequence) -> dict:
             "complement": list(comp),
             "isFacetComplement": plane is not None,
         }
-        if plane is not None:
+        if plane:
             normal, offset = plane
             entry["normal"] = _rat_list(normal)
             entry["offset"] = format_rational(offset)
@@ -450,7 +449,7 @@ def payload_designated_points(plan: BlockDiagramPlan, planes: Sequence) -> dict:
 
 
 def payload_all_vertices(points: PointConfiguration, flags: Sequence[bool]) -> dict:
-    """``flags`` says per point whether it is a vertex (``mani.hull_flags``)."""
+    """``flags`` says per point whether it is a vertex (``mani.vertex_proofs``)."""
     not_vertices = [lab for lab, ok in zip(points.labels, flags) if not ok]
     return {
         "check": "allPointsVertices",
@@ -471,8 +470,8 @@ def payload_illuminated_points(
     """One inner diagonal per vertex, certified by midpoint-interior LPs.
 
     ``pairs`` are label pairs of ``points``; ``flags`` says per pair whether
-    its midpoint is interior (``mani.hull_flags``) and is not read when some
-    vertex has no pair.
+    its midpoint is interior (``mani.midpoint_flags``) and is not read when
+    some vertex has no pair.
     """
     missing = _unpaired(points, pairs)
     failing = [] if missing else [list(p) for p, ok in zip(pairs, flags) if not ok]
@@ -557,12 +556,16 @@ def payload_minimal(config: VectorConfiguration, k: int) -> dict:
             if minimality.removable_index is not None
             else None
         ),
-        "perIndex": [
-            {"removed": removed, "witnessDeletion": list(witness), "kind": kind}
-            for removed, witness, kind in minimality.per_index
-        ],
+        "perIndex": _per_index_rows(minimality.per_index),
     }
     return doc
+
+
+def _per_index_rows(per_index) -> list[dict]:
+    return [
+        {"removed": removed, "witnessDeletion": list(witness), "kind": kind}
+        for removed, witness, kind in per_index
+    ]
 
 
 def payload_minimal_dual(report: CounterexampleReport) -> dict:
@@ -581,10 +584,7 @@ def payload_minimal_dual(report: CounterexampleReport) -> dict:
         "spanning": report.spanning,
         "minimal": report.minimal,
         "exceedsBound": report.exceeds_bound,
-        "perIndex": [
-            {"removed": removed, "witnessDeletion": list(witness), "kind": kind}
-            for removed, witness, kind in report.per_index
-        ],
+        "perIndex": _per_index_rows(report.per_index),
     }
 
 
@@ -812,24 +812,6 @@ def _dual_configuration(objects: "_ReportObjects") -> VectorConfiguration:
     return _embedded_dual(objects, gale_dual(objects["points"]))
 
 
-def _diagonal_flags(objects: "_ReportObjects") -> tuple[bool, ...]:
-    points, pairs = objects["points"], objects["diagonal_partner"]
-    if _unpaired(points, pairs):
-        return ()
-    index = {lab: i for i, lab in enumerate(points.labels)}
-    diagonals = [(index[a], index[b]) for a, b in pairs]
-    return tuple(hull_flags(points.coords, (), diagonals))
-
-
-def _separators(objects: "_ReportObjects") -> dict[int, tuple[int, ...]]:
-    # verify's own vertex LPs: from an empty map, hull_flags keeps a
-    # separating functional exactly for each point that is a vertex
-    points = objects["points"]
-    separators: dict[int, tuple[int, ...]] = {}
-    list(hull_flags(points.coords, range(len(points)), (), separators))
-    return separators
-
-
 def _recorded_witnesses(objects: "_ReportObjects") -> list[tuple[str, list[str]]]:
     """The ``perIndex`` witnesses of the report's ``minimal2spanningDual``.
 
@@ -877,30 +859,77 @@ def _counterexample(objects: "_ReportObjects") -> CounterexampleReport:
     return counterexample
 
 
-def _designated_planes(objects: "_ReportObjects") -> tuple:
-    plan = objects["plan"]
-    facets = [
-        [lab for lab in plan.config.labels if lab not in comp] for _, comp in plan.designated
-    ]
-    return tuple(supporting_hyperplane(objects["base_points"], f) for f in facets)
+def _stack_from_json(entry, where: str) -> StackCertificate:
+    if not isinstance(entry, dict):
+        raise SchemaError(f"{where}: must be an object")
+    apex = _require(entry, "apex", where)
+    if not isinstance(apex, str):
+        raise SchemaError(f"{where}: 'apex' must be a label")
+    offset, epsilon = (
+        _parse_rat_list([_require(entry, key, where)], f"{where}.{key}")[0]
+        for key in ("offset", "epsilon")
+    )
+    return StackCertificate(
+        facet=tuple(_require_labels(entry, "facet", where)),
+        apex_label=apex,
+        apex=_parse_rat_list(_require(entry, "apexCoords", where), f"{where}.apexCoords"),
+        normal=_parse_rat_list(_require(entry, "normal", where), f"{where}.normal"),
+        offset=offset,
+        epsilon=epsilon,
+        trials=_require_int(entry, "trials", where),
+    )
+
+
+def _stacks(objects: "_ReportObjects") -> tuple[StackCertificate, ...]:
+    """The report's ``stacks``, once they are shown to place its apexes."""
+    plan, points = objects["plan"], objects["points"]
+    entries = _require(objects.report, "stacks", "report")
+    if not isinstance(entries, list):
+        raise SchemaError("report: 'stacks' must be a list")
+    stacks = tuple(_stack_from_json(e, f"report.stacks[{i}]") for i, e in enumerate(entries))
+    reason = stack_mismatch(plan, points, stacks)
+    if reason is not None:
+        raise SchemaError(f"report: 'stacks' {reason}")
+    return stacks
+
+
+def _header(objects: "_ReportObjects") -> None:
+    """Reject a report whose header disagrees with its plan and contents."""
+    report, plan = objects.report, objects["plan"]
+    f0 = objects["stacked"].f0 if report["mode"] == "full" else len(objects["points"])
+    M = formulas(plan.d).M
+    expected = {
+        "d": plan.d, "p": plan.p, "q": plan.q, "ell": plan.ell,
+        "f0": f0, "M": M, "isManiSize": f0 == M,
+    }
+    for key, value in expected.items():
+        got = _require(report, key, "report")
+        if type(got) is not type(value) or got != value:
+            raise SchemaError(f"report: {key!r} is {got!r}, but its contents give {value!r}")
 
 
 # how verify obtains each object a ``CHECKS`` builder reads: embedded
-# documents are decoded, the rest re-derived from them
+# documents are decoded, the rest re-derived from them by the steps of
+# the certificate-mode build, run without the build's kept proofs
 _DECODERS = {
     "plan": lambda o: plan_from_json(_require(o.report, "plan", "report")),
     "stacked": lambda o: polytope_from_json(_require(o.report, "polytope", "report")),
     "base": lambda o: polytope_from_json(_require(o.report, "basePolytope", "report")),
     "points": lambda o: points_from_json(_require(o.report, "points", "report")),
+    "stacks": _stacks,
+    "header": _header,
     "fat_facet": lambda o: _require_labels(o.report, "fatFacet", "report"),
     "diagonal_partner": _diagonal_partner,
     "dual": _dual_configuration,
-    "base_points": lambda o: realize(o["plan"].config),
-    "designated_planes": _designated_planes,
+    "designated_planes": lambda o: realized_base(o["plan"])[1],
     "fat_facet_plane": lambda o: supporting_hyperplane(o["points"], o["fat_facet"]),
-    "separators": _separators,
-    "vertex_flags": lambda o: tuple(i in o["separators"] for i in range(len(o["points"]))),
-    "diagonal_flags": _diagonal_flags,
+    "vertex_proofs": lambda o: vertex_proofs(o["points"]),
+    "vertex_flags": lambda o: o["vertex_proofs"][0],
+    "separators": lambda o: o["vertex_proofs"][1],
+    # with a vertex left unpaired the payload reads no flag
+    "diagonal_flags": lambda o: ()
+    if _unpaired(o["points"], o["diagonal_partner"])
+    else midpoint_flags(o["points"], o["diagonal_partner"]),
     "counterexample": _counterexample,
 }
 
@@ -919,14 +948,17 @@ class _ReportObjects(dict):
 
 def _rederive(objects: _ReportObjects, name: str) -> dict:
     # every check decodes the plan and then the report's polytope or points
-    # first, so a report is accepted only when those decode
+    # (and a certificate report's stacks) first and checks the header
+    # against them, so a report is accepted only when those agree
     mode = _require(objects.report, "mode", "report")
     objects["plan"]
     if mode == "full":
         objects["stacked"]
     elif mode == "certificate":
-        objects["points"]
-    return _builder(mode, name)(objects)
+        objects["stacks"]
+    builder = _builder(mode, name)
+    objects["header"]
+    return builder(objects)
 
 
 def rederive_report_payload(report: dict, name: str) -> dict:

@@ -239,9 +239,8 @@ def positively_spans(
     m = len(sel[0])
     if m < 1:
         raise BadParametersError("ambient dimension must be at least 1")
-    mat = ExactMatrix(sel)
-    if mat.rank() < m:
-        kernel = mat.kernel_basis()
+    kernel = ExactMatrix(sel).kernel_basis()
+    if kernel.cols:  # rank below m
         cert = DependenceCertificate(KIND_RANK_DEFICIENCY, direction=kernel.column(0))
         _check_certificate(coords, idx, cert)
         return False, cert

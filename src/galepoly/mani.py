@@ -31,6 +31,11 @@ minimal positively 2-spanning with 49 > 2*2*12 vectors in R^12, beating the
 classical 2km bound on the size of minimal positively k-spanning
 configurations.  The dual's base scan is read off the separating
 functionals of the vertices, with no LP.
+
+Verify re-runs the certificate-mode steps a report does not embed through
+the functions build calls (``realized_base``, ``vertex_proofs``,
+``midpoint_flags``), without the build's kept proofs, and re-checks the
+recorded apex placements by arithmetic (``stack_mismatch``).
 """
 
 from __future__ import annotations
@@ -283,6 +288,32 @@ def hull_flags(coords, vertices, diagonals, separators=None):
         yield interior_point_test(coords, mid)[0]
 
 
+def vertex_proofs(points: PointConfiguration, separators=None):
+    """Whether each point is a vertex, and the separating functional of each.
+
+    Returns the flags in point order and a map from each vertex's index to
+    its integer separating functional.  ``separators`` holds functionals
+    kept from earlier hulls, re-checked before any LP (``hull_flags``);
+    without it every point solves its vertex LP.
+    """
+    separators = {} if separators is None else separators
+    flags = tuple(hull_flags(points.coords, range(len(points)), (), separators))
+    return flags, {i: separators[i] for i, ok in enumerate(flags) if ok}
+
+
+def midpoint_flags(points: PointConfiguration, pairs, proven=frozenset()) -> tuple[bool, ...]:
+    """Whether the midpoint of each label pair lies in the interior of the hull.
+
+    A pair in ``proven`` (label frozensets whose midpoints an accepted
+    stacking trial proved interior) is true without an LP; every other pair
+    solves its interior-point LP, in order.
+    """
+    index = {lab: i for i, lab in enumerate(points.labels)}
+    unproven = [(index[a], index[b]) for a, b in pairs if frozenset((a, b)) not in proven]
+    flags = hull_flags(points.coords, (), unproven)
+    return tuple(frozenset(p) in proven or next(flags) for p in pairs)
+
+
 def geometric_stack_point(
     points: PointConfiguration,
     facet_labels,
@@ -353,6 +384,49 @@ def geometric_stack_point(
     )
 
 
+def stack_mismatch(plan: BlockDiagramPlan, points: PointConfiguration, stacks) -> str | None:
+    """The first way ``stacks`` fail to place the apexes of ``points``, or None.
+
+    ``points`` must list the plan's labels and then its q + 1 apexes, and
+    stack i must place apex i over designated facet i of the points before
+    it, as ``geometric_stack_point`` does: ``normal . p = offset`` on the
+    facet and ``< offset`` on the other earlier points, ``epsilon`` the
+    ``1/2^(trials - 1)`` of the accepted trial, ``apex = barycenter(facet) +
+    epsilon * normal`` (hence beyond the facet), the apex strictly beneath
+    every other stack's plane, and the apex equal to the point of that
+    label.  Plain ``Fraction`` arithmetic, no LP.
+    """
+    facets, apexes = _designated_facets(plan), _apex_labels(plan.q)
+    n = len(plan.config)
+    if points.labels != plan.config.labels + tuple(apexes):
+        return "need points labelled as the plan's vectors followed by the apexes " + ", ".join(apexes)
+    if len(stacks) != len(facets):
+        return f"lists {len(stacks)} stacks, not q + 1 = {len(facets)}"
+    if any(len(s.normal) != points.d or len(s.apex) != points.d for s in stacks):
+        return f"need normals and apexes of length d = {points.d}"
+    for i, s in enumerate(stacks):
+        where = f"stack {i}"
+        if s.facet != facets[i] or s.apex_label != apexes[i]:
+            return f"{where} does not put apex {apexes[i]} over designated facet {i}"
+        fset = set(facets[i])
+        before = list(zip(points.labels[: n + i], points.coords[: n + i]))
+        for lab, p in before:
+            value = dot(s.normal, p)
+            if value > s.offset or (value == s.offset) != (lab in fset):
+                return f"{where}'s plane does not support its facet at {lab}"
+        # trial t tries epsilon = 1/2^(t - 1); the bit length bounds the power
+        if s.trials != s.epsilon.denominator.bit_length() or s.epsilon != QQ(1, 2 ** (s.trials - 1)):
+            return f"{where}'s epsilon is not 1/2^(trials - 1)"
+        center = barycenter([p for lab, p in before if lab in fset])
+        if s.apex != vec_add(center, vec_scale(s.epsilon, s.normal)):
+            return f"{where}'s apex is not barycenter + epsilon * normal"
+        if any(dot(t.normal, s.apex) >= t.offset for j, t in enumerate(stacks) if j != i):
+            return f"{where}'s apex is not beneath every other stack's plane"
+        if s.apex != points.coords[n + i]:
+            return f"{where}'s apex differs from point {apexes[i]}"
+    return None
+
+
 # ---------------------------------------------------------------------------
 # The nonsimplicial construction
 
@@ -369,7 +443,7 @@ class ManiConstruction:
     designated facet of the base) and ``fat_facet_plane``, the LP flags
     ``vertex_flags`` per point and ``diagonal_flags`` per
     ``diagonal_partner`` pair, and ``separators``, the integer separating
-    functional of each point whose vertex flag holds (``hull_flags``).
+    functional of each point whose vertex flag holds (``vertex_proofs``).
     """
 
     plan: BlockDiagramPlan
@@ -452,7 +526,18 @@ def _construct_full(plan: BlockDiagramPlan, gamma_cap: int) -> ManiConstruction:
     return result
 
 
-def _construct_certificate(plan: BlockDiagramPlan, gamma_cap: int) -> ManiConstruction:
+def realized_base(plan: BlockDiagramPlan):
+    """The plan's diagram realized as points, and its designated planes.
+
+    The planes are the supporting hyperplane of each designated facet of
+    the realized base in plan order, None where the facet has none.
+    """
+    base_points = realize(plan.config)
+    planes = tuple(supporting_hyperplane(base_points, f) for f in _designated_facets(plan))
+    return base_points, planes
+
+
+def _construct_certificate(plan: BlockDiagramPlan) -> ManiConstruction:
     result = ManiConstruction(plan=plan, mode="certificate")
     config = plan.config
     for _, comp in plan.designated:
@@ -461,21 +546,12 @@ def _construct_certificate(plan: BlockDiagramPlan, gamma_cap: int) -> ManiConstr
         )
         if cert.kind != "PositiveDependence":
             raise CertificateError("designated complement is not a coface")
-    base_points = realize(config)
-    result.base_points = base_points
+    result.base_points, planes = realized_base(plan)
     covered = set().union(*(set(c) for _, c in plan.designated))
     result.checks["complementsCoverVertices"] = covered == set(config.labels)
-
-    facets = _designated_facets(plan)
-    planes = []
-    for facet in facets:
-        hp = supporting_hyperplane(base_points, facet)
-        if hp is None:
-            raise NotAFacetError(
-                "designated complement fails the supporting-hyperplane check"
-            )
-        planes.append(hp)
-    result.designated_planes = tuple(planes)
+    if None in planes:
+        raise NotAFacetError("designated complement fails the supporting-hyperplane check")
+    result.designated_planes = planes
     result.checks["designatedAreFacets"] = True
 
     # one separating functional per point index, kept across all trials;
@@ -483,9 +559,9 @@ def _construct_certificate(plan: BlockDiagramPlan, gamma_cap: int) -> ManiConstr
     # interior, which stay interior as the hull grows
     separators: dict[int, tuple[int, ...]] = {}
     proven: set[frozenset[str]] = set()
-    current = base_points
+    current = result.base_points
     stacks = []
-    for i, (facet, apex) in enumerate(zip(facets, _apex_labels(plan.q))):
+    for i, (facet, apex) in enumerate(zip(_designated_facets(plan), _apex_labels(plan.q))):
         guards = [planes[j] for j in range(len(planes)) if j != i]
         previous = current
         current, cert = geometric_stack_point(
@@ -511,13 +587,8 @@ def _construct_certificate(plan: BlockDiagramPlan, gamma_cap: int) -> ManiConstr
             partner.setdefault(lab, apex)
         partner.setdefault(apex, comp[0])
     pairs = [(lab, partner[lab]) for lab in current.labels]
-    index = {lab: i for i, lab in enumerate(current.labels)}
-    n = len(current)
-    unproven = [(index[a], index[b]) for a, b in pairs if frozenset((a, b)) not in proven]
-    flags = hull_flags(current.coords, range(n), unproven, separators)
-    result.vertex_flags = tuple(next(flags) for _ in range(n))
-    result.separators = {i: separators[i] for i, ok in enumerate(result.vertex_flags) if ok}
-    result.diagonal_flags = tuple(frozenset(p) in proven or next(flags) for p in pairs)
+    result.vertex_flags, result.separators = vertex_proofs(current, separators)
+    result.diagonal_flags = midpoint_flags(current, pairs, proven)
     result.checks["allPointsVertices"] = all(result.vertex_flags)
     result.checks["illuminated"] = all(result.diagonal_flags)
     result.checks["unneighborly"] = all(result.diagonal_flags)
@@ -554,7 +625,7 @@ def construct_nonsimplicial_mani(
     if mode == "full":
         result = _construct_full(plan, gamma_cap)
     elif mode == "certificate":
-        result = _construct_certificate(plan, gamma_cap)
+        result = _construct_certificate(plan)
     else:
         raise BadParametersError(f"unknown mode {mode!r}")
     if strict:

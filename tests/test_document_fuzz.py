@@ -9,7 +9,9 @@ unbounded ``kspanning:k`` work.
 
 Verify checks the minimality witnesses a certificate report records, so the
 last tests change only those: each hostile ``perIndex`` list must end in a
-GalepolyError or a false ``minimal2spanningDual`` verdict.
+GalepolyError or a false ``minimal2spanningDual`` verdict.  It re-checks the
+recorded ``stacks`` too, so mutations confined to them must end in a
+GalepolyError unless they leave the stacks as they were.
 """
 
 import functools
@@ -192,3 +194,22 @@ def test_shuffled_and_replaced_witnesses_never_escape(data):
         assert [[e["removed"], e["witnessDeletion"]] for e in minimal["perIndex"]] == [
             [e["removed"], e["witnessDeletion"]] for e in cert["perIndex"]
         ]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.data())
+def test_mutated_stacks_never_verify(data):
+    doc = json.loads(_certificate_report_text())
+    original = doc["stacks"]
+    holder = {"stacks": json.loads(json.dumps(original))}
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(data, holder)
+    doc.pop("stacks")
+    doc.update(holder)
+    checks = data.draw(st.sampled_from([None, ["illuminated"]]))
+    try:
+        verify_document(doc, checks)
+    except GalepolyError:
+        return
+    # verify accepts recorded stacks only when they are the build's own
+    assert doc["stacks"] == original

@@ -321,14 +321,17 @@ def test_certificate_report_round_trip_digests_match():
 
 def test_certificate_report_reuses_the_construction_planes(monkeypatch):
     import galepoly.jsonio as jsonio
+    import galepoly.mani as mani
 
     result = construct_nonsimplicial_mani(6, mode="certificate")
     assert len(result.designated_planes) == result.plan.q + 1
     calls = []
     real = jsonio.supporting_hyperplane
-    monkeypatch.setattr(
-        jsonio, "supporting_hyperplane", lambda *a: calls.append(a) or real(*a)
-    )
+    # verify's designated planes come from mani.realized_base, the build's own step
+    for module in (jsonio, mani):
+        monkeypatch.setattr(
+            module, "supporting_hyperplane", lambda *a: calls.append(a) or real(*a)
+        )
     report = build_report(result)
     assert calls == []
     # verify computes them from the report: q + 1 designated, one fat facet

@@ -74,3 +74,24 @@ def test_bareiss_division_lives_only_in_linalg():
             found[name] = lines
     assert found.pop("linalg.py")
     assert found == {}
+
+
+def _named(tree) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_jsonio_runs_no_certificate_step_of_its_own():
+    # verify obtains its LP flags and functionals from the mani steps that
+    # build runs; jsonio decodes, validates, builds payloads and caches
+    banned = {"hull_flags", "separating_functional", "interior_point_test", "solve_feasibility"}
+    trees = dict(_trees())
+    assert _named(trees["mani.py"]) & banned  # the rule can see these names
+    assert _named(trees["jsonio.py"]) & banned == set()
