@@ -149,7 +149,7 @@ def make_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         dest="gamma_cap",
-        help="if > 0 and f0 <= cap, also brute-force the opposite-set number",
+        help="full mode: if > 0 and f0 <= cap, also brute-force the opposite-set number",
     )
     build.set_defaults(fn=cmd_build)
 

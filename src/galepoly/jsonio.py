@@ -10,10 +10,14 @@ construction's objects, ``verify`` the report's embedded ones, each decoded
 once per report.  What a builder reads that a report does not embed (the
 designated planes, the vertex and midpoint LP flags, the dual scans),
 verify obtains from the same ``mani`` steps the certificate-mode build
-runs, without the build's kept proofs; this module only decodes, rejects
-hostile input, builds payloads and caches objects.  Verify also rejects a
-report whose ``stacks`` do not place its apexes (``mani.stack_mismatch``)
-or whose header disagrees with its plan and its polytope or points.
+runs, on the report's own points and without the build's kept proofs;
+this module only decodes, rejects hostile input, builds payloads and
+caches objects.  Verify also rejects a certificate report whose first
+points do not realize its plan (``mani.realizes``) or whose ``stacks`` do
+not place its apexes on the designated planes (``mani.stack_mismatch``), a
+full report whose ``gamma`` its witness does not certify
+(``polytope.is_opposite_set``), and any report whose header disagrees with
+its plan and its polytope or points.
 """
 
 from __future__ import annotations
@@ -33,14 +37,15 @@ from .mani import (
     CounterexampleReport,
     ManiConstruction,
     StackCertificate,
+    designated_planes,
     dual_spanning_report,
     formulas,
     midpoint_flags,
-    realized_base,
+    realizes,
     stack_mismatch,
     vertex_proofs,
 )
-from .polytope import IncidencePolytope, illumination_report
+from .polytope import IncidencePolytope, illumination_report, is_opposite_set
 from .spanning import (
     VectorConfiguration,
     is_minimal_k_spanning,
@@ -427,7 +432,7 @@ def payload_designated_points(plan: BlockDiagramPlan, planes: Sequence) -> dict:
     """Hyperplane certificates for each designated facet on the realized plan.
 
     ``planes`` holds one supporting hyperplane (or None) per designated
-    complement, in plan order (``mani.realized_base``).
+    complement, in plan order (``mani.designated_planes``).
     """
     entries = []
     for (name, comp), plane in zip(plan.designated, planes):
@@ -880,6 +885,16 @@ def _stack_from_json(entry, where: str) -> StackCertificate:
     )
 
 
+def _base_points(objects: "_ReportObjects") -> PointConfiguration:
+    """The report's first points, once shown to realize its plan."""
+    plan, points = objects["plan"], objects["points"]
+    n = len(plan.config)
+    base = PointConfiguration(d=points.d, labels=points.labels[:n], coords=points.coords[:n])
+    if not realizes(plan.config, base):
+        raise SchemaError("report: the first points do not realize the plan's Gale diagram")
+    return base
+
+
 def _stacks(objects: "_ReportObjects") -> tuple[StackCertificate, ...]:
     """The report's ``stacks``, once they are shown to place its apexes."""
     plan, points = objects["plan"], objects["points"]
@@ -887,7 +902,7 @@ def _stacks(objects: "_ReportObjects") -> tuple[StackCertificate, ...]:
     if not isinstance(entries, list):
         raise SchemaError("report: 'stacks' must be a list")
     stacks = tuple(_stack_from_json(e, f"report.stacks[{i}]") for i, e in enumerate(entries))
-    reason = stack_mismatch(plan, points, stacks)
+    reason = stack_mismatch(plan, points, stacks, objects["designated_planes"])
     if reason is not None:
         raise SchemaError(f"report: 'stacks' {reason}")
     return stacks
@@ -908,6 +923,33 @@ def _header(objects: "_ReportObjects") -> None:
             raise SchemaError(f"report: {key!r} is {got!r}, but its contents give {value!r}")
 
 
+def _gamma(objects: "_ReportObjects") -> None:
+    """Reject a full report whose ``gamma`` is not certified by its witness.
+
+    ``value`` must count the witness, which ``is_opposite_set`` checks on
+    the report's polytope; a null ``vertex`` needs value 0 and no witness.
+    That proves an opposite set of that size, not that none is larger.
+    """
+    if "gamma" not in objects.report:
+        return
+    where = "report.gamma"
+    doc = objects.report["gamma"]
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{where}: must be an object")
+    value = _require_int(doc, "value", where)
+    vertex = _require(doc, "vertex", where)
+    witness = _require_labels(doc, "witness", where)
+    if vertex is not None and not isinstance(vertex, str):
+        raise SchemaError(f"{where}: 'vertex' must be a label or null")
+    if value != len(witness):
+        raise SchemaError(f"{where}: 'value' {value} is not the witness size {len(witness)}")
+    if vertex is None:
+        if witness:
+            raise SchemaError(f"{where}: a null vertex has no witness")
+    elif not is_opposite_set(objects["stacked"], vertex, witness):
+        raise SchemaError(f"{where}: the witness is not an opposite set of vertex {vertex!r}")
+
+
 # how verify obtains each object a ``CHECKS`` builder reads: embedded
 # documents are decoded, the rest re-derived from them by the steps of
 # the certificate-mode build, run without the build's kept proofs
@@ -918,10 +960,12 @@ _DECODERS = {
     "points": lambda o: points_from_json(_require(o.report, "points", "report")),
     "stacks": _stacks,
     "header": _header,
+    "gamma": _gamma,
     "fat_facet": lambda o: _require_labels(o.report, "fatFacet", "report"),
     "diagonal_partner": _diagonal_partner,
     "dual": _dual_configuration,
-    "designated_planes": lambda o: realized_base(o["plan"])[1],
+    "base_points": _base_points,
+    "designated_planes": lambda o: designated_planes(o["plan"], o["base_points"]),
     "fat_facet_plane": lambda o: supporting_hyperplane(o["points"], o["fat_facet"]),
     "vertex_proofs": lambda o: vertex_proofs(o["points"]),
     "vertex_flags": lambda o: o["vertex_proofs"][0],
@@ -948,12 +992,14 @@ class _ReportObjects(dict):
 
 def _rederive(objects: _ReportObjects, name: str) -> dict:
     # every check decodes the plan and then the report's polytope or points
-    # (and a certificate report's stacks) first and checks the header
-    # against them, so a report is accepted only when those agree
+    # (and a full report's gamma, or a certificate report's realized base
+    # and stacks) first and checks the header against them, so a report is
+    # accepted only when those agree
     mode = _require(objects.report, "mode", "report")
     objects["plan"]
     if mode == "full":
         objects["stacked"]
+        objects["gamma"]
     elif mode == "certificate":
         objects["stacks"]
     builder = _builder(mode, name)

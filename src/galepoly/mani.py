@@ -21,9 +21,11 @@ every facet of Q from the diagram and stacks combinatorially; it is the
 reference route for small d.  ``certificate`` never enumerates: it realizes
 Q exactly, places each apex geometrically, and certifies each required
 property (vertexhood, inner diagonals, a fat facet) by exact LPs and
-hyperplane checks, which keeps d = 36 tractable.  A vertex's separating
-functional is kept and re-checked by arithmetic at later trials, and an
-inner diagonal proved by an accepted trial is not proved again.
+hyperplane checks, which keeps d = 36 tractable.  Each designated facet is
+proved once, by its supporting hyperplane on the realized base
+(``designated_planes``).  A vertex's separating functional is kept and
+re-checked by arithmetic at later trials, and an inner diagonal proved by
+an accepted trial is not proved again.
 
 ``spanning_bound_counterexample`` chains the d = 36 certificate build with
 dualization: the Gale dual of the resulting 49-vertex polytope is certified
@@ -33,9 +35,11 @@ configurations.  The dual's base scan is read off the separating
 functionals of the vertices, with no LP.
 
 Verify re-runs the certificate-mode steps a report does not embed through
-the functions build calls (``realized_base``, ``vertex_proofs``,
-``midpoint_flags``), without the build's kept proofs, and re-checks the
-recorded apex placements by arithmetic (``stack_mismatch``).
+the functions build calls (``designated_planes``, ``vertex_proofs``,
+``midpoint_flags``) on the report's own points, without the build's kept
+proofs.  It re-checks by arithmetic that the first points realize the plan
+(``realizes``) and that the recorded apex placements stand on the
+designated planes (``stack_mismatch``).
 """
 
 from __future__ import annotations
@@ -66,16 +70,12 @@ from .linalg import (
     denominator_lcm,
     dot,
     integer_multiple,
+    primitive,
     separates,
     vec_add,
     vec_scale,
 )
-from .lp import (
-    interior_point_test,
-    positively_spans,
-    separating_functional,
-    strict_positive_dependence,
-)
+from .lp import interior_point_test, positively_spans, separating_functional
 from .polytope import (
     IncidencePolytope,
     OppositeSetReport,
@@ -384,17 +384,19 @@ def geometric_stack_point(
     )
 
 
-def stack_mismatch(plan: BlockDiagramPlan, points: PointConfiguration, stacks) -> str | None:
+def stack_mismatch(plan: BlockDiagramPlan, points: PointConfiguration, stacks, planes) -> str | None:
     """The first way ``stacks`` fail to place the apexes of ``points``, or None.
 
     ``points`` must list the plan's labels and then its q + 1 apexes, and
-    stack i must place apex i over designated facet i of the points before
-    it, as ``geometric_stack_point`` does: ``normal . p = offset`` on the
-    facet and ``< offset`` on the other earlier points, ``epsilon`` the
-    ``1/2^(trials - 1)`` of the accepted trial, ``apex = barycenter(facet) +
-    epsilon * normal`` (hence beyond the facet), the apex strictly beneath
-    every other stack's plane, and the apex equal to the point of that
-    label.  Plain ``Fraction`` arithmetic, no LP.
+    stack i must place apex i over designated facet i as
+    ``geometric_stack_point`` does: its plane a positive multiple of
+    ``planes[i]``, the facet's supporting hyperplane on the base points
+    (``designated_planes``), ``epsilon`` the ``1/2^(trials - 1)`` of the
+    accepted trial, ``apex = barycenter(facet) + epsilon * normal`` (hence
+    beyond the facet), the apex strictly beneath every other stack's plane
+    (so each plane supports its facet over the earlier apexes too), and the
+    apex equal to the point of that label.  Plain ``Fraction`` arithmetic,
+    no LP.
     """
     facets, apexes = _designated_facets(plan), _apex_labels(plan.q)
     n = len(plan.config)
@@ -408,16 +410,13 @@ def stack_mismatch(plan: BlockDiagramPlan, points: PointConfiguration, stacks) -
         where = f"stack {i}"
         if s.facet != facets[i] or s.apex_label != apexes[i]:
             return f"{where} does not put apex {apexes[i]} over designated facet {i}"
-        fset = set(facets[i])
-        before = list(zip(points.labels[: n + i], points.coords[: n + i]))
-        for lab, p in before:
-            value = dot(s.normal, p)
-            if value > s.offset or (value == s.offset) != (lab in fset):
-                return f"{where}'s plane does not support its facet at {lab}"
+        if planes[i] is None or primitive(s.normal + (s.offset,)) != planes[i][0] + (planes[i][1],):
+            return f"{where}'s plane does not support its facet as a multiple of the designated plane"
         # trial t tries epsilon = 1/2^(t - 1); the bit length bounds the power
         if s.trials != s.epsilon.denominator.bit_length() or s.epsilon != QQ(1, 2 ** (s.trials - 1)):
             return f"{where}'s epsilon is not 1/2^(trials - 1)"
-        center = barycenter([p for lab, p in before if lab in fset])
+        fset = set(facets[i])
+        center = barycenter([p for lab, p in zip(points.labels[:n], points.coords) if lab in fset])
         if s.apex != vec_add(center, vec_scale(s.epsilon, s.normal)):
             return f"{where}'s apex is not barycenter + epsilon * normal"
         if any(dot(t.normal, s.apex) >= t.offset for j, t in enumerate(stacks) if j != i):
@@ -526,27 +525,46 @@ def _construct_full(plan: BlockDiagramPlan, gamma_cap: int) -> ManiConstruction:
     return result
 
 
-def realized_base(plan: BlockDiagramPlan):
-    """The plan's diagram realized as points, and its designated planes.
+def designated_planes(plan: BlockDiagramPlan, base: PointConfiguration):
+    """The supporting hyperplane of each designated facet of ``base``.
 
-    The planes are the supporting hyperplane of each designated facet of
-    the realized base in plan order, None where the facet has none.
+    ``base`` holds points labelled as the plan's vectors; the planes come
+    in plan order, None where the facet has none.
     """
-    base_points = realize(plan.config)
-    planes = tuple(supporting_hyperplane(base_points, f) for f in _designated_facets(plan))
-    return base_points, planes
+    return tuple(supporting_hyperplane(base, f) for f in _designated_facets(plan))
+
+
+def realizes(config: VectorConfiguration, points: PointConfiguration) -> bool:
+    """Whether a positive rescaling of ``config`` is a Gale diagram of ``points``.
+
+    The labels must agree, V must have rank m, the lifted points (1, p_u)
+    rank d + 1 with n = m + d + 1, and the linear system
+    sum_u lam_u * v_u[c] * (1, p_u)[t] = 0 (one row per c, t) a kernel
+    column that is strictly one-signed.  Then the columns of diag(lam) V
+    lie in the affine dependences of the points, and span them by their
+    rank, so diag(lam) V is a Gale diagram of the points; a positive
+    rescaling keeps every coface.  Exact linear algebra, no LP.
+    """
+    n, m, d = len(config), config.m, points.d
+    if points.labels != config.labels or n != m + d + 1:
+        return False
+    lifted = [(QQ(1),) + tuple(p) for p in points.coords]
+    if ExactMatrix(config.coords, cols=m).rank() != m or ExactMatrix(lifted).rank() != d + 1:
+        return False
+    system = ExactMatrix(
+        [[v[c] * a[t] for v, a in zip(config.coords, lifted)] for c in range(m) for t in range(d + 1)],
+        cols=n,
+    )
+    kernel = system.kernel_basis()
+    columns = (kernel.column(j) for j in range(kernel.cols))
+    return any(all(x > 0 for x in col) or all(x < 0 for x in col) for col in columns)
 
 
 def _construct_certificate(plan: BlockDiagramPlan) -> ManiConstruction:
     result = ManiConstruction(plan=plan, mode="certificate")
     config = plan.config
-    for _, comp in plan.designated:
-        cert = strict_positive_dependence(
-            config.coords, [config.index_of(lab) for lab in comp]
-        )
-        if cert.kind != "PositiveDependence":
-            raise CertificateError("designated complement is not a coface")
-    result.base_points, planes = realized_base(plan)
+    result.base_points = realize(config)
+    planes = designated_planes(plan, result.base_points)
     covered = set().union(*(set(c) for _, c in plan.designated))
     result.checks["complementsCoverVertices"] = covered == set(config.labels)
     if None in planes:
@@ -619,12 +637,15 @@ def construct_nonsimplicial_mani(
     stacks combinatorially; ``certificate`` mode realizes coordinates and
     certifies each property by exact LPs without any facet enumeration.
     With ``strict`` (the default) a failed check raises; pass False to get
-    the result object back for inspection instead.
+    the result object back for inspection instead.  ``gamma_cap`` > 0
+    (brute-force the opposite-set number) needs ``full`` mode.
     """
     plan = build_block_diagram(d, p=p, ell=ell)
     if mode == "full":
         result = _construct_full(plan, gamma_cap)
     elif mode == "certificate":
+        if gamma_cap > 0:
+            raise BadParametersError("gamma needs the enumerated facets of full mode")
         result = _construct_certificate(plan)
     else:
         raise BadParametersError(f"unknown mode {mode!r}")

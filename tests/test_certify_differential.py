@@ -156,13 +156,14 @@ def test_lp_counts_of_a_d12_certificate_build_and_dual_scan(monkeypatch):
     # and 310 dual-scan LPs (20 base, 110 of the rest repeated pairs); the
     # base scan now reads the vertex functionals, and verify checks the 20
     # recorded witnesses (15 distinct removed sets) after its 20 vertex LPs
-    # instead of searching (200 LPs)
+    # instead of searching (200 LPs); the q + 1 = 5 designated coface LPs
+    # went too, as the designated planes prove those facets on the points
     count = _count_lps(monkeypatch)
     c = construct_nonsimplicial_mani(12, 1, mode="certificate")
-    assert count[0] == 119
+    assert count[0] == 114
     report = dual_spanning_report(c, k=2)
     assert report.spanning and report.minimal
-    assert count[0] == 119 + 180
+    assert count[0] == 114 + 180
     doc = json.loads(dumps(build_report(c, report)))
     count[0] = 0
     payload = rederive_report_payload(doc, "minimal2spanningDual")

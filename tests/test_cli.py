@@ -246,6 +246,16 @@ def test_threads_option_is_gone(tmp_path, capsys):
         assert "unrecognized arguments: --threads 2" in captured.err
 
 
+def test_gamma_cap_in_certificate_mode_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "d6.json"
+    code, out, err = run(
+        capsys, "build", "--dim", "6", "--mode", "certificate", "--gamma-cap", "14", "--out", str(path)
+    )
+    assert (code, out) == (2, "")
+    assert "gamma needs the enumerated facets of full mode" in err
+    assert not path.exists()
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "galepoly.cli", "table", "--max-dim", "1"],

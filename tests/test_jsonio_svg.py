@@ -327,7 +327,7 @@ def test_certificate_report_reuses_the_construction_planes(monkeypatch):
     assert len(result.designated_planes) == result.plan.q + 1
     calls = []
     real = jsonio.supporting_hyperplane
-    # verify's designated planes come from mani.realized_base, the build's own step
+    # verify's designated planes come from mani.designated_planes, the build's own step
     for module in (jsonio, mani):
         monkeypatch.setattr(
             module, "supporting_hyperplane", lambda *a: calls.append(a) or real(*a)

@@ -26,6 +26,7 @@ from galepoly.mani import (
     formulas,
     geometric_stack_point,
     mani_simplicial,
+    realizes,
 )
 from galepoly.polytope import illumination_report
 
@@ -289,6 +290,36 @@ def test_realized_base_matches_enumerated_base_for_d6():
     )
 
 
+@pytest.mark.parametrize("d,p", [(d, p) for d in range(6, 10) for p in (3, 4, 5)])
+def test_realizes_the_realized_plan_and_its_affine_images_only(d, p):
+    plan = build_block_diagram(d, p=p)
+    points = realize(plan.config)
+    assert realizes(plan.config, points)
+
+    def mapped(f):
+        return PointConfiguration(
+            d=points.d, labels=points.labels, coords=tuple(f(i, x) for i, x in enumerate(points.coords))
+        )
+
+    # an invertible affine map keeps the affine dependences
+    sheared = mapped(lambda i, x: (2 * x[0] + x[1] + 3,) + x[1:])
+    assert realizes(plan.config, sheared)
+    # one point moved by 1/7 breaks them: no dependence fits the diagram
+    moved = mapped(lambda i, x: (x[0] + QQ(1, 7),) + x[1:] if i == 0 else x)
+    assert not realizes(plan.config, moved)
+    # the right points under the wrong labels, or in a wrong dimension
+    swapped = PointConfiguration(d=points.d, labels=points.labels[::-1], coords=points.coords)
+    assert not realizes(plan.config, swapped)
+    flat = PointConfiguration(d=points.d - 1, labels=points.labels, coords=tuple(x[1:] for x in points.coords))
+    assert not realizes(plan.config, flat)
+
+
+def test_certificate_mode_rejects_a_gamma_cap():
+    with pytest.raises(BadParametersError, match="full mode"):
+        construct_nonsimplicial_mani(6, mode="certificate", gamma_cap=14)
+    assert construct_nonsimplicial_mani(6, mode="certificate", gamma_cap=0).gamma_report is None
+
+
 def test_mani_simplicial_d4_is_not_minimum_size():
     result = mani_simplicial(4)
     assert result.f0 == 9
@@ -320,15 +351,14 @@ def test_mani_construction_defaults():
 
 def test_construction_checks_survive_optimized_mode():
     """The checks behind the formulas, the block diagram, apex placement,
-    the designated cofaces, the simplicial base and report assembly raise
+    the designated facets, the simplicial base and report assembly raise
     under ``python -O``."""
     code = textwrap.dedent(
         """
         import sys
         from galepoly import jsonio, mani, polytope
-        from galepoly.errors import BadParametersError, CertificateError
+        from galepoly.errors import BadParametersError, CertificateError, NotAFacetError
         from galepoly.gale import PointConfiguration
-        from galepoly.lp import DependenceCertificate
 
         def expect_error(call, error=CertificateError):
             try:
@@ -363,12 +393,12 @@ def test_construction_checks_survive_optimized_mode():
         expect_error(lambda: mani.geometric_stack_point(
             octahedron, ("+1", "+2", "+3"), hyperplane=((1, 1, 1), 10)))
 
-        real = mani.strict_positive_dependence
-        mani.strict_positive_dependence = lambda coords, selection: DependenceCertificate(
-            "StiemkeWitness", functional=(1, 1)
-        )
-        expect_error(lambda: mani.construct_nonsimplicial_mani(6, 1, mode="certificate"))
-        mani.strict_positive_dependence = real
+        # a designated facet whose supporting-hyperplane check fails
+        real = mani.supporting_hyperplane
+        mani.supporting_hyperplane = lambda points, facet: None
+        expect_error(lambda: mani.construct_nonsimplicial_mani(6, 1, mode="certificate"),
+                     NotAFacetError)
+        mani.supporting_hyperplane = real
 
         real = mani.cyclic_polytope
         pyramid = polytope.IncidencePolytope(d=3, vertices=tuple("abcde"), facets=(

@@ -1,8 +1,10 @@
-"""Reports whose recorded stacks or header disagree with their contents.
+"""Reports whose recorded stacks, base, gamma or header disagree with their contents.
 
-Verify re-checks a certificate report's ``stacks`` against its own ``points``
-(``mani.stack_mismatch``, plain ``Fraction`` arithmetic) and every report's
-header against its plan and its polytope or points.  A mismatch is a
+Verify re-checks that a certificate report's first points realize its plan
+(``mani.realizes``) and its ``stacks`` against the designated planes of those
+points (``mani.stack_mismatch``), all without an LP; a full report's
+``gamma`` against its witness on the polytope; and every report's header
+against its plan and its polytope or points.  A mismatch is a
 ``SchemaError``, so the command line exits 2; an honest report verifies with
 the digests it records.
 """
@@ -12,23 +14,32 @@ import json
 
 import pytest
 
+from galepoly import gale, mani
 from galepoly.cli import main
 from galepoly.errors import SchemaError
-from galepoly.jsonio import build_report, digest, dumps, read_document, verify_document, write_document
+from galepoly.jsonio import (
+    build_report,
+    digest,
+    dumps,
+    read_document,
+    rederive_report_payload,
+    verify_document,
+    write_document,
+)
 from galepoly.linalg import format_rational, parse_rational
 from galepoly.mani import construct_nonsimplicial_mani, dual_spanning_report, stack_mismatch
 
 
 @functools.lru_cache(maxsize=None)
-def _text(mode: str, p: int) -> str:
-    construction = construct_nonsimplicial_mani(6, p=p, mode=mode)
+def _text(mode: str, p: int, gamma_cap: int = 0) -> str:
+    construction = construct_nonsimplicial_mani(6, p=p, mode=mode, gamma_cap=gamma_cap)
     if mode == "full":
         return dumps(build_report(construction))
     return dumps(build_report(construction, dual_spanning_report(construction)))
 
 
-def _report(mode: str = "certificate", p: int = 3) -> dict:
-    return json.loads(_text(mode, p))
+def _report(mode: str = "certificate", p: int = 3, gamma_cap: int = 0) -> dict:
+    return json.loads(_text(mode, p, gamma_cap))
 
 
 def _rats(values) -> list:
@@ -142,7 +153,9 @@ def test_honest_stacks_verify_and_a_rescaled_plane_is_the_same_placement():
     assert {p["check"]: digest(p) for p in payloads} == report["certificateDigests"]
     assert all(p["verdict"] for p in payloads)
     construction = construct_nonsimplicial_mani(6, mode="certificate")
-    assert stack_mismatch(construction.plan, construction.points, construction.stacks) is None
+    assert stack_mismatch(
+        construction.plan, construction.points, construction.stacks, construction.designated_planes
+    ) is None
     # the same hyperplane written as (2 normal, 2 offset) with the apex unmoved
     stack = report["stacks"][0]
     stack["normal"] = [format_rational(2 * parse_rational(v)) for v in stack["normal"]]
@@ -214,3 +227,127 @@ def test_cli_rejects_a_forged_header(tmp_path, capsys):
     code, out, err = _cli_report(tmp_path, capsys, lambda r: r.update(forged))
     assert (code, out) == (2, "")
     assert err.startswith("galepoly: error: report: 'd' is 40, but its contents give 6")
+
+
+def _translated(report: dict, shift) -> None:
+    # every point and apex moved by ``shift``, each stack's offset with them
+    def moved(coords):
+        return [format_rational(parse_rational(v) + a) for v, a in zip(coords, shift)]
+
+    for point in report["points"]["points"]:
+        point["coords"] = moved(point["coords"])
+    for stack in report["stacks"]:
+        stack["apexCoords"] = moved(stack["apexCoords"])
+        lift = sum(parse_rational(a) * b for a, b in zip(stack["normal"], shift))
+        stack["offset"] = format_rational(parse_rational(stack["offset"]) + lift)
+
+
+def test_designated_planes_come_from_the_reports_own_points():
+    # an affine image of the base still realizes the plan, so a translated
+    # report verifies, but its designated planes are those of its points
+    report = _report()
+    _translated(report, [1, 0, 0, 0, 0, 0])
+    payload = rederive_report_payload(report, "designatedAreFacets")
+    assert payload["verdict"]
+    assert digest(payload) != report["certificateDigests"]["designatedAreFacets"]
+    coords = {p["label"]: _rats(p["coords"]) for p in report["points"]["points"]}
+    for entry in payload["designated"]:
+        normal, offset = _rats(entry["normal"]), parse_rational(entry["offset"])
+        comp = set(entry["complement"])
+        for label in report["plan"]["configuration"]["vectors"]:
+            value = sum(a * b for a, b in zip(normal, coords[label["label"]]))
+            assert (value == offset) == (label["label"] not in comp)
+            assert value <= offset
+
+
+@pytest.mark.parametrize("checks", [None, ["illuminated"], ["kspanning:2"]])
+def test_a_moved_base_point_does_not_realize_the_plan(checks):
+    report = _report()
+    point = _point(report, "T1.0")
+    point["coords"] = [format_rational(parse_rational(point["coords"][0]) + parse_rational("1/7"))] + point["coords"][1:]
+    with pytest.raises(SchemaError, match="do not realize the plan"):
+        verify_document(report, checks)
+
+
+def test_a_relabelled_base_point_does_not_realize_the_plan():
+    report = _report()
+    _point(report, "C.0").update(label="C.9")
+    with pytest.raises(SchemaError, match="do not realize the plan"):
+        verify_document(report, None)
+
+
+@pytest.mark.parametrize("p", [3, 4, 5])
+def test_certificate_verify_runs_no_realization(monkeypatch, p):
+    report = _report(p=p)
+
+    def refuse(config):
+        raise AssertionError("verify realized the plan")
+
+    monkeypatch.setattr(gale, "realize", refuse)
+    monkeypatch.setattr(mani, "realize", refuse)
+    payloads = verify_document(report, None)
+    assert {q["check"]: digest(q) for q in payloads} == report["certificateDigests"]
+
+
+def test_honest_gamma_verifies():
+    report = _report("full", gamma_cap=14)
+    assert report["gamma"] == {"value": 3, "vertex": "S1", "witness": ["B1.0", "B1.1", "B1.2"]}
+    payloads = verify_document(report, None)
+    assert {q["check"]: digest(q) for q in payloads} == report["certificateDigests"]
+    report["gamma"] = {"value": 0, "vertex": None, "witness": []}
+    assert verify_document(report, None) == payloads
+
+
+# each forged ``gamma`` and a part of the message it must raise
+GAMMA_MUTATIONS = {
+    "made up": ({"value": 9, "vertex": "x", "witness": []}, "'value' 9 is not the witness size 0"),
+    "unknown vertex": ({"value": 1, "vertex": "x", "witness": ["S1"]}, "not an opposite set of vertex 'x'"),
+    "not a partner": ({"value": 1, "vertex": "S1", "witness": ["T1.0"]}, "not an opposite set"),
+    "repeated partner": (
+        {"value": 2, "vertex": "S1", "witness": ["B1.0", "B1.0"]},
+        "not an opposite set",
+    ),
+    "rest not illuminated": (
+        {"value": 2, "vertex": "S1", "witness": ["S2", "S3"]},
+        "not an opposite set",
+    ),
+    "larger than the maximum": (
+        {"value": 4, "vertex": "S1", "witness": ["B1.0", "B1.1", "B1.2", "S2"]},
+        "not an opposite set",
+    ),
+    "value off the witness": (
+        {"value": 2, "vertex": "S1", "witness": ["B1.0", "B1.1", "B1.2"]},
+        "not the witness size 3",
+    ),
+    "null vertex with a witness": (
+        {"value": 1, "vertex": None, "witness": ["B1.0"]},
+        "a null vertex has no witness",
+    ),
+    "vertex not a label": ({"value": 0, "vertex": 3, "witness": []}, "label or null"),
+    "value not an integer": ({"value": "3", "vertex": "S1", "witness": []}, "'value' must be an integer"),
+    "witness not labels": ({"value": 1, "vertex": "S1", "witness": [1]}, "'witness' must be a list of labels"),
+    "missing witness": ({"value": 0, "vertex": None}, "missing required key 'witness'"),
+    "not an object": ([3, "S1"], "must be an object"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GAMMA_MUTATIONS))
+def test_forged_gamma_is_a_schema_error(name):
+    forged, match = GAMMA_MUTATIONS[name]
+    report = _report("full", gamma_cap=14)
+    report["gamma"] = forged
+    with pytest.raises(SchemaError, match=match):
+        verify_document(report, ["illuminated"])
+
+
+def test_cli_rejects_a_forged_gamma(tmp_path, capsys):
+    path = str(tmp_path / "d6.json")
+    assert main(["build", "--dim", "6", "--gamma-cap", "14", "--out", path]) == 0
+    capsys.readouterr()
+    report = read_document(path)
+    report["gamma"] = {"value": 9, "vertex": "x", "witness": []}
+    write_document(report, path)
+    code = main(["verify", path])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("galepoly: error: report.gamma: 'value' 9")

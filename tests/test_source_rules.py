@@ -89,9 +89,13 @@ def _named(tree) -> set[str]:
 
 
 def test_jsonio_runs_no_certificate_step_of_its_own():
-    # verify obtains its LP flags and functionals from the mani steps that
-    # build runs; jsonio decodes, validates, builds payloads and caches
-    banned = {"hull_flags", "separating_functional", "interior_point_test", "solve_feasibility"}
+    # verify obtains its LP flags, functionals and designated planes from
+    # the mani steps that build runs, on the report's own points; jsonio
+    # decodes, validates, builds payloads and caches
+    banned = {
+        "hull_flags", "separating_functional", "interior_point_test", "solve_feasibility",
+        "realize", "realized_base", "strict_positive_dependence",
+    }
     trees = dict(_trees())
     assert _named(trees["mani.py"]) & banned  # the rule can see these names
     assert _named(trees["jsonio.py"]) & banned == set()
