@@ -37,7 +37,6 @@ def cmd_build(args) -> int:
         ell=args.ell,
         p=args.p,
         mode=args.mode,
-        gamma_cap=args.gamma_cap,
         strict=False,
     )
     counterexample = None
@@ -144,13 +143,6 @@ def make_parser() -> argparse.ArgumentParser:
         help="full facet enumeration or geometric certificates only",
     )
     build.add_argument("--out", default=None, help="write the build report here")
-    build.add_argument(
-        "--gamma-cap",
-        type=int,
-        default=0,
-        dest="gamma_cap",
-        help="full mode: if > 0 and f0 <= cap, also brute-force the opposite-set number",
-    )
     build.set_defaults(fn=cmd_build)
 
     verify = sub.add_parser(

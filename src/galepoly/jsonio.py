@@ -8,16 +8,16 @@ digests.  For exactly that reason one table, ``CHECKS``, maps each check
 name to its payload builder for both: ``build`` feeds the builders the
 construction's objects, ``verify`` the report's embedded ones, each decoded
 once per report.  What a builder reads that a report does not embed (the
-designated planes, the vertex and midpoint LP flags, the dual scans),
-verify obtains from the same ``mani`` steps the certificate-mode build
-runs, on the report's own points and without the build's kept proofs;
-this module only decodes, rejects hostile input, builds payloads and
-caches objects.  Verify also rejects a certificate report whose first
-points do not realize its plan (``mani.realizes``) or whose ``stacks`` do
-not place its apexes on the designated planes (``mani.stack_mismatch``), a
-full report whose ``gamma`` its witness does not certify
-(``polytope.is_opposite_set``), and any report whose header disagrees with
-its plan and its polytope or points.
+designated planes, the vertex and midpoint LP flags, the dual's scans and
+minimality witnesses), verify obtains from the same ``mani`` steps the
+certificate-mode build runs, on the report's own points and without the
+build's kept proofs; this module only decodes, rejects hostile input,
+builds payloads and caches objects.  So verify reads no recorded
+``perIndex``: it derives the witnesses from its own midpoint certificates.
+Verify also rejects a certificate report whose first points do not
+realize its plan (``mani.realizes``) or whose ``stacks`` do not place its
+apexes on the designated planes (``mani.stack_mismatch``), and any report
+whose header disagrees with its plan and its polytope or points.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .mani import (
     stack_mismatch,
     vertex_proofs,
 )
-from .polytope import IncidencePolytope, illumination_report, is_opposite_set
+from .polytope import IncidencePolytope, illumination_report
 from .spanning import (
     VectorConfiguration,
     is_minimal_k_spanning,
@@ -474,9 +474,9 @@ def payload_illuminated_points(
 ) -> dict:
     """One inner diagonal per vertex, certified by midpoint-interior LPs.
 
-    ``pairs`` are label pairs of ``points``; ``flags`` says per pair whether
-    its midpoint is interior (``mani.midpoint_flags``) and is not read when
-    some vertex has no pair.
+    ``pairs`` are label pairs of ``points``; ``flags`` holds per pair the
+    interior certificate of its midpoint, or None (``mani.midpoint_flags``),
+    and is not read when some vertex has no pair.
     """
     missing = _unpaired(points, pairs)
     failing = [] if missing else [list(p) for p, ok in zip(pairs, flags) if not ok]
@@ -702,13 +702,6 @@ def build_report(
             raise BadParametersError("a full-mode report needs the built base and stacked polytopes")
         doc["basePolytope"] = polytope_to_json(construction.base)
         doc["polytope"] = polytope_to_json(construction.stacked)
-        if construction.gamma_report is not None:
-            gr = construction.gamma_report
-            doc["gamma"] = {
-                "value": gr.value,
-                "vertex": gr.vertex,
-                "witness": list(gr.witness),
-            }
     else:
         if construction.points is None:
             raise BadParametersError("a certificate-mode report needs the built points")
@@ -817,48 +810,18 @@ def _dual_configuration(objects: "_ReportObjects") -> VectorConfiguration:
     return _embedded_dual(objects, gale_dual(objects["points"]))
 
 
-def _recorded_witnesses(objects: "_ReportObjects") -> list[tuple[str, list[str]]]:
-    """The ``perIndex`` witnesses of the report's ``minimal2spanningDual``.
-
-    Entries of the wrong shape are a ``SchemaError``.  Whether each entry
-    fits its dual vector and breaks 2-spanning is for the check to decide.
-    """
-    where = "report.minimal2spanningDual"
-    certs = _require(objects.report, "certificates", "report")
-    if not isinstance(certs, list):
-        raise SchemaError("report: 'certificates' must be a list")
-    found = [
-        c for c in certs if isinstance(c, dict) and c.get("check") == "minimal2spanningDual"
-    ]
-    if len(found) != 1:
-        raise SchemaError("report: expected one 'minimal2spanningDual' certificate")
-    entries = _require(found[0], "perIndex", where)
-    if not isinstance(entries, list):
-        raise SchemaError(f"{where}: 'perIndex' must be a list")
-    witnesses = []
-    for i, entry in enumerate(entries):
-        at = f"{where}.perIndex[{i}]"
-        if not isinstance(entry, dict):
-            raise SchemaError(f"{at}: must be an object")
-        removed = _require(entry, "removed", at)
-        if not isinstance(removed, str):
-            raise SchemaError(f"{at}: 'removed' must be a label")
-        witnesses.append((removed, _require_labels(entry, "witnessDeletion", at)))
-    return witnesses
-
-
 def _counterexample(objects: "_ReportObjects") -> CounterexampleReport:
-    # the dual's base scan uses verify's own vertex functionals, and its
-    # removal scan checks the recorded witnesses instead of searching; an
-    # embedded dual must be the Gale dual that the scans certify
-    witnesses = _recorded_witnesses(objects)
+    # the dual's scans use verify's own vertex functionals and midpoint
+    # certificates; an embedded dual must be the Gale dual they certify
     construction = ManiConstruction(
         plan=objects["plan"],
         mode="certificate",
         points=objects["points"],
         separators=objects["separators"],
+        diagonal_partner=objects["diagonal_partner"],
+        diagonal_flags=objects["diagonal_flags"],
     )
-    counterexample = dual_spanning_report(construction, 2, witnesses)
+    counterexample = dual_spanning_report(construction)
     if "dualConfiguration" in objects.report:
         _embedded_dual(objects, counterexample.dual)
     return counterexample
@@ -923,33 +886,6 @@ def _header(objects: "_ReportObjects") -> None:
             raise SchemaError(f"report: {key!r} is {got!r}, but its contents give {value!r}")
 
 
-def _gamma(objects: "_ReportObjects") -> None:
-    """Reject a full report whose ``gamma`` is not certified by its witness.
-
-    ``value`` must count the witness, which ``is_opposite_set`` checks on
-    the report's polytope; a null ``vertex`` needs value 0 and no witness.
-    That proves an opposite set of that size, not that none is larger.
-    """
-    if "gamma" not in objects.report:
-        return
-    where = "report.gamma"
-    doc = objects.report["gamma"]
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{where}: must be an object")
-    value = _require_int(doc, "value", where)
-    vertex = _require(doc, "vertex", where)
-    witness = _require_labels(doc, "witness", where)
-    if vertex is not None and not isinstance(vertex, str):
-        raise SchemaError(f"{where}: 'vertex' must be a label or null")
-    if value != len(witness):
-        raise SchemaError(f"{where}: 'value' {value} is not the witness size {len(witness)}")
-    if vertex is None:
-        if witness:
-            raise SchemaError(f"{where}: a null vertex has no witness")
-    elif not is_opposite_set(objects["stacked"], vertex, witness):
-        raise SchemaError(f"{where}: the witness is not an opposite set of vertex {vertex!r}")
-
-
 # how verify obtains each object a ``CHECKS`` builder reads: embedded
 # documents are decoded, the rest re-derived from them by the steps of
 # the certificate-mode build, run without the build's kept proofs
@@ -960,7 +896,6 @@ _DECODERS = {
     "points": lambda o: points_from_json(_require(o.report, "points", "report")),
     "stacks": _stacks,
     "header": _header,
-    "gamma": _gamma,
     "fat_facet": lambda o: _require_labels(o.report, "fatFacet", "report"),
     "diagonal_partner": _diagonal_partner,
     "dual": _dual_configuration,
@@ -970,7 +905,8 @@ _DECODERS = {
     "vertex_proofs": lambda o: vertex_proofs(o["points"]),
     "vertex_flags": lambda o: o["vertex_proofs"][0],
     "separators": lambda o: o["vertex_proofs"][1],
-    # with a vertex left unpaired the payload reads no flag
+    # with a vertex left unpaired no payload reads a flag, and the dual's
+    # minimality stays unproven
     "diagonal_flags": lambda o: ()
     if _unpaired(o["points"], o["diagonal_partner"])
     else midpoint_flags(o["points"], o["diagonal_partner"]),
@@ -992,14 +928,12 @@ class _ReportObjects(dict):
 
 def _rederive(objects: _ReportObjects, name: str) -> dict:
     # every check decodes the plan and then the report's polytope or points
-    # (and a full report's gamma, or a certificate report's realized base
-    # and stacks) first and checks the header against them, so a report is
-    # accepted only when those agree
+    # (and a certificate report's realized base and stacks) first and checks
+    # the header against them, so a report is accepted only when those agree
     mode = _require(objects.report, "mode", "report")
     objects["plan"]
     if mode == "full":
         objects["stacked"]
-        objects["gamma"]
     elif mode == "certificate":
         objects["stacks"]
     builder = _builder(mode, name)

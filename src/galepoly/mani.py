@@ -24,22 +24,24 @@ property (vertexhood, inner diagonals, a fat facet) by exact LPs and
 hyperplane checks, which keeps d = 36 tractable.  Each designated facet is
 proved once, by its supporting hyperplane on the realized base
 (``designated_planes``).  A vertex's separating functional is kept and
-re-checked by arithmetic at later trials, and an inner diagonal proved by
-an accepted trial is not proved again.
+re-checked by arithmetic at later trials, and each final midpoint LP keeps
+its interior certificate (``midpoint_flags``).
 
 ``spanning_bound_counterexample`` chains the d = 36 certificate build with
 dualization: the Gale dual of the resulting 49-vertex polytope is certified
 minimal positively 2-spanning with 49 > 2*2*12 vectors in R^12, beating the
 classical 2km bound on the size of minimal positively k-spanning
-configurations.  The dual's base scan is read off the separating
-functionals of the vertices, with no LP.
+configurations.  Both halves of that proof are read off the build's
+certificates by Gale duality, with no LP: the base scan off the separating
+functionals of the vertices, and the witness that no vector can be removed
+off the interior certificate of each vertex's inner diagonal.
 
 Verify re-runs the certificate-mode steps a report does not embed through
 the functions build calls (``designated_planes``, ``vertex_proofs``,
-``midpoint_flags``) on the report's own points, without the build's kept
-proofs.  It re-checks by arithmetic that the first points realize the plan
-(``realizes``) and that the recorded apex placements stand on the
-designated planes (``stack_mismatch``).
+``midpoint_flags``, ``dual_spanning_report``) on the report's own points,
+without the build's kept proofs.  It re-checks by arithmetic that the
+first points realize the plan (``realizes``) and that the recorded apex
+placements stand on the designated planes (``stack_mismatch``).
 """
 
 from __future__ import annotations
@@ -75,22 +77,21 @@ from .linalg import (
     vec_add,
     vec_scale,
 )
-from .lp import interior_point_test, positively_spans, separating_functional
+from .lp import (
+    KIND_STIEMKE_WITNESS,
+    DependenceCertificate,
+    interior_point_test,
+    positively_spans,
+    separating_functional,
+    verify_certificate,
+)
 from .polytope import (
     IncidencePolytope,
-    OppositeSetReport,
     cyclic_polytope,
-    gamma,
     illumination_report,
     stack_simplex_facet,
 )
-from .spanning import (
-    MinimalityReport,
-    SpanningReport,
-    VectorConfiguration,
-    is_positively_k_spanning,
-    removal_scan,
-)
+from .spanning import SpanningReport, VectorConfiguration, is_positively_k_spanning
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +260,10 @@ def hull_flags(coords, vertices, diagonals, separators=None):
     """Exact LP flags on the hull of ``coords``, yielded lazily in order.
 
     First, for each index in ``vertices``, whether that point is a vertex;
-    then, for each index pair in ``diagonals``, whether the pair's midpoint
-    lies in the interior (so the segment is an inner diagonal).  ``all()``
-    over the flags stops at the first failing LP.
+    then, for each index pair in ``diagonals``, the interior certificate of
+    the pair's midpoint (so the segment is an inner diagonal), or None when
+    the midpoint is not interior.  ``all()`` over the flags stops at the
+    first failing LP.
 
     ``separators`` maps point indices to kept separating functionals, as
     integer multiples of ``separating_functional`` vectors.  A kept
@@ -285,7 +287,8 @@ def hull_flags(coords, vertices, diagonals, separators=None):
         yield y is not None
     for i, j in diagonals:
         mid = vec_scale(QQ(1, 2), vec_add(coords[i], coords[j]))
-        yield interior_point_test(coords, mid)[0]
+        ok, cert = interior_point_test(coords, mid)
+        yield cert if ok else None
 
 
 def vertex_proofs(points: PointConfiguration, separators=None):
@@ -301,17 +304,16 @@ def vertex_proofs(points: PointConfiguration, separators=None):
     return flags, {i: separators[i] for i, ok in enumerate(flags) if ok}
 
 
-def midpoint_flags(points: PointConfiguration, pairs, proven=frozenset()) -> tuple[bool, ...]:
-    """Whether the midpoint of each label pair lies in the interior of the hull.
+def midpoint_flags(points: PointConfiguration, pairs) -> tuple[DependenceCertificate | None, ...]:
+    """The interior certificate of the midpoint of each label pair, or None.
 
-    A pair in ``proven`` (label frozensets whose midpoints an accepted
-    stacking trial proved interior) is true without an LP; every other pair
-    solves its interior-point LP, in order.
+    A certificate is the ``PositiveDependence`` of the points translated by
+    the midpoint: weights lam >= 1 with sum_u lam_u * p_u = (sum lam) * mid.
+    None means the midpoint is not interior.  Each pair solves its LP, in
+    order.
     """
     index = {lab: i for i, lab in enumerate(points.labels)}
-    unproven = [(index[a], index[b]) for a, b in pairs if frozenset((a, b)) not in proven]
-    flags = hull_flags(points.coords, (), unproven)
-    return tuple(frozenset(p) in proven or next(flags) for p in pairs)
+    return tuple(hull_flags(points.coords, (), [(index[a], index[b]) for a, b in pairs]))
 
 
 def geometric_stack_point(
@@ -440,9 +442,10 @@ class ManiConstruction:
     ``stacks`` plus the fat-facet witness, and keeps what its checks
     computed: the supporting hyperplanes ``designated_planes`` (one per
     designated facet of the base) and ``fat_facet_plane``, the LP flags
-    ``vertex_flags`` per point and ``diagonal_flags`` per
-    ``diagonal_partner`` pair, and ``separators``, the integer separating
-    functional of each point whose vertex flag holds (``vertex_proofs``).
+    ``vertex_flags`` per point, ``diagonal_flags``, the interior certificate
+    (or None) of each ``diagonal_partner`` pair (``midpoint_flags``), and
+    ``separators``, the integer separating functional of each point whose
+    vertex flag holds (``vertex_proofs``).
     """
 
     plan: BlockDiagramPlan
@@ -458,9 +461,8 @@ class ManiConstruction:
     designated_planes: tuple[tuple[tuple[Fraction, ...], Fraction] | None, ...] = ()
     diagonal_partner: tuple[tuple[str, str], ...] = ()
     vertex_flags: tuple[bool, ...] = ()
-    diagonal_flags: tuple[bool, ...] = ()
+    diagonal_flags: tuple[DependenceCertificate | None, ...] = ()
     separators: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    gamma_report: OppositeSetReport | None = None
 
     @property
     def f0(self) -> int:
@@ -495,7 +497,7 @@ def _designated_facets(plan: BlockDiagramPlan) -> list[tuple[str, ...]]:
     return out
 
 
-def _construct_full(plan: BlockDiagramPlan, gamma_cap: int) -> ManiConstruction:
+def _construct_full(plan: BlockDiagramPlan) -> ManiConstruction:
     result = ManiConstruction(plan=plan, mode="full")
     base = incidence_from_gale(plan.config)
     result.base = base
@@ -520,8 +522,6 @@ def _construct_full(plan: BlockDiagramPlan, gamma_cap: int) -> ManiConstruction:
     result.fat_facet = fat
     result.checks["nonsimplicial"] = fat is not None
     result.checks["f0MatchesFormula"] = stacked.f0 == plan.d + plan.p + plan.q + 1
-    if 0 < gamma_cap and stacked.f0 <= gamma_cap:
-        result.gamma_report = gamma(stacked, cap=gamma_cap)
     return result
 
 
@@ -572,16 +572,12 @@ def _construct_certificate(plan: BlockDiagramPlan) -> ManiConstruction:
     result.designated_planes = planes
     result.checks["designatedAreFacets"] = True
 
-    # one separating functional per point index, kept across all trials;
-    # and the apex-to-point pairs whose midpoints an accepted trial proved
-    # interior, which stay interior as the hull grows
+    # one separating functional per point index, kept across all trials
     separators: dict[int, tuple[int, ...]] = {}
-    proven: set[frozenset[str]] = set()
     current = result.base_points
     stacks = []
     for i, (facet, apex) in enumerate(zip(_designated_facets(plan), _apex_labels(plan.q))):
         guards = [planes[j] for j in range(len(planes)) if j != i]
-        previous = current
         current, cert = geometric_stack_point(
             current,
             facet,
@@ -590,8 +586,6 @@ def _construct_certificate(plan: BlockDiagramPlan) -> ManiConstruction:
             new_label=apex,
             separators=separators,
         )
-        fset = set(facet)
-        proven.update(frozenset((apex, lab)) for lab in previous.labels if lab not in fset)
         stacks.append(cert)
     result.points = current
     result.stacks = tuple(stacks)
@@ -606,7 +600,7 @@ def _construct_certificate(plan: BlockDiagramPlan) -> ManiConstruction:
         partner.setdefault(apex, comp[0])
     pairs = [(lab, partner[lab]) for lab in current.labels]
     result.vertex_flags, result.separators = vertex_proofs(current, separators)
-    result.diagonal_flags = midpoint_flags(current, pairs, proven)
+    result.diagonal_flags = midpoint_flags(current, pairs)
     result.checks["allPointsVertices"] = all(result.vertex_flags)
     result.checks["illuminated"] = all(result.diagonal_flags)
     result.checks["unneighborly"] = all(result.diagonal_flags)
@@ -628,7 +622,6 @@ def construct_nonsimplicial_mani(
     ell: int = 1,
     p: int | None = None,
     mode: str = "full",
-    gamma_cap: int = 0,
     strict: bool = True,
 ) -> ManiConstruction:
     """Build and check the stacked block-diagram polytope for dimension d.
@@ -637,15 +630,12 @@ def construct_nonsimplicial_mani(
     stacks combinatorially; ``certificate`` mode realizes coordinates and
     certifies each property by exact LPs without any facet enumeration.
     With ``strict`` (the default) a failed check raises; pass False to get
-    the result object back for inspection instead.  ``gamma_cap`` > 0
-    (brute-force the opposite-set number) needs ``full`` mode.
+    the result object back for inspection instead.
     """
     plan = build_block_diagram(d, p=p, ell=ell)
     if mode == "full":
-        result = _construct_full(plan, gamma_cap)
+        result = _construct_full(plan)
     elif mode == "certificate":
-        if gamma_cap > 0:
-            raise BadParametersError("gamma needs the enumerated facets of full mode")
         result = _construct_certificate(plan)
     else:
         raise BadParametersError(f"unknown mode {mode!r}")
@@ -797,22 +787,22 @@ def _positive_dependence(y, lifted, vstar, i: int) -> bool:
     return all(sum(w * row[c] for w, row in zip(lam, vstar)) == 0 for c in range(len(vstar[i])))
 
 
-def _dual_base_scan(points, dual, separators, k: int) -> SpanningReport:
-    """The k-spanning scan of the Gale dual V*, read off vertex functionals.
+def _dual_base_scan(points, dual, separators) -> SpanningReport:
+    """The 2-spanning scan of the Gale dual V*, read off vertex functionals.
 
-    For k = 2, V* minus v*_i positively spans exactly when p_i is a vertex.
-    If y separates p_i from the other points, lam_u = y.(1, p_i) - y.(1, p_u)
+    V* minus v*_i positively spans exactly when p_i is a vertex.  If y
+    separates p_i from the other points, lam_u = y.(1, p_i) - y.(1, p_u)
     is positive off i, and these values of an affine function are a linear
     dependence of V* because its columns span the affine dependences of the
     points.  Each such dependence is re-checked in integers.  One rank test
     of V* and its all-ones dependence (which leaves no v*_i outside the span
     of the others) complete the proof that V* minus v*_i spans, with no LP.
-    An index without a functional that passes, and any k != 2, runs the
-    LP scan of ``is_positively_k_spanning``, whose report this equals.
+    An index without a functional that passes runs the LP scan of
+    ``is_positively_k_spanning``, whose report this equals.
     """
     n = len(dual)
-    if k != 2 or dual.m < 1 or n < 2:
-        return is_positively_k_spanning(dual, k)
+    if dual.m < 1 or n < 2:
+        return is_positively_k_spanning(dual, 2)
     lifted = _common_scale([(QQ(1),) + tuple(p) for p in points.coords])
     vstar = _common_scale(dual.coords)
     if not (
@@ -826,34 +816,74 @@ def _dual_base_scan(points, dual, separators, k: int) -> SpanningReport:
             continue
         ok, cert = positively_spans(dual.coords, [u for u in range(n) if u != i])
         if not ok:
-            return SpanningReport(False, k, witness_deletion=(i,), certificate=cert)
-    return SpanningReport(True, k)
+            return SpanningReport(False, 2, witness_deletion=(i,), certificate=cert)
+    return SpanningReport(True, 2)
 
 
-def dual_spanning_report(
-    construction: ManiConstruction, k: int = 2, witnesses=None
-) -> CounterexampleReport:
-    """Dualize a certificate-mode construction and test minimal k-spanning.
+def _removal_witnesses(dual, pairs, certificates):
+    """Why no v*_i can leave the Gale dual V*, read off midpoint certificates.
+
+    The interior certificate of the midpoint of p_i and p_j has weights
+    lam >= 1 with sum_u lam_u * p_u = (sum lam) * (p_i + p_j) / 2, so
+    c_u = 2 * lam_u - (sum lam) * [u in {i, j}] is an affine dependence of
+    the points, positive off {i, j}.  The columns of V* span those, so
+    V* h = c is solvable and h is a Stiemke witness that V* minus
+    {v*_i, v*_j} does not positively span; each h is re-checked by
+    arithmetic.  Index i uses the first of ``pairs`` (label pairs, each with
+    its certificate or None in ``certificates``) that starts with its label
+    and has a certificate.  Returns one ``(label, (partner,), kind)`` per
+    index, or None when some index has no such pair.
+    """
+    proofs = {}
+    for (a, b), cert in zip(pairs, certificates):
+        if cert is not None:
+            proofs.setdefault(a, (b, cert))
+    if any(lab not in proofs for lab in dual.labels):
+        return None
+    matrix = ExactMatrix(dual.coords)
+    per_index = []
+    for i, lab in enumerate(dual.labels):
+        partner, cert = proofs[lab]
+        pair = {i, dual.index_of(partner)}
+        lam = _common_scale([cert.lam])[0]
+        total = sum(lam)
+        h = matrix.solve([2 * w - (total if u in pair else 0) for u, w in enumerate(lam)])
+        witness = DependenceCertificate(KIND_STIEMKE_WITNESS, functional=h)
+        rest = [u for u in range(len(dual)) if u not in pair]
+        if h is None or not verify_certificate(dual.coords, rest, witness):
+            raise CertificateError(f"the midpoint certificate of {lab} and {partner} is no removal witness")
+        per_index.append((lab, (partner,), KIND_STIEMKE_WITNESS))
+    return tuple(per_index)
+
+
+def dual_spanning_report(construction: ManiConstruction, k: int = 2) -> CounterexampleReport:
+    """Dualize a certificate-mode construction and prove it minimal 2-spanning.
 
     The base scan reads each deletion off the construction's ``separators``
-    where it can (``_dual_base_scan``).  The removal scan finds each
-    removal's least witness deletion; given recorded ``witnesses`` (a
-    ``per_index``) it checks only those (``spanning.removal_scan``).
+    where it can (``_dual_base_scan``).  Each removal's witness is read off
+    the interior certificate of its ``diagonal_partner`` pair in
+    ``diagonal_flags`` (``_removal_witnesses``), with no LP; without one for
+    every index minimality is unproven and ``minimal`` is false.  Only
+    k = 2 is proved; any other k is a ``BadParametersError``.
     """
+    if k != 2:
+        raise BadParametersError(f"the dual stage proves k = 2 only, not k = {k}")
     if construction.points is None:
         raise BadParametersError("dual stage needs a certificate-mode construction")
     dual = gale_dual(construction.points)
-    base = _dual_base_scan(construction.points, dual, construction.separators, k)
-    minimality = removal_scan(dual, k, witnesses) if base.spanning else MinimalityReport(False, k)
+    base = _dual_base_scan(construction.points, dual, construction.separators)
+    per_index = None
+    if base.spanning:
+        per_index = _removal_witnesses(dual, construction.diagonal_partner, construction.diagonal_flags)
     return CounterexampleReport(
         construction=construction,
         dual=dual,
         k=k,
         classical_bound=2 * k * dual.m,
         spanning=base.spanning,
-        minimal=minimality.minimal,
+        minimal=per_index is not None,
         exceeds_bound=len(dual) > 2 * k * dual.m,
-        per_index=minimality.per_index,
+        per_index=per_index or (),
     )
 
 

@@ -375,30 +375,6 @@ def _illuminates_itself(partners: dict[str, set[str]], vertices: Iterable[str]) 
     return all(partners[v] & group for v in group)
 
 
-def _diagonal_partners(poly: IncidencePolytope) -> dict[str, set[str]]:
-    """Each vertex's inner-diagonal partners."""
-    partners: dict[str, set[str]] = {v: set() for v in poly.vertices}
-    for u, v in inner_diagonals(poly):
-        partners[u].add(v)
-        partners[v].add(u)
-    return partners
-
-
-def is_opposite_set(poly: IncidencePolytope, vertex: str, witness: Sequence[str]) -> bool:
-    """Whether ``witness`` certifies an opposite set of size ``len(witness)``.
-
-    The witness must list distinct inner-diagonal partners of ``vertex``,
-    and the vertices outside it and ``vertex`` must illuminate themselves.
-    This proves the maximum ``gamma`` is at least the witness size, not
-    that it is at most.
-    """
-    partners = _diagonal_partners(poly)
-    chosen = set(witness)
-    if vertex not in partners or len(chosen) != len(witness) or not chosen <= partners[vertex]:
-        return False
-    return _illuminates_itself(partners, set(poly.vertices) - chosen - {vertex})
-
-
 def gamma(poly: IncidencePolytope, cap: int = DEFAULT_GAMMA_CAP) -> OppositeSetReport:
     """Brute-force opposite-set maximum over all vertices and partner subsets.
 
@@ -412,7 +388,10 @@ def gamma(poly: IncidencePolytope, cap: int = DEFAULT_GAMMA_CAP) -> OppositeSetR
         raise TooLargeForBruteForceError(
             f"{poly.f0} vertices exceed the brute-force cap {cap}", cap=cap
         )
-    partners = _diagonal_partners(poly)
+    partners: dict[str, set[str]] = {v: set() for v in poly.vertices}
+    for u, v in inner_diagonals(poly):
+        partners[u].add(v)
+        partners[v].add(u)
     best = OppositeSetReport(0)
     all_vertices = set(poly.vertices)
     for v in poly.vertices:

@@ -5,7 +5,11 @@ positively k-spanning when deleting any k-1 vectors leaves a set whose
 nonnegative combinations fill R^m, and minimally so when no single vector
 can be dropped without losing that property.  Both predicates are decided
 by exhaustive deletion scans over the exact LP core, and every verdict is
-backed by a certificate for its witness case.
+backed by a certificate for its witness case; a minimal verdict records
+each removal's least witness deletion.  These scans serve bare
+configurations.  The Gale dual of a certificate-mode build is proved
+minimal 2-spanning without them, from the build's own certificates
+(``mani.dual_spanning_report``).
 """
 
 from __future__ import annotations
@@ -98,7 +102,7 @@ class MinimalityReport:
 
     On a non-minimal verdict ``removable_index`` is the least index whose
     removal keeps the configuration positively k-spanning (None when the
-    scan checked recorded witnesses, see ``removal_scan``).  On a minimal
+    configuration is not k-spanning at all).  On a minimal
     verdict ``per_index`` records, for each removed index, the witness
     deletion (as labels of the original configuration) and certificate kind
     that break k-spanning after the removal.
@@ -140,21 +144,18 @@ def is_positively_k_spanning(config: VectorConfiguration, k: int) -> SpanningRep
     return SpanningReport(True, k)
 
 
-def _check_removal(config: VectorConfiguration, k: int, index: int, memo: dict, deletions):
+def _check_removal(config: VectorConfiguration, k: int, index: int, memo: dict):
     """The k-spanning scan of ``config`` without vector ``index``.
 
-    ``deletions`` lists the (k-1)-deletions to try, as positions among the
-    other vectors; None means all of them in lexicographic order.  Each LP
-    is keyed in ``memo`` by the original indices it removes: the scans of
-    two removals meet on the same selection of the same vectors in the same
-    order, so a hit is that LP's own ``(ok, cert)``.
+    The (k-1)-deletions run in lexicographic order, as positions among the
+    other vectors.  Each LP is keyed in ``memo`` by the original indices it
+    removes: the scans of two removals meet on the same selection of the
+    same vectors in the same order, so a hit is that LP's own ``(ok, cert)``.
     """
     rest = [j for j in range(len(config)) if j != index]
     if k - 1 >= len(rest):
         return _vacuous_failure(config.delete((index,)), k)
-    if deletions is None:
-        deletions = itertools.combinations(range(len(rest)), k - 1)
-    for deletion in deletions:
+    for deletion in itertools.combinations(range(len(rest)), k - 1):
         removed = frozenset([index, *(rest[t] for t in deletion)])
         hit = memo.get(removed)
         if hit is None:
@@ -167,48 +168,21 @@ def _check_removal(config: VectorConfiguration, k: int, index: int, memo: dict, 
     return SpanningReport(True, k)
 
 
-def _recorded_deletions(config: VectorConfiguration, k: int, index: int, entry) -> tuple:
-    """The deletions to try for ``index`` from a recorded witness entry.
-
-    ``entry`` starts ``(removed label, witness labels)``.  It fits when it
-    names vector ``index`` and k - 1 distinct other labels; it then gives
-    its one deletion, as sorted positions among the other vectors, else none.
-    """
-    removed, witness = entry[0], entry[1]
-    if removed != config.labels[index] or len(witness) != k - 1:
-        return ()
-    rest = {lab: t for t, lab in enumerate(config.labels[:index] + config.labels[index + 1:])}
-    deletion = tuple(sorted({rest[lab] for lab in witness if lab in rest}))
-    return (deletion,) if len(deletion) == k - 1 else ()
-
-
-def removal_scan(config: VectorConfiguration, k: int, witnesses=None) -> MinimalityReport:
+def removal_scan(config: VectorConfiguration, k: int) -> MinimalityReport:
     """The single-removal scan of a positively k-spanning configuration.
 
-    Every removal must leave a configuration that is not k-spanning.  The
-    scan searches each removal for its least witness deletion.  Given
-    ``witnesses``, one entry per vector in configuration order that starts
-    ``(removed label, witness labels)`` as in ``MinimalityReport.per_index``,
-    it only checks that each recorded deletion breaks k-spanning.  That proves
-    minimality but not that a witness is the least one.  An entry that does
-    not fit its vector, or a witness that does not break k-spanning, makes
-    the verdict false with no ``removable_index``.  The removal scans share
-    one memo of their LPs, so each set of removed vectors is solved once.
+    Every removal must leave a configuration that is not k-spanning; the
+    scan searches each removal for its least witness deletion.  The removal
+    scans share one memo of their LPs, so each set of removed vectors is
+    solved once.
     """
     n = len(config)
-    if witnesses is None:
-        deletions = [None] * n
-    elif len(witnesses) != n:
-        return MinimalityReport(False, k)
-    else:
-        deletions = [_recorded_deletions(config, k, i, w) for i, w in enumerate(witnesses)]
     per_index = []
     memo: dict = {}
     for index in range(n):
-        report = _check_removal(config, k, index, memo, deletions[index])
+        report = _check_removal(config, k, index, memo)
         if report.spanning:
-            removable = index if witnesses is None else None
-            return MinimalityReport(False, k, removable_index=removable)
+            return MinimalityReport(False, k, removable_index=index)
         rest = [j for j in range(n) if j != index]
         witness_labels = tuple(config.labels[rest[t]] for t in report.witness_deletion)
         per_index.append((config.labels[index], witness_labels, report.certificate.kind))

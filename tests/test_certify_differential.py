@@ -3,12 +3,15 @@
 ``certify_reference`` holds the minimality scan without its memo of removed
 sets and the geometric stacking that solves every vertex and midpoint LP at
 every trial.  The library keeps each LP answer of a minimality scan by the
-set of vectors it removes, keeps one separating functional per point across
-stacking trials, and reads the final diagonal flags off the accepted trials;
-all of it must give exactly the reference's reports, certificates, apex
-placements and flags.
+set of vectors it removes and keeps one separating functional per point
+across stacking trials; all of it must give exactly the reference's
+reports, certificates, apex placements and flags.  The dual of a
+certificate build is proved minimal without any scan, from the midpoint
+certificates; its verdict must be the reference scan's, and each witness it
+derives must break positive spanning by an LP of its own.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -26,12 +29,10 @@ from galepoly.jsonio import (
     build_report,
     digest,
     dumps,
-    payload_minimal_dual,
     rederive_report_payload,
     verify_report,
 )
 from galepoly.mani import (
-    CounterexampleReport,
     construct_nonsimplicial_mani,
     dual_spanning_report,
     hull_flags,
@@ -54,16 +55,46 @@ BUILDS = [
 ]
 
 
+@functools.lru_cache(maxsize=None)
+def _build(d, p, ell):
+    return construct_nonsimplicial_mani(d, ell, p=p, mode="certificate")
+
+
 @pytest.mark.parametrize("d,p,ell", BUILDS)
 def test_certificate_build_matches_the_reference(d, p, ell):
-    c = construct_nonsimplicial_mani(d, ell, p=p, mode="certificate")
+    c = _build(d, p, ell)
     points, stacks, vertex_flags, diagonal_flags = ref.construct_certificate(c)
     assert c.points == points
     assert c.stacks == stacks
     assert c.vertex_flags == vertex_flags
-    assert c.diagonal_flags == diagonal_flags
-    dual = gale_dual(c.points)
-    assert is_minimal_k_spanning(dual, 2) == ref.is_minimal_k_spanning(dual, 2)
+    assert tuple(cert is not None for cert in c.diagonal_flags) == diagonal_flags
+    if d <= 8:
+        report = dual_spanning_report(c)
+        base, minimality = ref.is_minimal_k_spanning(report.dual, 2)
+        assert (report.spanning, report.minimal) == (base.spanning, minimality.minimal) == (True, True)
+        assert [e[0] for e in report.per_index] == [e[0] for e in minimality.per_index]
+
+
+# every certificate build at d = 6..12 with p = 3, 4, 5 and each valid ell
+ALL_BUILDS = [
+    (d, p, ell)
+    for d in range(6, 13)
+    for p in (3, 4, 5)
+    for ell in range(1, -(-d // p))
+]
+
+
+@pytest.mark.parametrize("d,p,ell", ALL_BUILDS)
+def test_each_derived_witness_breaks_positive_spanning(d, p, ell):
+    c = _build(d, p, ell)
+    report = dual_spanning_report(c)
+    dual = report.dual
+    assert report.spanning and report.minimal
+    assert [e[0] for e in report.per_index] == list(dual.labels)
+    for i, (removed, (partner,), kind) in enumerate(report.per_index):
+        assert kind == "StiemkeWitness"
+        rest = [u for u in range(len(dual)) if u not in (i, dual.index_of(partner))]
+        assert not lp.positively_spans(dual.coords, rest)[0]
 
 
 def _config(m, coords):
@@ -154,22 +185,22 @@ def _count_lps(monkeypatch):
 def test_lp_counts_of_a_d12_certificate_build_and_dual_scan(monkeypatch):
     # without reuse these were 669 construct LPs (575 of them vertex LPs)
     # and 310 dual-scan LPs (20 base, 110 of the rest repeated pairs); the
-    # base scan now reads the vertex functionals, and verify checks the 20
-    # recorded witnesses (15 distinct removed sets) after its 20 vertex LPs
-    # instead of searching (200 LPs); the q + 1 = 5 designated coface LPs
-    # went too, as the designated planes prove those facets on the points
+    # base scan now reads the vertex functionals and the removal witnesses
+    # the 20 midpoint certificates, so the dual solves none; the q + 1 = 5
+    # designated coface LPs went too, as the designated planes prove those
+    # facets on the points.  Verify solves its 20 vertex and 20 midpoint LPs.
     count = _count_lps(monkeypatch)
     c = construct_nonsimplicial_mani(12, 1, mode="certificate")
-    assert count[0] == 114
+    assert count[0] == 134
     report = dual_spanning_report(c, k=2)
     assert report.spanning and report.minimal
-    assert count[0] == 114 + 180
+    assert count[0] == 134 + 0
     doc = json.loads(dumps(build_report(c, report)))
     count[0] = 0
     payload = rederive_report_payload(doc, "minimal2spanningDual")
     assert payload["verdict"]
     assert digest(payload) == doc["certificateDigests"]["minimal2spanningDual"]
-    assert count[0] == 20 + 15
+    assert count[0] == 40
 
 
 @pytest.mark.parametrize("d,p", [(d, p) for d in range(6, 10) for p in (3, 4, 5)])
@@ -178,7 +209,7 @@ def test_base_scan_from_functionals_matches_the_lp_scan(monkeypatch, d, p):
     dual = gale_dual(c.points)
     assert sorted(c.separators) == list(range(len(c.points)))
     count = _count_lps(monkeypatch)
-    got = mani._dual_base_scan(c.points, dual, c.separators, 2)
+    got = mani._dual_base_scan(c.points, dual, c.separators)
     assert count[0] == 0
     assert got == is_positively_k_spanning(dual, 2)
     assert got.spanning
@@ -197,10 +228,10 @@ def test_a_wrong_or_missing_functional_falls_back_to_the_lp(monkeypatch):
     # a constant added to a functional leaves every weight as it was
     forged[6] = (forged[6][0] + 7,) + forged[6][1:]
     count = _count_lps(monkeypatch)
-    assert mani._dual_base_scan(c.points, dual, forged, 2) == expected
+    assert mani._dual_base_scan(c.points, dual, forged) == expected
     assert count[0] == 5
     count[0] = 0
-    assert mani._dual_base_scan(c.points, dual, {}, 2) == expected
+    assert mani._dual_base_scan(c.points, dual, {}) == expected
     assert count[0] == len(dual)
 
 
@@ -227,7 +258,7 @@ def test_a_dual_that_is_no_gale_dual_gets_no_lp_free_proofs(monkeypatch, forgery
     forged = VectorConfiguration(m=dual.m, labels=dual.labels, coords=coords)
     expected = is_positively_k_spanning(forged, 2)
     count = _count_lps(monkeypatch)
-    assert mani._dual_base_scan(c.points, forged, c.separators, 2) == expected
+    assert mani._dual_base_scan(c.points, forged, c.separators) == expected
     assert count[0] == solved
 
 
@@ -243,33 +274,41 @@ def test_a_dual_that_fails_reports_the_lp_scans_witness(monkeypatch):
     flags = list(hull_flags(inner.coords, range(len(inner)), (), separators))
     assert flags == [True] * len(points) + [False]
     dual = gale_dual(inner)
-    got = mani._dual_base_scan(inner, dual, separators, 2)
+    got = mani._dual_base_scan(inner, dual, separators)
     assert got == is_positively_k_spanning(dual, 2)
     assert not got.spanning and got.witness_deletion == (len(points),)
 
 
+def test_an_index_without_an_interior_certificate_leaves_minimality_unproven(monkeypatch):
+    # no search runs in its place: minimal is false with no witnesses
+    c = construct_nonsimplicial_mani(6, 1, p=3, mode="certificate")
+    count = _count_lps(monkeypatch)
+    for partner, flags in (
+        (c.diagonal_partner, (None,) + c.diagonal_flags[1:]),  # not proved interior
+        (c.diagonal_partner[1:], c.diagonal_flags[1:]),  # no pair
+    ):
+        c.diagonal_partner, c.diagonal_flags = partner, flags
+        report = dual_spanning_report(c)
+        assert report.spanning and not report.minimal and report.per_index == ()
+    assert count[0] == 0
+
+
 def _certificate_report(d, p, ell):
-    c = construct_nonsimplicial_mani(d, ell, p=p, mode="certificate")
+    c = _build(d, p, ell)
     return c, json.loads(dumps(build_report(c, dual_spanning_report(c, k=2))))
 
 
 @pytest.mark.parametrize("d,p,ell", [b for b in BUILDS if b[0] <= 8])
 def test_recorded_witness_verify_matches_the_search(d, p, ell):
+    # verify derives the witnesses from its own midpoint certificates and
+    # gives the build's payload, with the verdict of the least-witness search
     c, doc = _certificate_report(d, p, ell)
-    dual = gale_dual(c.points)
-    base, minimality = ref.is_minimal_k_spanning(dual, 2)
-    searched = CounterexampleReport(
-        construction=c,
-        dual=dual,
-        k=2,
-        classical_bound=4 * dual.m,
-        spanning=base.spanning,
-        minimal=minimality.minimal,
-        exceeds_bound=len(dual) > 4 * dual.m,
-        per_index=minimality.per_index,
-    )
+    base, minimality = is_minimal_k_spanning(gale_dual(c.points), 2)
     checked = rederive_report_payload(doc, "minimal2spanningDual")
-    assert dumps(checked) == dumps(payload_minimal_dual(searched))
+    recorded = next(x for x in doc["certificates"] if x["check"] == "minimal2spanningDual")
+    assert dumps(checked) == dumps(recorded)
+    assert checked["verdict"] == (base.spanning and minimality.minimal)
+    assert [e["removed"] for e in checked["perIndex"]] == [e[0] for e in minimality.per_index]
 
 
 def _edge_partner(dual, i):
@@ -281,25 +320,26 @@ def _edge_partner(dual, i):
 
 
 def test_a_witness_replaced_by_an_edge_partner_fails():
+    # the forged witness proves nothing, and it fails to reach verify's
+    # payload: verify reads no perIndex and re-derives the partner witness
     c, doc = _certificate_report(6, 3, 1)
     dual = gale_dual(c.points)
     cert = next(x for x in doc["certificates"] if x["check"] == "minimal2spanningDual")
+    honest = json.loads(dumps(cert))
     assert cert["verdict"] and cert["perIndex"][0]["removed"] == dual.labels[0]
     cert["perIndex"][0]["witnessDeletion"] = [dual.labels[_edge_partner(dual, 0)]]
     payload = rederive_report_payload(doc, "minimal2spanningDual")
-    assert payload["verdict"] is False
-    assert payload["spanning"] is True and payload["minimal"] is False
-    assert payload["perIndex"] == []
+    assert payload == honest and payload["verdict"] is True
+    assert digest(payload) == doc["certificateDigests"]["minimal2spanningDual"]
     again = {p["check"]: p for p in verify_report(doc, None)}
     assert again["minimal2spanningDual"] == payload
-    assert all(v for name, v in doc["checks"].items() if name != "minimal2spanningDual")
 
 
 def test_dual_checks_survive_optimized_mode():
     code = "\n".join(
         [
-            "import json, sys",
-            "from galepoly import jsonio, lp, mani",
+            "import sys",
+            "from galepoly import lp, mani",
             "count = [0]",
             "real = lp.solve_feasibility",
             "def counting(*args):",
@@ -317,11 +357,6 @@ def test_dual_checks_survive_optimized_mode():
             "    sys.exit('a forged functional changed the report')",
             "if count[0] != clean + len(c.points):",
             "    sys.exit('a forged functional did not fall back to the LP')",
-            "doc = json.loads(jsonio.dumps(jsonio.build_report(c, report)))",
-            "cert = [x for x in doc['certificates'] if x['check'] == 'minimal2spanningDual'][0]",
-            "cert['perIndex'][0]['witnessDeletion'] = [cert['perIndex'][0]['removed']]",
-            "if jsonio.rederive_report_payload(doc, 'minimal2spanningDual')['verdict']:",
-            "    sys.exit('a forged witness went unnoticed')",
             "print(sys.flags.optimize)",
         ]
     )

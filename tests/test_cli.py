@@ -247,12 +247,14 @@ def test_threads_option_is_gone(tmp_path, capsys):
 
 
 def test_gamma_cap_in_certificate_mode_is_a_usage_error(tmp_path, capsys):
+    # no build computes gamma: --gamma-cap is an unknown option in every mode
     path = tmp_path / "d6.json"
-    code, out, err = run(
-        capsys, "build", "--dim", "6", "--mode", "certificate", "--gamma-cap", "14", "--out", str(path)
-    )
-    assert (code, out) == (2, "")
-    assert "gamma needs the enumerated facets of full mode" in err
+    for mode in ("full", "certificate"):
+        with pytest.raises(SystemExit) as exc:
+            main(["build", "--dim", "6", "--mode", mode, "--gamma-cap", "14", "--out", str(path)])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert "unrecognized arguments: --gamma-cap 14" in captured.err
     assert not path.exists()
 
 

@@ -13,6 +13,7 @@ from galepoly.errors import (
     CheckFailedError,
     NoEpsilonFoundError,
     NotAFacetError,
+    TooLargeForBruteForceError,
 )
 from galepoly.gale import PointConfiguration, gale_dual, realize
 from galepoly.linalg import QQ, dot
@@ -28,7 +29,7 @@ from galepoly.mani import (
     mani_simplicial,
     realizes,
 )
-from galepoly.polytope import illumination_report
+from galepoly.polytope import gamma, illumination_report
 
 FULL_CHECKS = {
     "designatedAreFacets",
@@ -145,13 +146,12 @@ def test_full_construction_d16_ell3_pinned_counts():
 
 
 def test_gamma_runs_only_under_the_cap():
-    with_gamma = construct_nonsimplicial_mani(6, gamma_cap=14)
-    assert with_gamma.gamma_report is not None
-    assert with_gamma.gamma_report.value >= 1
-    without = construct_nonsimplicial_mani(6, gamma_cap=0)
-    assert without.gamma_report is None
-    too_small = construct_nonsimplicial_mani(16, ell=3, gamma_cap=14)
-    assert too_small.gamma_report is None  # f0 = 25 exceeds the cap
+    # the opposite-set number is a library function on a built polytope,
+    # not part of a build, and brute-forces only under its cap
+    report = gamma(construct_nonsimplicial_mani(6).stacked, cap=14)
+    assert (report.value, report.vertex, report.witness) == (3, "S1", ("B1.0", "B1.1", "B1.2"))
+    with pytest.raises(TooLargeForBruteForceError):  # f0 = 25 exceeds the cap
+        gamma(construct_nonsimplicial_mani(16, ell=3).stacked, cap=14)
 
 
 def test_unknown_mode_rejected():
@@ -266,6 +266,13 @@ def test_dual_stage_requires_certificate_mode():
         dual_spanning_report(full)
 
 
+def test_dual_stage_proves_k_2_only():
+    cert = construct_nonsimplicial_mani(6, mode="certificate")
+    for k in (1, 3):
+        with pytest.raises(BadParametersError, match="k = 2 only"):
+            dual_spanning_report(cert, k=k)
+
+
 def test_dual_stage_d6_is_minimal_but_within_bound():
     cert = construct_nonsimplicial_mani(6, mode="certificate")
     report = dual_spanning_report(cert)
@@ -315,9 +322,11 @@ def test_realizes_the_realized_plan_and_its_affine_images_only(d, p):
 
 
 def test_certificate_mode_rejects_a_gamma_cap():
-    with pytest.raises(BadParametersError, match="full mode"):
-        construct_nonsimplicial_mani(6, mode="certificate", gamma_cap=14)
-    assert construct_nonsimplicial_mani(6, mode="certificate", gamma_cap=0).gamma_report is None
+    # no build computes gamma, in either mode: the parameter is gone
+    for mode in ("full", "certificate"):
+        with pytest.raises(TypeError, match="gamma_cap"):
+            construct_nonsimplicial_mani(6, mode=mode, gamma_cap=14)
+    assert not hasattr(construct_nonsimplicial_mani(6, mode="certificate"), "gamma_report")
 
 
 def test_mani_simplicial_d4_is_not_minimum_size():
@@ -351,12 +360,12 @@ def test_mani_construction_defaults():
 
 def test_construction_checks_survive_optimized_mode():
     """The checks behind the formulas, the block diagram, apex placement,
-    the designated facets, the simplicial base and report assembly raise
-    under ``python -O``."""
+    the designated facets, the simplicial base, the dual's removal
+    witnesses and report assembly raise under ``python -O``."""
     code = textwrap.dedent(
         """
         import sys
-        from galepoly import jsonio, mani, polytope
+        from galepoly import jsonio, lp, mani, polytope
         from galepoly.errors import BadParametersError, CertificateError, NotAFacetError
         from galepoly.gale import PointConfiguration
 
@@ -406,6 +415,18 @@ def test_construction_checks_survive_optimized_mode():
         mani.cyclic_polytope = lambda d, n: pyramid
         expect_error(lambda: mani.mani_simplicial(3))
         mani.cyclic_polytope = real
+
+        # a forged midpoint certificate: weights that are no dependence of
+        # the points, then the true weights negated
+        c = mani.construct_nonsimplicial_mani(6, 1, mode="certificate")
+        honest = c.diagonal_flags
+        for forge in (lambda lam: (1,) * len(lam), lambda lam: tuple(-w for w in lam)):
+            forged = lp.DependenceCertificate("PositiveDependence", lam=forge(honest[0].lam))
+            c.diagonal_flags = (forged,) + honest[1:]
+            expect_error(lambda: mani.dual_spanning_report(c))
+        c.diagonal_flags = honest
+        if not mani.dual_spanning_report(c).minimal:
+            sys.exit("the honest certificates prove no minimality")
 
         plan = mani.build_block_diagram(6)
         for mode in ("full", "certificate"):

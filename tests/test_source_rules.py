@@ -99,3 +99,21 @@ def test_jsonio_runs_no_certificate_step_of_its_own():
     trees = dict(_trees())
     assert _named(trees["mani.py"]) & banned  # the rule can see these names
     assert _named(trees["jsonio.py"]) & banned == set()
+
+
+def _string_uses(tree, text: str) -> tuple[list[int], list[int]]:
+    """Lines where the string ``text`` is a dict-literal key, and the others."""
+    keys = {id(k) for node in ast.walk(tree) if isinstance(node, ast.Dict) for k in node.keys}
+    found = [node for node in ast.walk(tree) if isinstance(node, ast.Constant) and node.value == text]
+    return [n.lineno for n in found if id(n) in keys], [n.lineno for n in found if id(n) not in keys]
+
+
+def test_the_certificate_dual_has_one_minimality_proof():
+    # build and verify both read the dual's removal witnesses off their own
+    # midpoint certificates (mani.dual_spanning_report): mani runs no removal
+    # scan, and jsonio writes perIndex into payloads but never reads it
+    trees = dict(_trees())
+    assert "removal_scan" in _named(trees["spanning.py"])  # the rule can see it
+    assert "removal_scan" not in _named(trees["mani.py"])
+    written, read = _string_uses(trees["jsonio.py"], "perIndex")
+    assert written and read == []

@@ -12,11 +12,9 @@ from galepoly.errors import BadParametersError, DimensionMismatchError
 from galepoly.linalg import QQ
 from galepoly.lp import KIND_POSITIVE_DEPENDENCE, verify_certificate
 from galepoly.spanning import (
-    MinimalityReport,
     VectorConfiguration,
     is_minimal_k_spanning,
     is_positively_k_spanning,
-    removal_scan,
     standard_minimal_config,
 )
 
@@ -174,42 +172,6 @@ def test_witness_deletion_is_lexicographically_least():
     report = is_positively_k_spanning(c, 2)
     assert not report.spanning
     assert report.witness_deletion == (1,)
-
-
-def test_recorded_witnesses_are_checked_not_searched():
-    cfg = standard_minimal_config(2, 2)
-    _, searched = is_minimal_k_spanning(cfg, 2)
-    entries = [list(e[:2]) for e in searched.per_index]
-    assert removal_scan(cfg, 2, witnesses=searched.per_index) == searched
-    assert removal_scan(cfg, 2, witnesses=entries) == searched
-
-    def checked(change):
-        witnesses = [list(e) for e in entries]
-        change(witnesses)
-        return removal_scan(cfg, 2, witnesses=witnesses)
-
-    def own_label(w):
-        w[0][1] = [w[0][0]]
-
-    def other_copy(w):  # '-e1.1' with '+e1.1' left: still spanning
-        w[0][1] = ["-e1.1"]
-
-    def swapped(w):
-        w[0], w[1] = w[1], w[0]
-
-    def two_labels(w):
-        w[0][1] = ["+e1.2", "-e1.1"]
-
-    def repeated(w):
-        w[0][1] = ["+e1.2", "+e1.2"]
-
-    def unknown(w):
-        w[0][1] = ["nowhere"]
-
-    for change in (own_label, other_copy, swapped, two_labels, repeated, unknown):
-        assert checked(change) == MinimalityReport(False, 2), change.__name__
-    assert removal_scan(cfg, 2, witnesses=entries[:-1]) == MinimalityReport(False, 2)
-    assert removal_scan(cfg, 2, witnesses=entries + entries[:1]) == MinimalityReport(False, 2)
 
 
 def test_importing_the_library_does_not_load_multiprocessing():
