@@ -2,10 +2,13 @@
 
 Scalars are ``fractions.Fraction`` at every boundary; vectors are plain
 tuples of Fractions and matrices are immutable row-major grids.  Elimination
-scales each row to integers and runs fraction-free (Edmonds/Bareiss)
-Gauss-Jordan steps over one common denominator, converting back to Fraction
-only in ``kernel_basis`` and ``solve``.  The step is ``bareiss_pivot``, the
-one pivot step of the library: ``lp``'s simplex pivots through it too.
+(``eliminate``) runs fraction-free (Edmonds/Bareiss) Gauss-Jordan steps on
+integer rows over one common denominator; ``ExactMatrix`` first scales each
+row to integers and converts back to Fraction only in ``kernel_basis`` and
+``solve``, and ``lp``'s hull test calls it on its integer rows directly.
+The step is ``bareiss_pivot``, the one pivot step of the library: ``lp``'s
+simplex pivots through it too, and ``eliminate`` is the only other loop
+that does.
 Likewise ``separates`` is the one integer separation check, used by
 ``lp``'s Farkas self-check and by ``mani``'s kept vertex functionals.
 Elimination uses a fixed pivot rule (scan columns left to right, take the
@@ -53,10 +56,6 @@ def as_vector(xs: Iterable) -> tuple[Fraction, ...]:
 
 def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
 def vec_neg(u: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -147,6 +146,52 @@ def separates(y: Sequence[int], rows: Sequence[Sequence[int]], i: int) -> bool:
     return True
 
 
+def eliminate(rows: Sequence[list[int]], cols: int) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows.
+
+    Returns ``(rows, pivot_columns, den)``: the reduced row echelon form of
+    the first ``cols`` columns is ``rows / den``, and any further column is
+    carried along.  Positive row scales change neither the pivots nor the
+    reduced form.  ``bareiss_pivot`` replaces rows rather than changing
+    them, so the caller's row lists are left as they were.
+
+    Pivot rule: for each column left to right, use the first remaining
+    row with a nonzero entry.
+    """
+    rows = list(rows)
+    pivots: list[int] = []
+    den = 1
+    r = 0
+    for c in range(cols):
+        pivot_row = None
+        for i in range(r, len(rows)):
+            if rows[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        den = bareiss_pivot(rows, r, c, den)
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots, den
+
+
+def kernel_vector(rows, pivots: Sequence[int], den: int, f: int, cols: int) -> tuple[Fraction, ...]:
+    """The kernel vector of free column ``f`` from ``eliminate``'s result.
+
+    It has x_f = 1, every other free variable 0, and the pivot variables
+    back-substituted.
+    """
+    v = [QQ(0)] * cols
+    v[f] = QQ(1)
+    for r, pc in enumerate(pivots):
+        v[pc] = QQ(-rows[r][f], den)
+    return tuple(v)
+
+
 class ExactMatrix:
     """Immutable dense matrix over Fraction."""
 
@@ -216,7 +261,7 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols}: {body})"
 
     def _eliminate(self, rhs: Sequence[Fraction] | None = None):
-        """Fraction-free reduced row echelon form.
+        """Fraction-free reduced row echelon form, by ``eliminate``.
 
         Returns ``(rows, pivot_columns, den)`` with integer ``rows``; the
         reduced row echelon form is ``rows / den``.  The optional right-hand
@@ -224,30 +269,9 @@ class ExactMatrix:
         scaled, with its rhs entry, by the lcm of its denominators; that
         leaves the reduced rows and the pivot-row rhs unchanged, and on zero
         rows changes only the magnitude of the rhs, never whether it is zero.
-
-        Pivot rule: for each column left to right, use the first remaining
-        row with a nonzero entry.
         """
         entries = self.entries if rhs is None else [r + (bi,) for r, bi in zip(self.entries, rhs)]
-        rows = [integer_multiple(r) for r in entries]
-        pivots: list[int] = []
-        den = 1
-        r = 0
-        for c in range(self.cols):
-            pivot_row = None
-            for i in range(r, len(rows)):
-                if rows[i][c] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            den = bareiss_pivot(rows, r, c, den)
-            pivots.append(c)
-            r += 1
-            if r == len(rows):
-                break
-        return rows, pivots, den
+        return eliminate([integer_multiple(r) for r in entries], self.cols)
 
     def rank(self) -> int:
         _, pivots, _ = self._eliminate()
@@ -262,14 +286,10 @@ class ExactMatrix:
         """
         rows, pivots, den = self._eliminate()
         pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        columns = []
-        for f in free:
-            v = [QQ(0)] * self.cols
-            v[f] = QQ(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = QQ(-rows[r][f], den)
-            columns.append(v)
+        columns = [
+            kernel_vector(rows, pivots, den, f, self.cols)
+            for f in range(self.cols) if f not in pivot_set
+        ]
         return ExactMatrix.from_columns(columns, rows=self.cols)
 
     def solve(self, b: Sequence[Fraction]) -> tuple[Fraction, ...] | None:

@@ -7,11 +7,12 @@ every input and returns either a feasible point or a Farkas vector ``y``
 with ``y . columns[j] <= 0`` for all j and ``y . b > 0``.  The tableau is
 pivoted fraction-free: plain integers over one common denominator, each
 row ending in its rhs and the objective row in the phase-1 value, updated
-by ``linalg.bareiss_pivot``, the one pivot step that ``ExactMatrix``
-elimination also uses, so no gcd is taken inside the loop.  The result is
+by ``linalg.bareiss_pivot``, the one pivot step that ``linalg.eliminate``
+also uses, so no gcd is taken inside the loop.  The result is
 re-checked in integers before it leaves, the Farkas vector by
-``linalg.separates``.  Inputs and results are Fractions; the integers never
-leave the solver.
+``linalg.separates``.  Inputs are ints, Fractions or rational strings (ints
+are scaled as they are, floats are rejected); results are Fractions, and
+the integers never leave the solver.
 
 Everything else is a thin layer over that kernel:
 
@@ -20,19 +21,25 @@ Everything else is a thin layer over that kernel:
   Stiemke alternative fails exactly when some linear functional is
   nonnegative on the selection and positive somewhere on it;
 * ``positively_spans`` combines a rank check with the dependence test;
-* ``interior_point_test`` translates points and reuses the spanning test;
+* ``interior_point_test`` is the same test on the points translated by x,
+  run in integers end to end: one lcm scales the points and x, the rank is
+  tested by ``linalg.eliminate`` (the elimination of ``ExactMatrix``), and
+  the certificate is re-checked on the integer rows
+  (``verify_integer_certificate``);
 * ``separating_functional`` is the convex-combination membership test,
   returning the functional that separates a vertex from the other points;
   ``is_vertex_of_hull`` keeps only its verdict.
 
 Every certificate returned by this module has been re-verified by direct
-arithmetic (``verify_certificate``) before it leaves the producing function,
+arithmetic (``verify_certificate``, or ``verify_integer_certificate`` on
+integer rows) before it leaves the producing function,
 so downstream code may treat certificates as ground truth.  The checks are
 explicit and raise ``CertificateError``, so they also run under ``python -O``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -50,9 +57,12 @@ from .linalg import (
     bareiss_pivot,
     denominator_lcm,
     dot,
+    eliminate,
+    integer_multiple,
     is_zero_vector,
+    kernel_vector,
+    qq,
     separates,
-    vec_sub,
     vec_sum,
     zero_vector,
 )
@@ -82,6 +92,16 @@ class DependenceCertificate:
     direction: tuple[Fraction, ...] | None = None
 
 
+def _exact_vector(xs) -> tuple:
+    """The entries with ints kept as they are and the rest coerced by ``qq``.
+
+    An int carries ``numerator`` and ``denominator`` like a Fraction, so the
+    integer scaling of this module reads both alike; floats are still
+    rejected.
+    """
+    return tuple(a if isinstance(a, int) else qq(a) for a in xs)
+
+
 def solve_feasibility(
     columns: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
 ) -> tuple[tuple[Fraction, ...] | None, tuple[Fraction, ...] | None]:
@@ -100,9 +120,9 @@ def solve_feasibility(
     pivots are exactly those of the Fraction tableau, and the dual read from
     the artificial columns does not depend on the column scales.
     """
-    b = as_vector(b)
+    b = _exact_vector(b)
     m = len(b)
-    cols = [as_vector(c) for c in columns]
+    cols = [_exact_vector(c) for c in columns]
     n = len(cols)
     for c in cols:
         if len(c) != m:
@@ -256,9 +276,16 @@ def interior_point_test(
     Equivalent to the translated vectors {p - x} positively spanning the
     ambient space; a Stiemke witness is a separating (supporting) functional
     and a rank deficiency exposes an affine hyperplane through all points.
+
+    Runs in integers: the points and x are scaled by one lcm and translated,
+    the rank is tested by ``linalg.eliminate`` and the strict positive
+    dependence by one ``solve_feasibility`` call, and the certificate is
+    re-checked on the integer rows (``verify_integer_certificate``).  A
+    positive scale changes no answer, no pivot and no certificate, so the
+    result is that of ``positively_spans`` on the translated points.
     """
-    x = as_vector(x)
-    pts = [as_vector(p) for p in points]
+    x = _exact_vector(x)
+    pts = [_exact_vector(p) for p in points]
     if not pts:
         raise EmptySelectionError("no points given")
     d = len(x)
@@ -266,8 +293,28 @@ def interior_point_test(
         raise DimensionMismatchError("point and query dimensions differ")
     if d < 1:
         raise BadParametersError("ambient dimension must be at least 1")
-    translated = [vec_sub(p, x) for p in pts]
-    return positively_spans(translated, range(len(translated)))
+    scale = math.lcm(denominator_lcm(x), *(denominator_lcm(p) for p in pts))
+    shift = [a.numerator * (scale // a.denominator) for a in x]
+    rows = [[a.numerator * (scale // a.denominator) - c for a, c in zip(p, shift)] for p in pts]
+    reduced, pivots, den = eliminate(rows, d)
+    if len(pivots) < d:
+        free = next(c for c in range(d) if c not in pivots)
+        cert = DependenceCertificate(
+            KIND_RANK_DEFICIENCY, direction=kernel_vector(reduced, pivots, den, free, d)
+        )
+    else:
+        x_feasible, y = solve_feasibility(rows, [-sum(col) for col in zip(*rows)])
+        if x_feasible is not None:
+            cert = DependenceCertificate(
+                KIND_POSITIVE_DEPENDENCE, lam=tuple(QQ(1) + xi for xi in x_feasible)
+            )
+        else:
+            cert = DependenceCertificate(
+                KIND_STIEMKE_WITNESS, functional=tuple(-yi for yi in y)
+            )
+    if not verify_integer_certificate(rows, cert):
+        raise CertificateError(f"{cert.kind} certificate failed re-verification")
+    return cert.kind == KIND_POSITIVE_DEPENDENCE, cert
 
 
 def separating_functional(
@@ -327,4 +374,40 @@ def verify_certificate(
         if w is None or len(w) != m or is_zero_vector(w):
             return False
         return all(dot(w, v) == 0 for v in sel)
+    return False
+
+
+def verify_integer_certificate(rows: Sequence[Sequence[int]], cert: DependenceCertificate) -> bool:
+    """Re-check a certificate against integer rows; integer arithmetic only.
+
+    ``rows`` are the selected vectors, each set scaled to integers by one
+    positive factor, which changes no sign and no dependence.  The
+    certificate's Fractions are scaled to integers the same way.  A
+    ``PositiveDependence`` must have every weight >= 1.
+    """
+    if not rows:
+        return False
+    m = len(rows[0])
+    if cert.kind == KIND_POSITIVE_DEPENDENCE:
+        lam = cert.lam
+        if lam is None or len(lam) != len(rows):
+            return False
+        scale = denominator_lcm(lam)
+        weights = [a.numerator * (scale // a.denominator) for a in lam]
+        if any(w < scale for w in weights):
+            return False
+        return all(sum(w * a for w, a in zip(weights, col)) == 0 for col in zip(*rows))
+    if cert.kind == KIND_STIEMKE_WITNESS:
+        c = cert.functional
+        if c is None or len(c) != m:
+            return False
+        c = integer_multiple(c)
+        values = [sum(a * b for a, b in zip(c, row)) for row in rows]
+        return all(v >= 0 for v in values) and any(v > 0 for v in values)
+    if cert.kind == KIND_RANK_DEFICIENCY:
+        w = cert.direction
+        if w is None or len(w) != m:
+            return False
+        w = integer_multiple(w)
+        return any(w) and all(sum(a * b for a, b in zip(w, row)) == 0 for row in rows)
     return False

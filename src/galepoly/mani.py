@@ -83,7 +83,7 @@ from .lp import (
     interior_point_test,
     positively_spans,
     separating_functional,
-    verify_certificate,
+    verify_integer_certificate,
 )
 from .polytope import (
     IncidencePolytope,
@@ -271,7 +271,8 @@ def hull_flags(coords, vertices, diagonals, separators=None):
     nonpositive on every other row, checked in integers against each row
     times the lcm of its denominators, proves the point a vertex without an
     LP.  Otherwise the LP runs and its functional is kept in the map.
-    Without ``separators`` every vertex flag solves its LP.
+    Without ``separators`` every vertex flag solves its LP.  The diagonal
+    tests run on one integer scaling of the hull, computed once per call.
     """
     if separators is None:
         separators = {}
@@ -285,9 +286,12 @@ def hull_flags(coords, vertices, diagonals, separators=None):
         if y is not None:
             separators[i] = tuple(integer_multiple(y))
         yield y is not None
+    # the hull times twice one common lcm, so every midpoint is integral; a
+    # positive scale changes no interior certificate
+    hull = [[2 * a for a in row] for row in _common_scale(coords)] if diagonals else None
     for i, j in diagonals:
-        mid = vec_scale(QQ(1, 2), vec_add(coords[i], coords[j]))
-        ok, cert = interior_point_test(coords, mid)
+        mid = [(a + b) // 2 for a, b in zip(hull[i], hull[j])]
+        ok, cert = interior_point_test(hull, mid)
         yield cert if ok else None
 
 
@@ -828,11 +832,12 @@ def _removal_witnesses(dual, pairs, certificates):
     c_u = 2 * lam_u - (sum lam) * [u in {i, j}] is an affine dependence of
     the points, positive off {i, j}.  The columns of V* span those, so
     V* h = c is solvable and h is a Stiemke witness that V* minus
-    {v*_i, v*_j} does not positively span; each h is re-checked by
-    arithmetic.  Index i uses the first of ``pairs`` (label pairs, each with
-    its certificate or None in ``certificates``) that starts with its label
-    and has a certificate.  Returns one ``(label, (partner,), kind)`` per
-    index, or None when some index has no such pair.
+    {v*_i, v*_j} does not positively span; each h is re-checked in
+    integers, against V* scaled once by a common lcm.  Index i uses the
+    first of ``pairs`` (label pairs, each with its certificate or None in
+    ``certificates``) that starts with its label and has a certificate.
+    Returns one ``(label, (partner,), kind)`` per index, or None when some
+    index has no such pair.
     """
     proofs = {}
     for (a, b), cert in zip(pairs, certificates):
@@ -841,6 +846,7 @@ def _removal_witnesses(dual, pairs, certificates):
     if any(lab not in proofs for lab in dual.labels):
         return None
     matrix = ExactMatrix(dual.coords)
+    vstar = _common_scale(dual.coords)
     per_index = []
     for i, lab in enumerate(dual.labels):
         partner, cert = proofs[lab]
@@ -849,8 +855,8 @@ def _removal_witnesses(dual, pairs, certificates):
         total = sum(lam)
         h = matrix.solve([2 * w - (total if u in pair else 0) for u, w in enumerate(lam)])
         witness = DependenceCertificate(KIND_STIEMKE_WITNESS, functional=h)
-        rest = [u for u in range(len(dual)) if u not in pair]
-        if h is None or not verify_certificate(dual.coords, rest, witness):
+        rest = [row for u, row in enumerate(vstar) if u not in pair]
+        if not verify_integer_certificate(rest, witness):
             raise CertificateError(f"the midpoint certificate of {lab} and {partner} is no removal witness")
         per_index.append((lab, (partner,), KIND_STIEMKE_WITNESS))
     return tuple(per_index)

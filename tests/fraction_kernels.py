@@ -2,13 +2,23 @@
 
 These are the phase-1 simplex and the Gauss-Jordan elimination as they ran
 before the library moved to integer pivoting, kept verbatim in behaviour
-(Fraction tableau, Bland's rule, first-nonzero pivot rule) and used only to
-compare results exactly.  Nothing in ``src/`` imports this module.
+(Fraction tableau, Bland's rule, first-nonzero pivot rule), and the
+midpoint-interior hull test as it ran before it moved to integers
+(Fraction translation, rank test, target sum and re-check).  They are used
+only to compare results exactly.  Nothing in ``src/`` imports this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from galepoly.lp import (
+    KIND_POSITIVE_DEPENDENCE,
+    KIND_RANK_DEFICIENCY,
+    KIND_STIEMKE_WITNESS,
+    DependenceCertificate,
+    verify_certificate,
+)
 
 QQ = Fraction
 
@@ -138,3 +148,28 @@ def solve(entries, cols, b):
     for r, pc in enumerate(pivots):
         x[pc] = rb[r]
     return tuple(x)
+
+
+def interior_point_test(points, x):
+    """Whether x is interior to the hull of the points, with its certificate.
+
+    The points are translated by x in Fractions; a rank deficiency gives the
+    first kernel vector, else the strict positive dependence LP runs on the
+    target -(sum of the translated points), and the certificate is
+    re-checked by ``lp.verify_certificate``.
+    """
+    x = [QQ(v) for v in x]
+    translated = [tuple(QQ(a) - b for a, b in zip(p, x)) for p in points]
+    kernel = kernel_basis(translated, len(x))
+    if kernel:
+        cert = DependenceCertificate(KIND_RANK_DEFICIENCY, direction=kernel[0])
+    else:
+        target = tuple(-sum(col, start=QQ(0)) for col in zip(*translated))
+        lam, y = solve_feasibility(translated, target)
+        if lam is not None:
+            cert = DependenceCertificate(KIND_POSITIVE_DEPENDENCE, lam=tuple(1 + v for v in lam))
+        else:
+            cert = DependenceCertificate(KIND_STIEMKE_WITNESS, functional=tuple(-v for v in y))
+    if not verify_certificate(translated, None, cert):
+        raise AssertionError(f"{cert.kind} certificate failed re-verification")
+    return cert.kind == KIND_POSITIVE_DEPENDENCE, cert

@@ -19,6 +19,7 @@ import sys
 from fractions import Fraction
 
 import certify_reference as ref
+import fraction_kernels
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -73,6 +74,19 @@ def test_certificate_build_matches_the_reference(d, p, ell):
         base, minimality = ref.is_minimal_k_spanning(report.dual, 2)
         assert (report.spanning, report.minimal) == (base.spanning, minimality.minimal) == (True, True)
         assert [e[0] for e in report.per_index] == [e[0] for e in minimality.per_index]
+
+
+@pytest.mark.parametrize("d,p,ell", BUILDS)
+def test_midpoint_certificates_match_the_fraction_hull_test(d, p, ell):
+    # hull_flags scales the hull to integers once; each certificate must be
+    # the one the Fraction hull test gives on the points and the midpoint
+    c = _build(d, p, ell)
+    index = {lab: i for i, lab in enumerate(c.points.labels)}
+    for (a, b), cert in zip(c.diagonal_partner, c.diagonal_flags):
+        pa, pb = c.points.coords[index[a]], c.points.coords[index[b]]
+        mid = tuple((u + v) / 2 for u, v in zip(pa, pb))
+        ok, expected = fraction_kernels.interior_point_test(c.points.coords, mid)
+        assert cert == (expected if ok else None)
 
 
 # every certificate build at d = 6..12 with p = 3, 4, 5 and each valid ell

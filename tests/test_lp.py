@@ -119,6 +119,31 @@ def test_interior_point_validation():
         interior_point_test([(1, 2, 3)], (0, 0))
 
 
+def test_exact_entries_of_every_kind_give_the_same_answers():
+    # ints, Fractions and rational strings are one input contract; a float
+    # is no exact rational and is rejected
+    columns = [(1, "-1/2"), (QQ(-2, 3), 0), (0, 3)]
+    forms = {
+        "int or str": (columns, ("1/3", -1)),
+        "Fraction": ([tuple(QQ(a) for a in c) for c in columns], (QQ(1, 3), QQ(-1))),
+    }
+    results = {form: solve_feasibility(cols, b) for form, (cols, b) in forms.items()}
+    assert results["int or str"] == results["Fraction"]
+    with pytest.raises(TypeError):
+        solve_feasibility([(1, 0.5)], (1, 1))
+    with pytest.raises(TypeError):
+        solve_feasibility([(1, 0)], (1.0, 1))
+
+    square = [(1, 1), (-1, 1), (-1, -1), ("1", "-1")]
+    for x in [(0, 0), (1, 1), (2, 2), ("1/2", "1/3")]:
+        fractions = [tuple(QQ(a) for a in p) for p in square]
+        assert interior_point_test(square, x) == interior_point_test(fractions, tuple(map(QQ, x)))
+    with pytest.raises(TypeError):
+        interior_point_test(square, (0.0, 0))
+    with pytest.raises(TypeError):
+        interior_point_test([(1, 1), (0.5, 0)], (0, 0))
+
+
 def test_vertex_of_hull_pinned():
     square_plus_center = [(1, 1), (-1, 1), (-1, -1), (1, -1), (0, 0)]
     for i in range(4):
@@ -231,6 +256,50 @@ def test_failed_reverification_raises_certificate_error(monkeypatch):
         positively_spans([E1, (QQ(-1), QQ(0))], None)
 
 
+# Forge a kernel result inside interior_point_test: a wrong feasible point,
+# a wrong Farkas vector, a wrong kernel vector.  Its integer re-check of the
+# certificate must raise on each.
+HULL_FORGERIES = textwrap.dedent(
+    """
+    import sys
+    from galepoly import lp
+    from galepoly.errors import CertificateError
+
+    real_solve, real_kernel = lp.solve_feasibility, lp.kernel_vector
+
+    def wrong_x(columns, b):
+        x, y = real_solve(columns, b)
+        return (x[0] + 1,) + x[1:], y
+
+    def wrong_y(columns, b):
+        x, y = real_solve(columns, b)
+        return x, tuple(-a for a in y)
+
+    square = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
+    forgeries = [
+        ("solve_feasibility", wrong_x, square, ("1/2", 0)),
+        ("solve_feasibility", wrong_y, square, (2, 2)),
+        ("kernel_vector", lambda *args: (1, 0), [(0, 0), (1, 1), (2, 2)], (1, 1)),
+    ]
+    for name, forged, points, x in forgeries:
+        lp.interior_point_test(points, x)
+        setattr(lp, name, forged)
+        try:
+            lp.interior_point_test(points, x)
+        except CertificateError:
+            pass
+        else:
+            sys.exit(f"a forged {name} in interior_point_test went unnoticed")
+        finally:
+            lp.solve_feasibility, lp.kernel_vector = real_solve, real_kernel
+    """
+)
+
+
+def test_hull_test_rechecks_catch_forged_kernel_results():
+    exec(HULL_FORGERIES, {})
+
+
 def test_certificate_checks_survive_optimized_mode():
     code = "\n".join(
         [
@@ -250,6 +319,7 @@ def test_certificate_checks_survive_optimized_mode():
             "    except CertificateError:",
             "        continue",
             "    sys.exit('a forged verification went unnoticed')",
+            HULL_FORGERIES,
             "print(sys.flags.optimize)",
         ]
     )

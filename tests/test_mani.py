@@ -425,6 +425,16 @@ def test_construction_checks_survive_optimized_mode():
             c.diagonal_flags = (forged,) + honest[1:]
             expect_error(lambda: mani.dual_spanning_report(c))
         c.diagonal_flags = honest
+
+        # a forged solution h of V* h = c: negated, then zero
+        real = mani.ExactMatrix
+        for forge in (lambda h: tuple(-a for a in h), lambda h: (0,) * len(h)):
+            class Forged(real):
+                def solve(self, b, forge=forge):
+                    return forge(real.solve(self, b))
+            mani.ExactMatrix = Forged
+            expect_error(lambda: mani.dual_spanning_report(c))
+        mani.ExactMatrix = real
         if not mani.dual_spanning_report(c).minimal:
             sys.exit("the honest certificates prove no minimality")
 

@@ -76,6 +76,34 @@ def test_bareiss_division_lives_only_in_linalg():
     assert found == {}
 
 
+def _functions_naming(tree, name: str) -> list[str]:
+    """The innermost function around each reference to ``name``."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Name) and node.id == name or (
+            isinstance(node, ast.Attribute) and node.attr == name
+        ):
+            found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_bareiss_pivot_runs_in_the_simplex_and_the_one_elimination_loop():
+    # lp's simplex and linalg.eliminate are the only loops that pivot; the
+    # integer rank test of lp's hull test calls eliminate, not a loop of its own
+    found = {}
+    for name, tree in _trees():
+        for owner in _functions_naming(tree, "bareiss_pivot"):
+            found.setdefault(name, set()).add(owner)
+    assert found == {"lp.py": {"solve_feasibility"}, "linalg.py": {"eliminate"}}
+
+
 def _named(tree) -> set[str]:
     names = set()
     for node in ast.walk(tree):
