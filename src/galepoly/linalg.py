@@ -5,7 +5,9 @@ tuples of Fractions and matrices are immutable row-major grids.  Elimination
 (``eliminate``) runs fraction-free (Edmonds/Bareiss) Gauss-Jordan steps on
 integer rows over one common denominator; ``ExactMatrix`` first scales each
 row to integers and converts back to Fraction only in ``kernel_basis`` and
-``solve``, and ``lp``'s hull test calls it on its integer rows directly.
+``solve_columns`` (one elimination for many right-hand sides; ``solve`` is
+its one-column case), and ``lp``'s hull test calls it on its integer rows
+directly.
 The step is ``bareiss_pivot``, the one pivot step of the library: ``lp``'s
 simplex pivots through it too, and ``eliminate`` is the only other loop
 that does.
@@ -260,17 +262,20 @@ class ExactMatrix:
         body = "; ".join(" ".join(str(a) for a in r) for r in self.entries)
         return f"ExactMatrix({self.rows}x{self.cols}: {body})"
 
-    def _eliminate(self, rhs: Sequence[Fraction] | None = None):
+    def _eliminate(self, rhs: Sequence[Sequence[Fraction]] = ()):
         """Fraction-free reduced row echelon form, by ``eliminate``.
 
         Returns ``(rows, pivot_columns, den)`` with integer ``rows``; the
-        reduced row echelon form is ``rows / den``.  The optional right-hand
-        side is carried as each row's last column.  Each row is first
-        scaled, with its rhs entry, by the lcm of its denominators; that
-        leaves the reduced rows and the pivot-row rhs unchanged, and on zero
-        rows changes only the magnitude of the rhs, never whether it is zero.
+        reduced row echelon form is ``rows / den``.  The right-hand sides
+        ``rhs``, one column each, are carried as each row's last columns.
+        Each row is first scaled, with its rhs entries, by the lcm of its
+        denominators; that leaves the reduced rows and the pivot-row rhs of
+        every consistent column unchanged, and on zero rows changes only the
+        magnitude of an rhs entry, never whether it is zero.
         """
-        entries = self.entries if rhs is None else [r + (bi,) for r, bi in zip(self.entries, rhs)]
+        entries = self.entries
+        if rhs:
+            entries = [r + tuple(b[i] for b in rhs) for i, r in enumerate(entries)]
         return eliminate([integer_multiple(r) for r in entries], self.cols)
 
     def rank(self) -> int:
@@ -292,20 +297,31 @@ class ExactMatrix:
         ]
         return ExactMatrix.from_columns(columns, rows=self.cols)
 
-    def solve(self, b: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
-        """One exact solution of Ax = b, or None if inconsistent.
+    def solve_columns(self, rhs: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...] | None, ...]:
+        """One exact solution of Ax = b for each column b of ``rhs``, or None
+        where that b is inconsistent.
 
-        Free variables are set to zero, so the answer is deterministic.
+        A single elimination carries every b as an extra column, and each
+        answer is the one the system with b alone gives.  Free variables are
+        set to zero, so the answers are deterministic.
         """
-        b = as_vector(b)
-        if len(b) != self.rows:
+        rhs = [as_vector(b) for b in rhs]
+        if any(len(b) != self.rows for b in rhs):
             raise DimensionMismatchError("rhs length mismatch")
-        rows, pivots, den = self._eliminate(b)
-        # the rows below the pivot rows are zero but for their rhs
-        for i in range(len(pivots), len(rows)):
-            if rows[i][-1] != 0:
-                return None
-        x = [QQ(0)] * self.cols
-        for r, pc in enumerate(pivots):
-            x[pc] = QQ(rows[r][-1], den)
-        return tuple(x)
+        rows, pivots, den = self._eliminate(rhs)
+        out = []
+        for k in range(self.cols, self.cols + len(rhs)):
+            # the rows below the pivot rows are zero but for their rhs
+            if any(rows[i][k] for i in range(len(pivots), len(rows))):
+                out.append(None)
+                continue
+            x = [QQ(0)] * self.cols
+            for r, pc in enumerate(pivots):
+                x[pc] = QQ(rows[r][k], den)
+            out.append(tuple(x))
+        return tuple(out)
+
+    def solve(self, b: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
+        """One exact solution of Ax = b, or None if inconsistent: the
+        one-column case of ``solve_columns``."""
+        return self.solve_columns([b])[0]

@@ -24,8 +24,9 @@ property (vertexhood, inner diagonals, a fat facet) by exact LPs and
 hyperplane checks, which keeps d = 36 tractable.  Each designated facet is
 proved once, by its supporting hyperplane on the realized base
 (``designated_planes``).  A vertex's separating functional is kept and
-re-checked by arithmetic at later trials, and each final midpoint LP keeps
-its interior certificate (``midpoint_flags``).
+re-checked by arithmetic at later trials, and each apex's accepted trial
+keeps the interior certificates of its diagonals, which prove every
+partner pair with no final midpoint LP.
 
 ``spanning_bound_counterexample`` chains the d = 36 certificate build with
 dualization: the Gale dual of the resulting 49-vertex polytope is certified
@@ -34,7 +35,8 @@ classical 2km bound on the size of minimal positively k-spanning
 configurations.  Both halves of that proof are read off the build's
 certificates by Gale duality, with no LP: the base scan off the separating
 functionals of the vertices, and the witness that no vector can be removed
-off the interior certificate of each vertex's inner diagonal.
+off the interior certificate of each vertex's inner diagonal, all indices
+solved in one elimination of the dual.
 
 Verify re-runs the certificate-mode steps a report does not embed through
 the functions build calls (``designated_planes``, ``vertex_proofs``,
@@ -49,6 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import takewhile
 
 from .errors import (
     BadParametersError,
@@ -263,7 +266,9 @@ def hull_flags(coords, vertices, diagonals, separators=None):
     then, for each index pair in ``diagonals``, the interior certificate of
     the pair's midpoint (so the segment is an inner diagonal), or None when
     the midpoint is not interior.  ``all()`` over the flags stops at the
-    first failing LP.
+    first failing LP.  Stacking trials (``geometric_stack_point``) keep the
+    diagonal certificates of the trial they accept; verify's final midpoint
+    LPs come through here too (``midpoint_flags``).
 
     ``separators`` maps point indices to kept separating functionals, as
     integer multiples of ``separating_functional`` vectors.  A kept
@@ -314,7 +319,8 @@ def midpoint_flags(points: PointConfiguration, pairs) -> tuple[DependenceCertifi
     A certificate is the ``PositiveDependence`` of the points translated by
     the midpoint: weights lam >= 1 with sum_u lam_u * p_u = (sum lam) * mid.
     None means the midpoint is not interior.  Each pair solves its LP, in
-    order.
+    order.  Verify calls this on a report's final points; the build solves
+    no final midpoint LP, as its stacking trials already proved each pair.
     """
     index = {lab: i for i, lab in enumerate(points.labels)}
     return tuple(hull_flags(points.coords, (), [(index[a], index[b]) for a, b in pairs]))
@@ -328,7 +334,7 @@ def geometric_stack_point(
     new_label: str | None = None,
     max_halvings: int = 60,
     separators=None,
-) -> tuple[PointConfiguration, StackCertificate]:
+) -> tuple[PointConfiguration, StackCertificate, dict[str, DependenceCertificate]]:
     """Place an apex just beyond a simplex facet and certify the placement.
 
     The apex starts at barycenter + normal and halves its height until
@@ -339,6 +345,14 @@ def geometric_stack_point(
     beyond the facet's own hyperplane holds for every positive height.
     ``separators`` keeps the points' separating functionals across trials
     and calls (``hull_flags``); the apex is appended, so indices stay valid.
+
+    Returns the stacked points, the placement's certificate, and the
+    interior certificate of the accepted trial for each diagonal, keyed by
+    the label of its point off the facet: a ``PositiveDependence`` on the
+    stacked points.  The flag that failed at one trial is tested first at
+    the next, in its own order (vertices, then diagonals).  The accepted
+    trial is the first at which every flag holds, whatever the order, so
+    the order changes only which LPs the failed trials solve.
     """
     facet = tuple(facet_labels)
     if hyperplane is None:
@@ -360,6 +374,8 @@ def geometric_stack_point(
         raise BadParametersError(f"label {new_label!r} already in use")
 
     eps = QQ(1)
+    # the flag that failed last goes first in its order at the next trial
+    vertex_order, diagonal_order = list(range(len(points))), list(off_facet)
     for trial in range(1, max_halvings + 1):
         apex = vec_add(center, vec_scale(eps, normal))
         if dot(normal, apex) <= offset:
@@ -367,8 +383,10 @@ def geometric_stack_point(
         if all(dot(a, apex) < b for a, b in guard_planes):
             coords = points.coords + (apex,)
             n = len(coords)
-            diagonals = [(n - 1, i) for i in off_facet]
-            if all(hull_flags(coords, range(n - 1), diagonals, separators)):
+            diagonals = [(n - 1, i) for i in diagonal_order]
+            held = list(takewhile(bool, hull_flags(coords, vertex_order, diagonals, separators)))
+            nv = len(vertex_order)
+            if len(held) == nv + len(diagonals):
                 stacked = PointConfiguration(
                     d=points.d,
                     labels=points.labels + (new_label,),
@@ -383,7 +401,9 @@ def geometric_stack_point(
                     epsilon=eps,
                     trials=trial,
                 )
-                return stacked, cert
+                return stacked, cert, {points.labels[i]: c for i, c in zip(diagonal_order, held[nv:])}
+            order, k = (vertex_order, len(held)) if len(held) < nv else (diagonal_order, len(held) - nv)
+            order.insert(0, order.pop(k))
         eps = eps / 2
     raise NoEpsilonFoundError(
         f"no valid apex height within {max_halvings} halvings for facet {sorted(facet)}"
@@ -447,9 +467,14 @@ class ManiConstruction:
     computed: the supporting hyperplanes ``designated_planes`` (one per
     designated facet of the base) and ``fat_facet_plane``, the LP flags
     ``vertex_flags`` per point, ``diagonal_flags``, the interior certificate
-    (or None) of each ``diagonal_partner`` pair (``midpoint_flags``), and
-    ``separators``, the integer separating functional of each point whose
-    vertex flag holds (``vertex_proofs``).
+    (or None) of each ``diagonal_partner`` pair, and ``separators``, the
+    integer separating functional of each point whose vertex flag holds
+    (``vertex_proofs``).  A build's diagonal certificate is the one the
+    pair's apex kept from its accepted stacking trial: a
+    ``PositiveDependence`` on the prefix of ``points`` up to that apex.
+    That prefix is full-dimensional, so its interior lies in the interior of
+    the final hull.  Verify's are solved on all of ``points``
+    (``midpoint_flags``).
     """
 
     plan: BlockDiagramPlan
@@ -576,13 +601,15 @@ def _construct_certificate(plan: BlockDiagramPlan) -> ManiConstruction:
     result.designated_planes = planes
     result.checks["designatedAreFacets"] = True
 
-    # one separating functional per point index, kept across all trials
+    # one separating functional per point index, kept across all trials, and
+    # the accepted trials' midpoint certificates by apex-and-point label pair
     separators: dict[int, tuple[int, ...]] = {}
+    interior: dict[frozenset[str], DependenceCertificate] = {}
     current = result.base_points
     stacks = []
     for i, (facet, apex) in enumerate(zip(_designated_facets(plan), _apex_labels(plan.q))):
         guards = [planes[j] for j in range(len(planes)) if j != i]
-        current, cert = geometric_stack_point(
+        current, cert, certs = geometric_stack_point(
             current,
             facet,
             hyperplane=planes[i],
@@ -591,12 +618,15 @@ def _construct_certificate(plan: BlockDiagramPlan) -> ManiConstruction:
             separators=separators,
         )
         stacks.append(cert)
+        interior.update((frozenset((apex, lab)), c) for lab, c in certs.items())
     result.points = current
     result.stacks = tuple(stacks)
     result.checks["f0MatchesFormula"] = len(current) == plan.d + plan.p + plan.q + 1
 
     # one certified inner diagonal per vertex: each original label lies in
-    # some designated complement and pairs with that facet's apex
+    # some designated complement and pairs with that facet's apex, and each
+    # apex with the first label of its complement; both lie off the apex's
+    # facet, so the apex's accepted trial proved the pair's midpoint interior
     partner: dict[str, str] = {}
     for (name, comp), apex in zip(plan.designated, _apex_labels(plan.q)):
         for lab in comp:
@@ -604,7 +634,7 @@ def _construct_certificate(plan: BlockDiagramPlan) -> ManiConstruction:
         partner.setdefault(apex, comp[0])
     pairs = [(lab, partner[lab]) for lab in current.labels]
     result.vertex_flags, result.separators = vertex_proofs(current, separators)
-    result.diagonal_flags = midpoint_flags(current, pairs)
+    result.diagonal_flags = tuple(interior.get(frozenset(pair)) for pair in pairs)
     result.checks["allPointsVertices"] = all(result.vertex_flags)
     result.checks["illuminated"] = all(result.diagonal_flags)
     result.checks["unneighborly"] = all(result.diagonal_flags)
@@ -828,12 +858,17 @@ def _removal_witnesses(dual, pairs, certificates):
     """Why no v*_i can leave the Gale dual V*, read off midpoint certificates.
 
     The interior certificate of the midpoint of p_i and p_j has weights
-    lam >= 1 with sum_u lam_u * p_u = (sum lam) * (p_i + p_j) / 2, so
-    c_u = 2 * lam_u - (sum lam) * [u in {i, j}] is an affine dependence of
-    the points, positive off {i, j}.  The columns of V* span those, so
-    V* h = c is solvable and h is a Stiemke witness that V* minus
-    {v*_i, v*_j} does not positively span; each h is re-checked in
-    integers, against V* scaled once by a common lcm.  Index i uses the
+    lam >= 1 with sum_u lam_u * p_u = (sum lam) * (p_i + p_j) / 2 over the
+    first len(lam) points: the stacked points of the apex's accepted trial
+    in a build, every point in verify.  So c_u = 2 * lam_u - (sum lam) *
+    [u in {i, j}], with c_u = 0 for the apexes after those points, is an
+    affine dependence of the points, nonnegative off {i, j} and positive on
+    the first points.  The columns of V* span those, so V* h = c is
+    solvable and h is a Stiemke witness that V* minus {v*_i, v*_j} does not
+    positively span.  One elimination of V* solves for every index
+    (``ExactMatrix.solve_columns``), and each h is re-checked in integers
+    against V* scaled once by a common lcm.  A c outside the span has no h
+    (None), which fails the re-check like a wrong h.  Index i uses the
     first of ``pairs`` (label pairs, each with its certificate or None in
     ``certificates``) that starts with its label and has a certificate.
     Returns one ``(label, (partner,), kind)`` per index, or None when some
@@ -845,15 +880,20 @@ def _removal_witnesses(dual, pairs, certificates):
             proofs.setdefault(a, (b, cert))
     if any(lab not in proofs for lab in dual.labels):
         return None
-    matrix = ExactMatrix(dual.coords)
-    vstar = _common_scale(dual.coords)
-    per_index = []
+    removed, rhs = [], []
     for i, lab in enumerate(dual.labels):
         partner, cert = proofs[lab]
         pair = {i, dual.index_of(partner)}
+        # a build's certificate weighs the points up to its apex; the later
+        # apexes weigh 0
         lam = _common_scale([cert.lam])[0]
+        lam += [0] * (len(dual) - len(lam))
         total = sum(lam)
-        h = matrix.solve([2 * w - (total if u in pair else 0) for u, w in enumerate(lam)])
+        removed.append((lab, partner, pair))
+        rhs.append([2 * w - (total if u in pair else 0) for u, w in enumerate(lam)])
+    vstar = _common_scale(dual.coords)
+    per_index = []
+    for (lab, partner, pair), h in zip(removed, ExactMatrix(dual.coords).solve_columns(rhs)):
         witness = DependenceCertificate(KIND_STIEMKE_WITNESS, functional=h)
         rest = [row for u, row in enumerate(vstar) if u not in pair]
         if not verify_integer_certificate(rest, witness):

@@ -3,15 +3,16 @@
 These are the minimality scan and the geometric stacking as they ran
 before either reused an answer: the scan runs every removal's k-spanning
 scan on its own, and the stacking solves a vertex LP for every point and a
-midpoint LP for every diagonal at every trial, then solves every final
-flag again.  They are used only to compare results exactly.  Nothing in
-``src/`` imports this module.
+midpoint LP for every diagonal at every trial, in point order, then solves
+every final flag again.  The removal functionals of a certificate dual are
+solved one ``ExactMatrix.solve`` per index.  They are used only to compare
+results exactly.  Nothing in ``src/`` imports this module.
 """
 
 from __future__ import annotations
 
 from galepoly.gale import PointConfiguration, barycenter
-from galepoly.linalg import QQ, dot, vec_add, vec_scale
+from galepoly.linalg import QQ, ExactMatrix, dot, integer_multiple, vec_add, vec_scale
 from galepoly.lp import interior_point_test, is_vertex_of_hull
 from galepoly.mani import StackCertificate, _apex_labels, _designated_facets
 from galepoly.spanning import MinimalityReport, is_positively_k_spanning
@@ -85,3 +86,26 @@ def construct_certificate(construction):
     diagonals = [(index[a], index[b]) for a, b in construction.diagonal_partner]
     flags = list(hull_flags(current.coords, range(n), diagonals))
     return current, tuple(stacks), tuple(flags[:n]), tuple(flags[n:])
+
+
+def removal_functionals(dual, pairs, certificates):
+    """The h with V* h = c of each index of the dual, by its own solve.
+
+    For index i, c is read off the first certificate of a pair starting
+    with its label, as ``mani._removal_witnesses`` reads it: the weights lam
+    scaled to integers, c_u = 2 * lam_u - (sum lam) * [u in {i, partner}],
+    and c_u = 0 past the points the certificate weighs.
+    """
+    proofs = {}
+    for (a, b), cert in zip(pairs, certificates):
+        if cert is not None:
+            proofs.setdefault(a, (b, cert))
+    matrix = ExactMatrix(dual.coords)
+    out = []
+    for i, lab in enumerate(dual.labels):
+        partner, cert = proofs[lab]
+        pair = (i, dual.index_of(partner))
+        lam = integer_multiple(cert.lam)
+        c = [2 * w - (sum(lam) if u in pair else 0) for u, w in enumerate(lam)]
+        out.append(matrix.solve(c + [0] * (len(dual) - len(c))))
+    return out

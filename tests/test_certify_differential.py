@@ -24,9 +24,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from galepoly import lp, mani
+from galepoly import linalg, lp, mani
 from galepoly.gale import PointConfiguration, gale_dual
 from galepoly.jsonio import (
+    _ReportObjects,
     build_report,
     digest,
     dumps,
@@ -76,17 +77,46 @@ def test_certificate_build_matches_the_reference(d, p, ell):
         assert [e[0] for e in report.per_index] == [e[0] for e in minimality.per_index]
 
 
+def _fraction_midpoint_certificates(coords, labels, pairs, prefix):
+    """The Fraction hull test's certificate (or None) of each pair's
+    midpoint, on the first ``prefix(i, j)`` of ``coords``."""
+    index = {lab: i for i, lab in enumerate(labels)}
+    out = []
+    for a, b in pairs:
+        i, j = index[a], index[b]
+        mid = tuple((u + v) / 2 for u, v in zip(coords[i], coords[j]))
+        ok, cert = fraction_kernels.interior_point_test(coords[: prefix(i, j)], mid)
+        out.append(cert if ok else None)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("d,p,ell", BUILDS)
+def test_kept_trial_certificates_match_the_fraction_hull_test(d, p, ell):
+    # the build keeps each pair's certificate from the accepted trial of its
+    # apex, the later point of the pair: a certificate on the points up to
+    # that apex, the one the Fraction hull test gives there
+    c = _build(d, p, ell)
+    expected = _fraction_midpoint_certificates(
+        c.points.coords, c.points.labels, c.diagonal_partner, lambda i, j: max(i, j) + 1
+    )
+    assert c.diagonal_flags == expected
+    assert all(cert is not None for cert in expected)
+    assert any(len(cert.lam) < len(c.points) for cert in expected)
+
+
 @pytest.mark.parametrize("d,p,ell", BUILDS)
 def test_midpoint_certificates_match_the_fraction_hull_test(d, p, ell):
-    # hull_flags scales the hull to integers once; each certificate must be
-    # the one the Fraction hull test gives on the points and the midpoint
-    c = _build(d, p, ell)
-    index = {lab: i for i, lab in enumerate(c.points.labels)}
-    for (a, b), cert in zip(c.diagonal_partner, c.diagonal_flags):
-        pa, pb = c.points.coords[index[a]], c.points.coords[index[b]]
-        mid = tuple((u + v) / 2 for u, v in zip(pa, pb))
-        ok, expected = fraction_kernels.interior_point_test(c.points.coords, mid)
-        assert cert == (expected if ok else None)
+    # verify solves its own midpoint LPs on the report's final points;
+    # hull_flags scales the hull to integers once, and each certificate
+    # must be the one the Fraction hull test gives on the points
+    c, doc = _certificate_report(d, p, ell)
+    objects = _ReportObjects(doc)
+    points = objects["points"]
+    expected = _fraction_midpoint_certificates(
+        points.coords, points.labels, objects["diagonal_partner"], lambda i, j: len(points)
+    )
+    assert objects["diagonal_flags"] == expected
+    assert all(cert is not None and len(cert.lam) == len(c.points) for cert in expected)
 
 
 # every certificate build at d = 6..12 with p = 3, 4, 5 and each valid ell
@@ -96,6 +126,27 @@ ALL_BUILDS = [
     for p in (3, 4, 5)
     for ell in range(1, -(-d // p))
 ]
+
+
+@pytest.mark.parametrize("d,p,ell", ALL_BUILDS)
+def test_one_elimination_gives_each_removal_functional(monkeypatch, d, p, ell):
+    # _removal_witnesses solves V* h = c for every index in one elimination;
+    # each h must be the one a solve of its own c gives
+    c = _build(d, p, ell)
+    solved = []
+    real = linalg.ExactMatrix.solve_columns
+
+    def recording(self, rhs):
+        solved.append(real(self, rhs))
+        return solved[-1]
+
+    monkeypatch.setattr(linalg.ExactMatrix, "solve_columns", recording)
+    report = dual_spanning_report(c)
+    monkeypatch.undo()
+    assert report.minimal and len(solved) == 1
+    expected = ref.removal_functionals(report.dual, c.diagonal_partner, c.diagonal_flags)
+    assert list(solved[0]) == expected
+    assert None not in expected
 
 
 @pytest.mark.parametrize("d,p,ell", ALL_BUILDS)
@@ -202,19 +253,45 @@ def test_lp_counts_of_a_d12_certificate_build_and_dual_scan(monkeypatch):
     # base scan now reads the vertex functionals and the removal witnesses
     # the 20 midpoint certificates, so the dual solves none; the q + 1 = 5
     # designated coface LPs went too, as the designated planes prove those
-    # facets on the points.  Verify solves its 20 vertex and 20 midpoint LPs.
+    # facets on the points.  The build keeps its accepted trials' midpoint
+    # certificates instead of solving 20 final midpoint LPs, and each trial
+    # tests the flag that failed at the one before first.  Verify solves its
+    # 20 vertex and 20 midpoint LPs.
     count = _count_lps(monkeypatch)
     c = construct_nonsimplicial_mani(12, 1, mode="certificate")
-    assert count[0] == 134
+    assert count[0] == 114
     report = dual_spanning_report(c, k=2)
     assert report.spanning and report.minimal
-    assert count[0] == 134 + 0
+    assert count[0] == 114 + 0
     doc = json.loads(dumps(build_report(c, report)))
     count[0] = 0
     payload = rederive_report_payload(doc, "minimal2spanningDual")
     assert payload["verdict"]
     assert digest(payload) == doc["certificateDigests"]["minimal2spanningDual"]
     assert count[0] == 40
+
+
+def test_the_build_solves_no_midpoint_lp_after_its_last_stack(monkeypatch):
+    # every diagonal flag comes from an accepted stacking trial
+    events = []
+    stack, interior = mani.geometric_stack_point, mani.interior_point_test
+
+    def stacking(*args, **kwargs):
+        result = stack(*args, **kwargs)
+        events.append("stack")
+        return result
+
+    def testing(*args, **kwargs):
+        events.append("interior")
+        return interior(*args, **kwargs)
+
+    monkeypatch.setattr(mani, "geometric_stack_point", stacking)
+    monkeypatch.setattr(mani, "interior_point_test", testing)
+    c = construct_nonsimplicial_mani(12, 1, mode="certificate")
+    assert c.all_checks_pass()
+    last = len(events) - events[::-1].index("stack")
+    assert events.count("stack") == c.plan.q + 1
+    assert "interior" in events[:last] and "interior" not in events[last:]
 
 
 @pytest.mark.parametrize("d,p", [(d, p) for d in range(6, 10) for p in (3, 4, 5)])

@@ -67,6 +67,11 @@ def _check_matrix(entries, cols, b):
     kernel = mat.kernel_basis()
     assert [kernel.column(j) for j in range(kernel.cols)] == ref.kernel_basis(entries, cols)
     assert mat.solve(b) == ref.solve(entries, cols, b)
+    # one elimination for several right-hand sides, each as if alone: b, a
+    # consistent column (the sum of the columns), and b plus that column
+    rowsum = [sum(row, QQ(0)) for row in entries]
+    rhs = [b, rowsum, [x + y for x, y in zip(b, rowsum)]]
+    assert mat.solve_columns(rhs) == tuple(ref.solve(entries, cols, v) for v in rhs)
 
 
 def test_solve_feasibility_matches_reference_on_random_lps():

@@ -161,6 +161,18 @@ def test_solve_consistent_and_inconsistent():
     assert x is not None and singular.matvec(x) == (QQ(3), QQ(3))
 
 
+def test_solve_columns_gives_each_columns_own_solution():
+    # one elimination for every rhs; consistency is decided column by column
+    singular = ExactMatrix([[1, 1], [1, 1], [2, "1/3"]])
+    rhs = [(1, 2, 0), (3, 3, 6), (0, 0, 0), ("1/2", "1/2", "5/3")]
+    got = singular.solve_columns(rhs)
+    assert got == tuple(singular.solve(b) for b in rhs)
+    assert got[0] is None and None not in got[1:]
+    assert singular.solve_columns([]) == ()
+    with pytest.raises(DimensionMismatchError):
+        singular.solve_columns([(1, 2, 3), (1, 2)])
+
+
 def test_solve_random_round_trip():
     rng = random.Random(7)
     for _ in range(50):

@@ -191,7 +191,7 @@ def test_geometric_stack_on_octahedron_pinned():
             ("-3", (0, 0, -1)),
         ],
     )
-    stacked, cert = geometric_stack_point(pts, ("+1", "+2", "+3"))
+    stacked, cert, interior = geometric_stack_point(pts, ("+1", "+2", "+3"))
     assert cert.apex_label == "z0"
     assert cert.normal == (QQ(1), QQ(1), QQ(1)) and cert.offset == QQ(1)
     assert cert.epsilon == QQ(1, 2)
@@ -199,6 +199,9 @@ def test_geometric_stack_on_octahedron_pinned():
     assert cert.apex == (QQ(5, 6), QQ(5, 6), QQ(5, 6))
     assert stacked.labels[-1] == "z0"
     assert dot(cert.normal, cert.apex) > cert.offset
+    # one interior certificate per point off the facet, on the stacked points
+    assert sorted(interior) == ["-1", "-2", "-3"]
+    assert all(len(c.lam) == len(stacked) and min(c.lam) >= 1 for c in interior.values())
 
 
 def test_geometric_stack_on_flat_quadrilateral_pinned():
@@ -206,7 +209,7 @@ def test_geometric_stack_on_flat_quadrilateral_pinned():
         2,
         [("A", (0, 0)), ("B", (1, 0)), ("C", (2, "1/4")), ("D", (0, 1))],
     )
-    stacked, cert = geometric_stack_point(pts, ("A", "B"))
+    stacked, cert, _ = geometric_stack_point(pts, ("A", "B"))
     assert cert.normal == (QQ(0), QQ(-1)) and cert.offset == QQ(0)
     assert cert.epsilon == QQ(1, 16)
     assert cert.trials == 5
@@ -416,22 +419,54 @@ def test_construction_checks_survive_optimized_mode():
         expect_error(lambda: mani.mani_simplicial(3))
         mani.cyclic_polytope = real
 
-        # a forged midpoint certificate: weights that are no dependence of
-        # the points, then the true weights negated
+        # a forged midpoint certificate kept from a stacking trial, on fewer
+        # points than the final ones: weights that are no dependence of the
+        # points, then the true weights negated; then the same forgeries
+        # made by the trials' own hull test
         c = mani.construct_nonsimplicial_mani(6, 1, mode="certificate")
         honest = c.diagonal_flags
-        for forge in (lambda lam: (1,) * len(lam), lambda lam: tuple(-w for w in lam)):
+        if len(honest[0].lam) >= len(c.points):
+            sys.exit("the first diagonal is not proved on a trial's prefix hull")
+        forges = (lambda lam: (1,) * len(lam), lambda lam: tuple(-w for w in lam))
+        for forge in forges:
             forged = lp.DependenceCertificate("PositiveDependence", lam=forge(honest[0].lam))
             c.diagonal_flags = (forged,) + honest[1:]
             expect_error(lambda: mani.dual_spanning_report(c))
         c.diagonal_flags = honest
+        real = mani.interior_point_test
+        for forge in forges:
+            def forged_test(hull, x, forge=forge):
+                ok, cert = real(hull, x)
+                if ok:
+                    cert = lp.DependenceCertificate("PositiveDependence", lam=forge(cert.lam))
+                return ok, cert
+            mani.interior_point_test = forged_test
+            built = mani.construct_nonsimplicial_mani(6, 1, mode="certificate")
+            expect_error(lambda: mani.dual_spanning_report(built))
+        mani.interior_point_test = real
 
-        # a forged solution h of V* h = c: negated, then zero
+        # weights that are no dependence give a c outside the column space of
+        # V*: the one elimination finds no h for it, and that raises too
         real = mani.ExactMatrix
-        for forge in (lambda h: tuple(-a for a in h), lambda h: (0,) * len(h)):
+        solved = []
+        class Recording(real):
+            def solve_columns(self, rhs):
+                solved.append(real.solve_columns(self, rhs))
+                return solved[-1]
+        mani.ExactMatrix = Recording
+        forged = lp.DependenceCertificate("PositiveDependence", lam=forges[0](honest[0].lam))
+        c.diagonal_flags = (forged,) + honest[1:]
+        expect_error(lambda: mani.dual_spanning_report(c))
+        c.diagonal_flags = honest
+        if [h is None for h in solved[0]] != [True] + [False] * (len(solved[0]) - 1):
+            sys.exit("the forged c was solved")
+
+        # forged solutions h of V* h = c from the one elimination: negated,
+        # zero, then none
+        for forge in (lambda h: tuple(-a for a in h), lambda h: (0,) * len(h), lambda h: None):
             class Forged(real):
-                def solve(self, b, forge=forge):
-                    return forge(real.solve(self, b))
+                def solve_columns(self, rhs, forge=forge):
+                    return tuple(forge(h) for h in real.solve_columns(self, rhs))
             mani.ExactMatrix = Forged
             expect_error(lambda: mani.dual_spanning_report(c))
         mani.ExactMatrix = real
