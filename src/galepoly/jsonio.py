@@ -476,7 +476,9 @@ def payload_illuminated_points(
 
     ``pairs`` are label pairs of ``points``; ``flags`` holds per pair the
     interior certificate of its midpoint, or None (``mani.midpoint_flags``),
-    and is not read when some vertex has no pair.
+    and is not read when some vertex has no pair.  A certificate is an
+    affine dependence of the points, positive off the pair, from an LP on
+    their Gale dual; the payload records only the pairs and verdicts.
     """
     missing = _unpaired(points, pairs)
     failing = [] if missing else [list(p) for p, ok in zip(pairs, flags) if not ok]

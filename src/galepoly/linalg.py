@@ -6,8 +6,7 @@ tuples of Fractions and matrices are immutable row-major grids.  Elimination
 integer rows over one common denominator; ``ExactMatrix`` first scales each
 row to integers and converts back to Fraction only in ``kernel_basis`` and
 ``solve_columns`` (one elimination for many right-hand sides; ``solve`` is
-its one-column case), and ``lp``'s hull test calls it on its integer rows
-directly.
+its one-column case).
 The step is ``bareiss_pivot``, the one pivot step of the library: ``lp``'s
 simplex pivots through it too, and ``eliminate`` is the only other loop
 that does.

@@ -21,25 +21,21 @@ Everything else is a thin layer over that kernel:
   Stiemke alternative fails exactly when some linear functional is
   nonnegative on the selection and positive somewhere on it;
 * ``positively_spans`` combines a rank check with the dependence test;
-* ``interior_point_test`` is the same test on the points translated by x,
-  run in integers end to end: one lcm scales the points and x, the rank is
-  tested by ``linalg.eliminate`` (the elimination of ``ExactMatrix``), and
-  the certificate is re-checked on the integer rows
-  (``verify_integer_certificate``);
 * ``separating_functional`` is the convex-combination membership test,
   returning the functional that separates a vertex from the other points;
   ``is_vertex_of_hull`` keeps only its verdict.
 
 Every certificate returned by this module has been re-verified by direct
-arithmetic (``verify_certificate``, or ``verify_integer_certificate`` on
-integer rows) before it leaves the producing function,
-so downstream code may treat certificates as ground truth.  The checks are
-explicit and raise ``CertificateError``, so they also run under ``python -O``.
+arithmetic (``verify_certificate``, or ``linalg.separates`` for a Farkas
+vector) before it leaves the producing function, so downstream code may
+treat certificates as ground truth.  ``verify_integer_certificate`` re-checks
+one against integer rows, as ``mani`` does for the dual's removal witnesses.
+The checks are explicit and raise ``CertificateError``, so they also run
+under ``python -O``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -57,10 +53,8 @@ from .linalg import (
     bareiss_pivot,
     denominator_lcm,
     dot,
-    eliminate,
     integer_multiple,
     is_zero_vector,
-    kernel_vector,
     qq,
     separates,
     vec_sum,
@@ -265,55 +259,6 @@ def positively_spans(
         _check_certificate(coords, idx, cert)
         return False, cert
     cert = strict_positive_dependence(coords, idx)
-    return cert.kind == KIND_POSITIVE_DEPENDENCE, cert
-
-
-def interior_point_test(
-    points: Sequence[Sequence[Fraction]], x: Sequence[Fraction]
-) -> tuple[bool, DependenceCertificate]:
-    """Is x in the interior of the convex hull of the points?
-
-    Equivalent to the translated vectors {p - x} positively spanning the
-    ambient space; a Stiemke witness is a separating (supporting) functional
-    and a rank deficiency exposes an affine hyperplane through all points.
-
-    Runs in integers: the points and x are scaled by one lcm and translated,
-    the rank is tested by ``linalg.eliminate`` and the strict positive
-    dependence by one ``solve_feasibility`` call, and the certificate is
-    re-checked on the integer rows (``verify_integer_certificate``).  A
-    positive scale changes no answer, no pivot and no certificate, so the
-    result is that of ``positively_spans`` on the translated points.
-    """
-    x = _exact_vector(x)
-    pts = [_exact_vector(p) for p in points]
-    if not pts:
-        raise EmptySelectionError("no points given")
-    d = len(x)
-    if any(len(p) != d for p in pts):
-        raise DimensionMismatchError("point and query dimensions differ")
-    if d < 1:
-        raise BadParametersError("ambient dimension must be at least 1")
-    scale = math.lcm(denominator_lcm(x), *(denominator_lcm(p) for p in pts))
-    shift = [a.numerator * (scale // a.denominator) for a in x]
-    rows = [[a.numerator * (scale // a.denominator) - c for a, c in zip(p, shift)] for p in pts]
-    reduced, pivots, den = eliminate(rows, d)
-    if len(pivots) < d:
-        free = next(c for c in range(d) if c not in pivots)
-        cert = DependenceCertificate(
-            KIND_RANK_DEFICIENCY, direction=kernel_vector(reduced, pivots, den, free, d)
-        )
-    else:
-        x_feasible, y = solve_feasibility(rows, [-sum(col) for col in zip(*rows)])
-        if x_feasible is not None:
-            cert = DependenceCertificate(
-                KIND_POSITIVE_DEPENDENCE, lam=tuple(QQ(1) + xi for xi in x_feasible)
-            )
-        else:
-            cert = DependenceCertificate(
-                KIND_STIEMKE_WITNESS, functional=tuple(-yi for yi in y)
-            )
-    if not verify_integer_certificate(rows, cert):
-        raise CertificateError(f"{cert.kind} certificate failed re-verification")
     return cert.kind == KIND_POSITIVE_DEPENDENCE, cert
 
 

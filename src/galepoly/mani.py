@@ -23,9 +23,11 @@ Q exactly, places each apex geometrically, and certifies each required
 property (vertexhood, inner diagonals, a fat facet) by exact LPs and
 hyperplane checks, which keeps d = 36 tractable.  Each designated facet is
 proved once, by its supporting hyperplane on the realized base
-(``designated_planes``).  A vertex's separating functional is kept and
-re-checked by arithmetic at later trials, and each apex's accepted trial
-keeps the interior certificates of its diagonals, which prove every
+(``designated_planes``).  Vertices are tested on the points; inner
+diagonals on the Gale dual of the hull, where faces of the points match
+cofaces of V* (``hull_flags``).  A vertex's separating functional is kept
+and re-checked by arithmetic at later trials, and each apex's accepted
+trial keeps the interior certificates of its diagonals, which prove every
 partner pair with no final midpoint LP.
 
 ``spanning_bound_counterexample`` chains the d = 36 certificate build with
@@ -35,8 +37,9 @@ classical 2km bound on the size of minimal positively k-spanning
 configurations.  Both halves of that proof are read off the build's
 certificates by Gale duality, with no LP: the base scan off the separating
 functionals of the vertices, and the witness that no vector can be removed
-off the interior certificate of each vertex's inner diagonal, all indices
-solved in one elimination of the dual.
+off the interior certificate of each vertex's inner diagonal, an affine
+dependence of the points, all indices solved in one elimination of the
+dual.
 
 Verify re-runs the certificate-mode steps a report does not embed through
 the functions build calls (``designated_planes``, ``vertex_proofs``,
@@ -53,10 +56,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import takewhile
 
+from . import lp
 from .errors import (
     BadParametersError,
     CertificateError,
     CheckFailedError,
+    DegenerateInputError,
     NoCoverFoundError,
     NoEpsilonFoundError,
     NotAFacetError,
@@ -83,7 +88,6 @@ from .linalg import (
 from .lp import (
     KIND_STIEMKE_WITNESS,
     DependenceCertificate,
-    interior_point_test,
     positively_spans,
     separating_functional,
     verify_integer_certificate,
@@ -276,8 +280,20 @@ def hull_flags(coords, vertices, diagonals, separators=None):
     nonpositive on every other row, checked in integers against each row
     times the lcm of its denominators, proves the point a vertex without an
     LP.  Otherwise the LP runs and its functional is kept in the map.
-    Without ``separators`` every vertex flag solves its LP.  The diagonal
-    tests run on one integer scaling of the hull, computed once per call.
+    Without ``separators`` every vertex flag solves its LP.
+
+    The diagonals are tested on the Gale dual V* of the hull, one
+    ``gale_dual`` per call that reaches them; it also proves that the
+    points affinely span R^d (a hull that does not has no interior point).
+    Faces of the points match cofaces of V*, so the midpoint of p_i and p_j
+    is interior exactly when V* minus {v*_i, v*_j} has no nonzero
+    nonnegative dependence, that is (Gordan) when some h has h.v*_u > 0 for
+    every u off the pair.  One ``solve_feasibility`` per pair asks for the
+    dependence: columns (1, v*_u) for u off the pair, rhs (1, 0, ..., 0).
+    Its Farkas vector y gives h = -y[1:], and the certificate is the
+    integer vector c_u = h.v*_u over V* scaled by one common lcm: an affine
+    dependence of the points, positive at every u off the pair.  Both are
+    re-checked in integers on the lifted rows (1, p_u) before c is yielded.
     """
     if separators is None:
         separators = {}
@@ -291,13 +307,30 @@ def hull_flags(coords, vertices, diagonals, separators=None):
         if y is not None:
             separators[i] = tuple(integer_multiple(y))
         yield y is not None
-    # the hull times twice one common lcm, so every midpoint is integral; a
-    # positive scale changes no interior certificate
-    hull = [[2 * a for a in row] for row in _common_scale(coords)] if diagonals else None
+    if not diagonals:
+        return
+    n = len(coords)
+    try:
+        dual = gale_dual(PointConfiguration(len(coords[0]), tuple(map(str, range(n))), tuple(coords)))
+    except DegenerateInputError:
+        yield from (None for _ in diagonals)
+        return
+    # one common scale for each matrix keeps c a dependence of the points
+    lifted = _common_scale([(QQ(1),) + tuple(p) for p in coords])
+    vstar = _common_scale(dual.coords)
+    rhs = [1] + [0] * dual.m
     for i, j in diagonals:
-        mid = [(a + b) // 2 for a, b in zip(hull[i], hull[j])]
-        ok, cert = interior_point_test(hull, mid)
-        yield cert if ok else None
+        off = [u for u in range(n) if u not in (i, j)]
+        # through the module, so a wrapper set on lp.solve_feasibility sees it
+        _, y = lp.solve_feasibility([[1] + vstar[u] for u in off], rhs)
+        if y is None:
+            yield None
+            continue
+        h = integer_multiple(y[1:])
+        c = tuple(-sum(a * b for a, b in zip(h, v)) for v in vstar)
+        if any(c[u] <= 0 for u in off) or any(sum(w * a for w, a in zip(c, col)) for col in zip(*lifted)):
+            raise CertificateError(f"the Gale-side certificate of pair {i}, {j} proves no interior midpoint")
+        yield c
 
 
 def vertex_proofs(points: PointConfiguration, separators=None):
@@ -313,14 +346,15 @@ def vertex_proofs(points: PointConfiguration, separators=None):
     return flags, {i: separators[i] for i, ok in enumerate(flags) if ok}
 
 
-def midpoint_flags(points: PointConfiguration, pairs) -> tuple[DependenceCertificate | None, ...]:
+def midpoint_flags(points: PointConfiguration, pairs) -> tuple[tuple[int, ...] | None, ...]:
     """The interior certificate of the midpoint of each label pair, or None.
 
-    A certificate is the ``PositiveDependence`` of the points translated by
-    the midpoint: weights lam >= 1 with sum_u lam_u * p_u = (sum lam) * mid.
-    None means the midpoint is not interior.  Each pair solves its LP, in
-    order.  Verify calls this on a report's final points; the build solves
-    no final midpoint LP, as its stacking trials already proved each pair.
+    A certificate is an integer affine dependence c of the points with
+    c_u > 0 at every point off the pair (``hull_flags``); None means the
+    midpoint is not interior.  One Gale dual of the points serves every
+    pair, and each pair solves its LP, in order.  Verify calls this on a
+    report's final points; the build solves no final midpoint LP, as its
+    stacking trials already proved each pair.
     """
     index = {lab: i for i, lab in enumerate(points.labels)}
     return tuple(hull_flags(points.coords, (), [(index[a], index[b]) for a, b in pairs]))
@@ -334,7 +368,7 @@ def geometric_stack_point(
     new_label: str | None = None,
     max_halvings: int = 60,
     separators=None,
-) -> tuple[PointConfiguration, StackCertificate, dict[str, DependenceCertificate]]:
+) -> tuple[PointConfiguration, StackCertificate, dict[str, tuple[int, ...]]]:
     """Place an apex just beyond a simplex facet and certify the placement.
 
     The apex starts at barycenter + normal and halves its height until
@@ -348,8 +382,9 @@ def geometric_stack_point(
 
     Returns the stacked points, the placement's certificate, and the
     interior certificate of the accepted trial for each diagonal, keyed by
-    the label of its point off the facet: a ``PositiveDependence`` on the
-    stacked points.  The flag that failed at one trial is tested first at
+    the label of its point off the facet: an affine dependence of the
+    stacked points, positive off the diagonal, read off their Gale dual
+    (``hull_flags``).  The flag that failed at one trial is tested first at
     the next, in its own order (vertices, then diagonals).  The accepted
     trial is the first at which every flag holds, whatever the order, so
     the order changes only which LPs the failed trials solve.
@@ -469,12 +504,12 @@ class ManiConstruction:
     ``vertex_flags`` per point, ``diagonal_flags``, the interior certificate
     (or None) of each ``diagonal_partner`` pair, and ``separators``, the
     integer separating functional of each point whose vertex flag holds
-    (``vertex_proofs``).  A build's diagonal certificate is the one the
-    pair's apex kept from its accepted stacking trial: a
-    ``PositiveDependence`` on the prefix of ``points`` up to that apex.
-    That prefix is full-dimensional, so its interior lies in the interior of
-    the final hull.  Verify's are solved on all of ``points``
-    (``midpoint_flags``).
+    (``vertex_proofs``).  A diagonal certificate is an integer affine
+    dependence c of the points, positive off its pair (``hull_flags``).  A
+    build's is the one the pair's apex kept from its accepted stacking
+    trial, on the prefix of ``points`` up to that apex.  That prefix is
+    full-dimensional, so its interior lies in the interior of the final
+    hull.  Verify's are solved on all of ``points`` (``midpoint_flags``).
     """
 
     plan: BlockDiagramPlan
@@ -490,7 +525,7 @@ class ManiConstruction:
     designated_planes: tuple[tuple[tuple[Fraction, ...], Fraction] | None, ...] = ()
     diagonal_partner: tuple[tuple[str, str], ...] = ()
     vertex_flags: tuple[bool, ...] = ()
-    diagonal_flags: tuple[DependenceCertificate | None, ...] = ()
+    diagonal_flags: tuple[tuple[int, ...] | None, ...] = ()
     separators: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
     @property
@@ -604,7 +639,7 @@ def _construct_certificate(plan: BlockDiagramPlan) -> ManiConstruction:
     # one separating functional per point index, kept across all trials, and
     # the accepted trials' midpoint certificates by apex-and-point label pair
     separators: dict[int, tuple[int, ...]] = {}
-    interior: dict[frozenset[str], DependenceCertificate] = {}
+    interior: dict[frozenset[str], tuple[int, ...]] = {}
     current = result.base_points
     stacks = []
     for i, (facet, apex) in enumerate(zip(_designated_facets(plan), _apex_labels(plan.q))):
@@ -857,40 +892,35 @@ def _dual_base_scan(points, dual, separators) -> SpanningReport:
 def _removal_witnesses(dual, pairs, certificates):
     """Why no v*_i can leave the Gale dual V*, read off midpoint certificates.
 
-    The interior certificate of the midpoint of p_i and p_j has weights
-    lam >= 1 with sum_u lam_u * p_u = (sum lam) * (p_i + p_j) / 2 over the
-    first len(lam) points: the stacked points of the apex's accepted trial
-    in a build, every point in verify.  So c_u = 2 * lam_u - (sum lam) *
-    [u in {i, j}], with c_u = 0 for the apexes after those points, is an
-    affine dependence of the points, nonnegative off {i, j} and positive on
-    the first points.  The columns of V* span those, so V* h = c is
-    solvable and h is a Stiemke witness that V* minus {v*_i, v*_j} does not
-    positively span.  One elimination of V* solves for every index
-    (``ExactMatrix.solve_columns``), and each h is re-checked in integers
-    against V* scaled once by a common lcm.  A c outside the span has no h
-    (None), which fails the re-check like a wrong h.  Index i uses the
-    first of ``pairs`` (label pairs, each with its certificate or None in
-    ``certificates``) that starts with its label and has a certificate.
-    Returns one ``(label, (partner,), kind)`` per index, or None when some
-    index has no such pair.
+    The interior certificate of the midpoint of p_i and p_j is an integer
+    affine dependence c of the first len(c) points, positive off {i, j}
+    (``hull_flags``): the stacked points of the apex's accepted trial in a
+    build, every point in verify.  With c_u = 0 for the apexes after those
+    points it is an affine dependence of all the points, nonnegative off
+    {i, j} and positive on the first points.  The columns of V* span those,
+    so V* h = c is solvable and h is a Stiemke witness that V* minus
+    {v*_i, v*_j} does not positively span.  One elimination of V* solves
+    for every index (``ExactMatrix.solve_columns``), and each h is
+    re-checked in integers against V* scaled once by a common lcm.  A c
+    outside the span has no h (None), which fails the re-check like a wrong
+    h.  Index i uses the first of ``pairs`` (label pairs, each with its
+    certificate or None in ``certificates``) that starts with its label and
+    has a certificate.  Returns one ``(label, (partner,), kind)`` per index,
+    or None when some index has no such pair.
     """
     proofs = {}
-    for (a, b), cert in zip(pairs, certificates):
-        if cert is not None:
-            proofs.setdefault(a, (b, cert))
+    for (a, b), c in zip(pairs, certificates):
+        if c is not None:
+            proofs.setdefault(a, (b, c))
     if any(lab not in proofs for lab in dual.labels):
         return None
     removed, rhs = [], []
     for i, lab in enumerate(dual.labels):
-        partner, cert = proofs[lab]
-        pair = {i, dual.index_of(partner)}
+        partner, c = proofs[lab]
+        removed.append((lab, partner, {i, dual.index_of(partner)}))
         # a build's certificate weighs the points up to its apex; the later
         # apexes weigh 0
-        lam = _common_scale([cert.lam])[0]
-        lam += [0] * (len(dual) - len(lam))
-        total = sum(lam)
-        removed.append((lab, partner, pair))
-        rhs.append([2 * w - (total if u in pair else 0) for u, w in enumerate(lam)])
+        rhs.append(tuple(c) + (0,) * (len(dual) - len(c)))
     vstar = _common_scale(dual.coords)
     per_index = []
     for (lab, partner, pair), h in zip(removed, ExactMatrix(dual.coords).solve_columns(rhs)):

@@ -4,16 +4,21 @@ These are the minimality scan and the geometric stacking as they ran
 before either reused an answer: the scan runs every removal's k-spanning
 scan on its own, and the stacking solves a vertex LP for every point and a
 midpoint LP for every diagonal at every trial, in point order, then solves
-every final flag again.  The removal functionals of a certificate dual are
-solved one ``ExactMatrix.solve`` per index.  They are used only to compare
-results exactly.  Nothing in ``src/`` imports this module.
+every final flag again.  Its midpoint test is the point-side one, on the
+points translated by the midpoint (``fraction_kernels.interior_point_test``),
+where the library tests each diagonal on the hull's Gale dual.  The removal
+functionals of a certificate dual are solved one ``ExactMatrix.solve`` per
+index.  They are used only to compare results exactly.  Nothing in ``src/``
+imports this module.
 """
 
 from __future__ import annotations
 
+from fraction_kernels import interior_point_test
+
 from galepoly.gale import PointConfiguration, barycenter
-from galepoly.linalg import QQ, ExactMatrix, dot, integer_multiple, vec_add, vec_scale
-from galepoly.lp import interior_point_test, is_vertex_of_hull
+from galepoly.linalg import QQ, ExactMatrix, dot, vec_add, vec_scale
+from galepoly.lp import is_vertex_of_hull
 from galepoly.mani import StackCertificate, _apex_labels, _designated_facets
 from galepoly.spanning import MinimalityReport, is_positively_k_spanning
 
@@ -91,10 +96,9 @@ def construct_certificate(construction):
 def removal_functionals(dual, pairs, certificates):
     """The h with V* h = c of each index of the dual, by its own solve.
 
-    For index i, c is read off the first certificate of a pair starting
-    with its label, as ``mani._removal_witnesses`` reads it: the weights lam
-    scaled to integers, c_u = 2 * lam_u - (sum lam) * [u in {i, partner}],
-    and c_u = 0 past the points the certificate weighs.
+    For index i, c is the first certificate of a pair starting with its
+    label, as ``mani._removal_witnesses`` reads it: an affine dependence of
+    the points it weighs, with c_u = 0 past them.
     """
     proofs = {}
     for (a, b), cert in zip(pairs, certificates):
@@ -102,10 +106,7 @@ def removal_functionals(dual, pairs, certificates):
             proofs.setdefault(a, (b, cert))
     matrix = ExactMatrix(dual.coords)
     out = []
-    for i, lab in enumerate(dual.labels):
-        partner, cert = proofs[lab]
-        pair = (i, dual.index_of(partner))
-        lam = integer_multiple(cert.lam)
-        c = [2 * w - (sum(lam) if u in pair else 0) for u, w in enumerate(lam)]
-        out.append(matrix.solve(c + [0] * (len(dual) - len(c))))
+    for lab in dual.labels:
+        _, c = proofs[lab]
+        out.append(matrix.solve(list(c) + [0] * (len(dual) - len(c))))
     return out

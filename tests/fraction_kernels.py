@@ -3,9 +3,10 @@
 These are the phase-1 simplex and the Gauss-Jordan elimination as they ran
 before the library moved to integer pivoting, kept verbatim in behaviour
 (Fraction tableau, Bland's rule, first-nonzero pivot rule), and the
-midpoint-interior hull test as it ran before it moved to integers
-(Fraction translation, rank test, target sum and re-check).  They are used
-only to compare results exactly.  Nothing in ``src/`` imports this module.
+point-side midpoint-interior hull test as it ran before the library moved
+it to integers and then to the Gale dual (Fraction translation, rank test,
+target sum and re-check).  They are used only to compare results exactly.
+Nothing in ``src/`` imports this module.
 """
 
 from __future__ import annotations

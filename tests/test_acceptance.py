@@ -9,6 +9,8 @@ import math
 import random
 import time
 
+from fraction_kernels import interior_point_test
+
 from galepoly.gale import (
     all_points_are_vertices,
     enumerate_facet_complements,
@@ -18,12 +20,13 @@ from galepoly.gale import (
     verify_facets_geometrically,
 )
 from galepoly.linalg import QQ, dot
-from galepoly.lp import interior_point_test, positively_spans
+from galepoly.lp import positively_spans
 from galepoly.mani import (
     build_block_diagram,
     construct_nonsimplicial_mani,
     formula_table,
     formulas,
+    hull_flags,
     mani_simplicial,
     spanning_bound_counterexample,
 )
@@ -226,17 +229,19 @@ def test_criterion_6_property_suites():
         if points.d <= 4 and low_dim_checked < 55:
             low_dim_checked += 1
             labels, coords = points.labels, points.coords
-            for i in range(len(labels)):
-                for j in range(i + 1, len(labels)):
-                    u, v = labels[i], labels[j]
-                    combinatorial = not any(
-                        u in f and v in f for f in poly.facets
-                    )
-                    mid = tuple(
-                        (a + b) / 2 for a, b in zip(coords[i], coords[j])
-                    )
-                    geometric, _ = interior_point_test(coords, mid)
-                    assert combinatorial == geometric, (trial, u, v)
+            pairs = [(i, j) for i in range(len(labels)) for j in range(i + 1, len(labels))]
+            # the library tests the diagonals on the Gale dual, the
+            # reference on the points translated by the midpoint
+            for (i, j), flag in zip(pairs, hull_flags(coords, (), pairs)):
+                u, v = labels[i], labels[j]
+                combinatorial = not any(
+                    u in f and v in f for f in poly.facets
+                )
+                mid = tuple(
+                    (a + b) / 2 for a, b in zip(coords[i], coords[j])
+                )
+                geometric, _ = interior_point_test(coords, mid)
+                assert combinatorial == geometric == (flag is not None), (trial, u, v)
     assert low_dim_checked >= 50
 
     # suite B: >= 1000 positive-spanning alternatives, each certificate

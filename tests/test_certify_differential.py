@@ -5,10 +5,12 @@ sets and the geometric stacking that solves every vertex and midpoint LP at
 every trial.  The library keeps each LP answer of a minimality scan by the
 set of vectors it removes and keeps one separating functional per point
 across stacking trials; all of it must give exactly the reference's
-reports, certificates, apex placements and flags.  The dual of a
-certificate build is proved minimal without any scan, from the midpoint
-certificates; its verdict must be the reference scan's, and each witness it
-derives must break positive spanning by an LP of its own.
+reports, certificates, apex placements and flags.  The library tests each
+inner diagonal on the Gale dual of its hull, the reference on the points
+translated by the midpoint; the verdicts must agree at every trial.  The
+dual of a certificate build is proved minimal without any scan, from the
+midpoint certificates; its verdict must be the reference scan's, and each
+witness it derives must break positive spanning by an LP of its own.
 """
 
 import functools
@@ -16,6 +18,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 
 import certify_reference as ref
@@ -77,46 +80,48 @@ def test_certificate_build_matches_the_reference(d, p, ell):
         assert [e[0] for e in report.per_index] == [e[0] for e in minimality.per_index]
 
 
-def _fraction_midpoint_certificates(coords, labels, pairs, prefix):
-    """The Fraction hull test's certificate (or None) of each pair's
-    midpoint, on the first ``prefix(i, j)`` of ``coords``."""
+def _check_midpoint_certificates(coords, labels, pairs, certificates, prefix):
+    """Each pair's certificate against the Fraction hull test on the first
+    ``prefix(i, j)`` of ``coords``: None exactly where the midpoint is not
+    interior there, and otherwise an integer affine dependence of those
+    points, positive at every point off the pair."""
     index = {lab: i for i, lab in enumerate(labels)}
-    out = []
-    for a, b in pairs:
+    for (a, b), c in zip(pairs, certificates, strict=True):
         i, j = index[a], index[b]
+        hull = coords[: prefix(i, j)]
         mid = tuple((u + v) / 2 for u, v in zip(coords[i], coords[j]))
-        ok, cert = fraction_kernels.interior_point_test(coords[: prefix(i, j)], mid)
-        out.append(cert if ok else None)
-    return tuple(out)
+        assert (c is not None) == fraction_kernels.interior_point_test(hull, mid)[0]
+        if c is not None:
+            assert len(c) == len(hull) and all(isinstance(w, int) for w in c)
+            assert all(w > 0 for u, w in enumerate(c) if u not in (i, j))
+            assert all(sum(w * x for w, x in zip(c, col)) == 0 for col in zip(*[(1,) + p for p in hull]))
 
 
 @pytest.mark.parametrize("d,p,ell", BUILDS)
 def test_kept_trial_certificates_match_the_fraction_hull_test(d, p, ell):
     # the build keeps each pair's certificate from the accepted trial of its
     # apex, the later point of the pair: a certificate on the points up to
-    # that apex, the one the Fraction hull test gives there
+    # that apex, where the Fraction hull test proves the midpoint interior
     c = _build(d, p, ell)
-    expected = _fraction_midpoint_certificates(
-        c.points.coords, c.points.labels, c.diagonal_partner, lambda i, j: max(i, j) + 1
+    _check_midpoint_certificates(
+        c.points.coords, c.points.labels, c.diagonal_partner, c.diagonal_flags, lambda i, j: max(i, j) + 1
     )
-    assert c.diagonal_flags == expected
-    assert all(cert is not None for cert in expected)
-    assert any(len(cert.lam) < len(c.points) for cert in expected)
+    assert all(cert is not None for cert in c.diagonal_flags)
+    assert any(len(cert) < len(c.points) for cert in c.diagonal_flags)
 
 
 @pytest.mark.parametrize("d,p,ell", BUILDS)
 def test_midpoint_certificates_match_the_fraction_hull_test(d, p, ell):
-    # verify solves its own midpoint LPs on the report's final points;
-    # hull_flags scales the hull to integers once, and each certificate
-    # must be the one the Fraction hull test gives on the points
+    # verify solves its own midpoint LPs on the Gale dual of the report's
+    # final points; each verdict must be the Fraction hull test's there
     c, doc = _certificate_report(d, p, ell)
     objects = _ReportObjects(doc)
     points = objects["points"]
-    expected = _fraction_midpoint_certificates(
-        points.coords, points.labels, objects["diagonal_partner"], lambda i, j: len(points)
+    flags = objects["diagonal_flags"]
+    _check_midpoint_certificates(
+        points.coords, points.labels, objects["diagonal_partner"], flags, lambda i, j: len(points)
     )
-    assert objects["diagonal_flags"] == expected
-    assert all(cert is not None and len(cert.lam) == len(c.points) for cert in expected)
+    assert all(cert is not None and len(cert) == len(c.points) for cert in flags)
 
 
 # every certificate build at d = 6..12 with p = 3, 4, 5 and each valid ell
@@ -126,6 +131,30 @@ ALL_BUILDS = [
     for p in (3, 4, 5)
     for ell in range(1, -(-d // p))
 ]
+
+
+@pytest.mark.parametrize("d,p,ell", ALL_BUILDS)
+def test_gale_side_diagonals_match_the_point_side_reference_on_every_trial(monkeypatch, d, p, ell):
+    # every diagonal flag a stacking trial reads, against the Fraction hull
+    # test on that trial's points; the build consumes the flags lazily, so
+    # only the ones it reads are compared
+    real = mani.hull_flags
+    checked = [0]
+
+    def checking(coords, vertices, diagonals, separators=None):
+        flags = real(coords, vertices, diagonals, separators)
+        for k, flag in enumerate(flags):
+            if k >= len(vertices):
+                i, j = diagonals[k - len(vertices)]
+                mid = tuple((a + b) / 2 for a, b in zip(coords[i], coords[j]))
+                assert (flag is not None) == fraction_kernels.interior_point_test(coords, mid)[0]
+                checked[0] += 1
+            yield flag
+
+    monkeypatch.setattr(mani, "hull_flags", checking)
+    c = construct_nonsimplicial_mani(d, ell, p=p, mode="certificate")
+    assert c.all_checks_pass()
+    assert checked[0] >= len(c.points)
 
 
 @pytest.mark.parametrize("d,p,ell", ALL_BUILDS)
@@ -272,26 +301,27 @@ def test_lp_counts_of_a_d12_certificate_build_and_dual_scan(monkeypatch):
 
 
 def test_the_build_solves_no_midpoint_lp_after_its_last_stack(monkeypatch):
-    # every diagonal flag comes from an accepted stacking trial
+    # every diagonal flag comes from an accepted stacking trial; each hull
+    # whose diagonals are tested takes one Gale dual, the build's only one
     events = []
-    stack, interior = mani.geometric_stack_point, mani.interior_point_test
+    stack, dual = mani.geometric_stack_point, mani.gale_dual
 
     def stacking(*args, **kwargs):
         result = stack(*args, **kwargs)
         events.append("stack")
         return result
 
-    def testing(*args, **kwargs):
-        events.append("interior")
-        return interior(*args, **kwargs)
+    def dualizing(*args, **kwargs):
+        events.append("gale_dual")
+        return dual(*args, **kwargs)
 
     monkeypatch.setattr(mani, "geometric_stack_point", stacking)
-    monkeypatch.setattr(mani, "interior_point_test", testing)
+    monkeypatch.setattr(mani, "gale_dual", dualizing)
     c = construct_nonsimplicial_mani(12, 1, mode="certificate")
     assert c.all_checks_pass()
     last = len(events) - events[::-1].index("stack")
     assert events.count("stack") == c.plan.q + 1
-    assert "interior" in events[:last] and "interior" not in events[last:]
+    assert "gale_dual" in events[:last] and "gale_dual" not in events[last:]
 
 
 @pytest.mark.parametrize("d,p", [(d, p) for d in range(6, 10) for p in (3, 4, 5)])
@@ -424,6 +454,82 @@ def test_a_witness_replaced_by_an_edge_partner_fails():
     assert digest(payload) == doc["certificateDigests"]["minimal2spanningDual"]
     again = {p["check"]: p for p in verify_report(doc, None)}
     assert again["minimal2spanningDual"] == payload
+
+
+# Forge the Gale-side diagonal step of mani.hull_flags one way at a time;
+# its integer re-check of c must raise on each, also under python -O.
+GALE_FORGERIES = textwrap.dedent(
+    """
+    import sys
+    from fractions import Fraction
+    from galepoly import lp, mani
+    from galepoly.errors import CertificateError
+    from galepoly.gale import PointConfiguration
+    from galepoly.linalg import ExactMatrix
+
+    # a square with a point on its bottom edge: the midpoint of points 0
+    # and 3 is interior, that of the edge 0, 1 and the edge point itself not
+    square = [tuple(map(Fraction, p)) for p in [(0, 0), (2, 0), (0, 2), (2, 2), (1, 0)]]
+    pair = (0, 3)
+    flags = list(mani.hull_flags(square, (), [pair, (0, 1), (4, 4)]))
+    if flags[0] is None or flags[1:] != [None, None]:
+        sys.exit("the honest flags are wrong")
+
+    # c0 = (-1, 1, 1, -1, 0) is an affine dependence of the points,
+    # nonnegative off the pair but 0 on the edge point: Stiemke-valid, so
+    # it proves the removal of v*_0 and v*_3, but not the interior midpoint
+    dual = mani.gale_dual(PointConfiguration(2, tuple("abcde"), tuple(square)))
+    vstar = mani._common_scale(dual.coords)
+    h0 = ExactMatrix(vstar).solve([-1, 1, 1, -1, 0])
+    rest = [row for u, row in enumerate(vstar) if u not in pair]
+    if not lp.verify_integer_certificate(rest, lp.DependenceCertificate("StiemkeWitness", functional=h0)):
+        sys.exit("c0 is no Stiemke witness")
+
+    real_solve, real_dual = lp.solve_feasibility, mani.gale_dual
+    forged_ys = {
+        "negated c": lambda y: tuple(-a for a in y),
+        "c zero off the pair": lambda y: (1,) + tuple(-a for a in h0),
+        "no Farkas vector": lambda y: (1,) + (0,) * (len(y) - 1),
+    }
+
+    def scaled_dual(points):
+        dual = real_dual(points)
+        coords = tuple(tuple((u + 1) * a for a in v) for u, v in enumerate(dual.coords))
+        return mani.VectorConfiguration(m=dual.m, labels=dual.labels, coords=coords)
+
+    forgeries = [
+        (name, "solve_feasibility", lambda columns, b, f=f: (None, f(real_solve(columns, b)[1])))
+        for name, f in forged_ys.items()
+    ] + [("c no dependence", "gale_dual", scaled_dual)]
+    for name, attr, forged in forgeries:
+        setattr(lp if attr == "solve_feasibility" else mani, attr, forged)
+        try:
+            list(mani.hull_flags(square, (), [pair]))
+        except CertificateError as exc:
+            if "Gale-side" not in str(exc):
+                sys.exit(f"{name}: the wrong check raised: {exc}")
+        else:
+            sys.exit(f"{name}: a forged Gale-side certificate went unnoticed")
+        finally:
+            lp.solve_feasibility, mani.gale_dual = real_solve, real_dual
+    print(sys.flags.optimize)
+    """
+)
+
+
+def test_gale_side_rechecks_catch_forged_diagonal_certificates(capsys):
+    exec(GALE_FORGERIES, {})
+    assert capsys.readouterr().out.strip() == str(sys.flags.optimize)
+
+
+def test_gale_side_rechecks_survive_optimized_mode():
+    src = os.path.dirname(os.path.dirname(mani.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", GALE_FORGERIES], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
 
 
 def test_dual_checks_survive_optimized_mode():

@@ -1,10 +1,13 @@
 """Differential tests: the integer kernels against the Fraction reference.
 
 ``fraction_kernels`` holds the Fraction-tableau simplex and elimination the
-library used before it pivoted on integers, and the hull test before it ran
-in integers.  Both must give exactly the same Fractions: same feasible
-point or Farkas vector, same rank, kernel basis and solution, same hull
-verdict and certificate.  ``_eliminate`` tuples are not compared, since
+library used before it pivoted on integers, and the point-side hull test
+before the library moved its inner-diagonal test to the Gale dual.  The
+kernels must give exactly the same Fractions: same feasible point or
+Farkas vector, same rank, kernel basis and solution.  The Gale-side
+diagonal test (``mani.hull_flags``) must give the reference's verdict on
+each pair's midpoint, with a certificate that is an affine dependence of
+the points, positive off the pair.  ``_eliminate`` tuples are not compared, since
 its rows are integers over a common denominator and row scaling
 legitimately changes the reduced rhs of a zero row (though never whether it
 is zero).
@@ -20,7 +23,7 @@ from hypothesis import strategies as st
 
 from galepoly import lp
 from galepoly.linalg import ExactMatrix
-from galepoly.mani import construct_nonsimplicial_mani, dual_spanning_report
+from galepoly.mani import construct_nonsimplicial_mani, dual_spanning_report, hull_flags
 
 QQ = Fraction
 
@@ -119,58 +122,53 @@ def test_solve_feasibility_matches_reference_on_a_build(monkeypatch):
         _check_lp(columns, b)
 
 
-def _hull_case(rng: random.Random, branch: str):
-    """Points and a query on the given side of their hull.
+def _hull_pairs(rng: random.Random, branch: str):
+    """Points and index pairs (perhaps i = j) on the given side of their hull.
 
-    ``interior`` puts x at a positive combination of full-dimensional
-    points, ``boundary`` at the midpoint of two points (perhaps equal) on
-    which the first coordinate is largest, ``outside`` beyond the first
-    point, and ``flat`` puts the points and x on one coordinate hyperplane.
+    ``interior`` takes random pairs of full-dimensional points, ``boundary``
+    pairs of the points on which the first coordinate is largest, and
+    ``flat`` puts every point on one coordinate hyperplane.
     """
     d = rng.randint(1, 4)
-    n = rng.randint(d + 1, d + 4) if branch == "interior" else rng.randint(1, 7)
+    n = rng.randint(d + 1, d + 5) if branch == "interior" else rng.randint(1, 7)
     pts = [[_rational(rng) for _ in range(d)] for _ in range(n)]
     if branch == "interior":
         for c in range(d):  # a simplex around the origin keeps the hull full
             pts[c] = [QQ(3) if k == c else QQ(0) for k in range(d)]
         pts[d] = [QQ(-3)] * d
-        weights = [QQ(rng.randint(1, 5)) for _ in pts]
-        x = [sum(w * p[c] for w, p in zip(weights, pts)) / sum(weights) for c in range(d)]
-    elif branch == "boundary":  # the first coordinate is largest at x
+        rng.shuffle(pts)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(4)]
+    elif branch == "boundary":  # the first coordinate is largest at the midpoint
         top = max(p[0] for p in pts)
-        face = [p for p in pts if p[0] == top]
-        x = [(a + b) / 2 for a, b in zip(rng.choice(face), rng.choice(face))]
-    elif branch == "outside":
-        x = [a + 10 * (1 + abs(a)) for a in pts[0]]
+        face = [i for i, p in enumerate(pts) if p[0] == top]
+        pairs = [(rng.choice(face), rng.choice(face)) for _ in range(2)]
     else:
         c, v = rng.randrange(d), _rational(rng)
         for p in pts:
             p[c] = v
-        x = [_rational(rng) for _ in range(d)]
-        x[c] = v
-    return [tuple(p) for p in pts], tuple(x)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(2)]
+    return [tuple(p) for p in pts], pairs
 
 
-def _check_hull(points, x):
-    got = lp.interior_point_test(points, x)
-    assert got == ref.interior_point_test(points, x)
-    return got
+def _check_diagonals(points, pairs):
+    flags = list(hull_flags(points, (), pairs))
+    lifted = [(QQ(1),) + p for p in points]
+    for (i, j), c in zip(pairs, flags):
+        mid = tuple((a + b) / 2 for a, b in zip(points[i], points[j]))
+        assert (c is not None) == ref.interior_point_test(points, mid)[0], (points, i, j)
+        if c is not None:
+            assert all(c[u] > 0 for u in range(len(points)) if u not in (i, j))
+            assert all(sum(w * a for w, a in zip(c, col)) == 0 for col in zip(*lifted))
+    return flags
 
 
-def test_interior_point_test_matches_reference_on_every_branch():
+def test_gale_side_diagonals_match_reference_on_every_branch():
     rng = random.Random(1968)
-    for branch in ("interior", "boundary", "outside", "flat"):
-        kinds = set()
+    for branch in ("interior", "boundary", "flat"):
+        verdicts = set()
         for _ in range(250):
-            _, cert = _check_hull(*_hull_case(rng, branch))
-            kinds.add(cert.kind)
-        expected = {
-            "interior": {lp.KIND_POSITIVE_DEPENDENCE},
-            "boundary": {lp.KIND_STIEMKE_WITNESS, lp.KIND_RANK_DEFICIENCY},
-            "outside": {lp.KIND_STIEMKE_WITNESS, lp.KIND_RANK_DEFICIENCY},
-            "flat": {lp.KIND_RANK_DEFICIENCY},
-        }[branch]
-        assert kinds == expected, branch
+            verdicts.update(c is not None for c in _check_diagonals(*_hull_pairs(rng, branch)))
+        assert verdicts == ({True, False} if branch == "interior" else {False}), branch
 
 
 def test_matrix_kernels_match_reference():
@@ -229,18 +227,20 @@ def test_matrix_kernels_match_reference_hypothesis(case):
 
 
 @st.composite
-def hulls(draw):
+def hull_pairs(draw):
+    """Points with pairs of their indices (perhaps i = j), sometimes pairs of
+    the points on which the first coordinate is largest, so on the boundary."""
     d = draw(st.integers(1, 3))
     points = draw(st.lists(st.tuples(*[RATIONALS] * d), min_size=1, max_size=6))
+    indices = range(len(points))
     if draw(st.booleans()):
-        x = draw(st.tuples(*[RATIONALS] * d))
-    else:  # a positive combination of the points, often interior
-        weights = draw(st.lists(st.integers(1, 4), min_size=len(points), max_size=len(points)))
-        x = tuple(sum(w * p[c] for w, p in zip(weights, points)) / sum(weights) for c in range(d))
-    return points, x
+        top = max(p[0] for p in points)
+        indices = [i for i, p in enumerate(points) if p[0] == top]
+    index = st.sampled_from(indices)
+    return points, draw(st.lists(st.tuples(index, index), min_size=1, max_size=4))
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(hulls())
-def test_interior_point_test_matches_reference_hypothesis(case):
-    _check_hull(*case)
+@given(hull_pairs())
+def test_gale_side_diagonals_match_reference_hypothesis(case):
+    _check_diagonals(*case)

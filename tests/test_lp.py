@@ -6,13 +6,13 @@ import subprocess
 import sys
 import textwrap
 
+import fraction_kernels
 import pytest
 
 from galepoly import lp as lp_module
 from galepoly.errors import (
     BadParametersError,
     CertificateError,
-    DimensionMismatchError,
     EmptySelectionError,
 )
 from galepoly.linalg import QQ, dot
@@ -21,14 +21,15 @@ from galepoly.lp import (
     KIND_RANK_DEFICIENCY,
     KIND_STIEMKE_WITNESS,
     DependenceCertificate,
-    interior_point_test,
     is_vertex_of_hull,
     nonneg_combination,
     positively_spans,
+    separating_functional,
     solve_feasibility,
     strict_positive_dependence,
     verify_certificate,
 )
+from galepoly.mani import hull_flags
 
 E1 = (QQ(1), QQ(0))
 E2 = (QQ(0), QQ(1))
@@ -101,6 +102,9 @@ def test_strict_dependence_scales_all_weights_above_one():
 
 
 def test_interior_boundary_outside_of_square():
+    # the point-side reference, then the library's Gale-side test of the
+    # same midpoints: a diagonal's, a vertex's (i = j) and an edge's
+    interior_point_test = fraction_kernels.interior_point_test
     square = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
     ok, cert = interior_point_test(square, (0, 0))
     assert ok and cert.kind == KIND_POSITIVE_DEPENDENCE
@@ -110,13 +114,9 @@ def test_interior_boundary_outside_of_square():
     assert not ok
     assert cert.kind == KIND_STIEMKE_WITNESS
     assert cert.functional == (QQ(-1), QQ(-1))
-
-
-def test_interior_point_validation():
-    with pytest.raises(EmptySelectionError):
-        interior_point_test([], (0, 0))
-    with pytest.raises(DimensionMismatchError):
-        interior_point_test([(1, 2, 3)], (0, 0))
+    coords = [tuple(map(QQ, p)) for p in square]
+    flags = list(hull_flags(coords, (), [(0, 2), (0, 0), (0, 1)]))
+    assert flags[0] == (-1, 1, -1, 1) and flags[1:] == [None, None]
 
 
 def test_exact_entries_of_every_kind_give_the_same_answers():
@@ -134,14 +134,13 @@ def test_exact_entries_of_every_kind_give_the_same_answers():
     with pytest.raises(TypeError):
         solve_feasibility([(1, 0)], (1.0, 1))
 
-    square = [(1, 1), (-1, 1), (-1, -1), ("1", "-1")]
-    for x in [(0, 0), (1, 1), (2, 2), ("1/2", "1/3")]:
-        fractions = [tuple(QQ(a) for a in p) for p in square]
-        assert interior_point_test(square, x) == interior_point_test(fractions, tuple(map(QQ, x)))
+    # the point-side hull test takes the same entries
+    square = [(1, 1), (-1, 1), (-1, -1), ("1", "-1"), ("1/2", "1/3")]
+    fractions = [tuple(QQ(a) for a in p) for p in square]
+    for i in range(len(square)):
+        assert separating_functional(square, i) == separating_functional(fractions, i)
     with pytest.raises(TypeError):
-        interior_point_test(square, (0.0, 0))
-    with pytest.raises(TypeError):
-        interior_point_test([(1, 1), (0.5, 0)], (0, 0))
+        separating_functional([(1, 1), (0.5, 0)], 0)
 
 
 def test_vertex_of_hull_pinned():
@@ -256,42 +255,40 @@ def test_failed_reverification_raises_certificate_error(monkeypatch):
         positively_spans([E1, (QQ(-1), QQ(0))], None)
 
 
-# Forge a kernel result inside interior_point_test: a wrong feasible point,
-# a wrong Farkas vector, a wrong kernel vector.  Its integer re-check of the
-# certificate must raise on each.
+# Forge the LP kernel's Farkas vector as the hull test sees it: the
+# Gale-side test of the square's diagonal (mani.hull_flags) reads h off y,
+# and its integer re-check of c_u = h.v*_u must raise on a negated y and on
+# one whose functional part is zero.
 HULL_FORGERIES = textwrap.dedent(
     """
     import sys
-    from galepoly import lp
+    from fractions import Fraction
+    from galepoly import lp, mani
     from galepoly.errors import CertificateError
 
-    real_solve, real_kernel = lp.solve_feasibility, lp.kernel_vector
-
-    def wrong_x(columns, b):
-        x, y = real_solve(columns, b)
-        return (x[0] + 1,) + x[1:], y
+    real_solve = lp.solve_feasibility
 
     def wrong_y(columns, b):
         x, y = real_solve(columns, b)
         return x, tuple(-a for a in y)
 
-    square = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
-    forgeries = [
-        ("solve_feasibility", wrong_x, square, ("1/2", 0)),
-        ("solve_feasibility", wrong_y, square, (2, 2)),
-        ("kernel_vector", lambda *args: (1, 0), [(0, 0), (1, 1), (2, 2)], (1, 1)),
-    ]
-    for name, forged, points, x in forgeries:
-        lp.interior_point_test(points, x)
-        setattr(lp, name, forged)
+    def zero_h(columns, b):
+        x, y = real_solve(columns, b)
+        return x, (y[0],) + (0,) * (len(y) - 1)
+
+    square = [tuple(map(Fraction, p)) for p in [(1, 1), (-1, 1), (-1, -1), (1, -1)]]
+    for forged in (wrong_y, zero_h):
+        if None in mani.hull_flags(square, (), [(0, 2)]):
+            sys.exit("the square's diagonal is not proved interior")
+        lp.solve_feasibility = forged
         try:
-            lp.interior_point_test(points, x)
+            list(mani.hull_flags(square, (), [(0, 2)]))
         except CertificateError:
             pass
         else:
-            sys.exit(f"a forged {name} in interior_point_test went unnoticed")
+            sys.exit(f"a forged Farkas vector ({forged.__name__}) in the hull test went unnoticed")
         finally:
-            lp.solve_feasibility, lp.kernel_vector = real_solve, real_kernel
+            lp.solve_feasibility = real_solve
     """
 )
 

@@ -199,9 +199,14 @@ def test_geometric_stack_on_octahedron_pinned():
     assert cert.apex == (QQ(5, 6), QQ(5, 6), QQ(5, 6))
     assert stacked.labels[-1] == "z0"
     assert dot(cert.normal, cert.apex) > cert.offset
-    # one interior certificate per point off the facet, on the stacked points
+    # one interior certificate per point off the facet: an affine
+    # dependence of the stacked points, positive off the diagonal
     assert sorted(interior) == ["-1", "-2", "-3"]
-    assert all(len(c.lam) == len(stacked) and min(c.lam) >= 1 for c in interior.values())
+    lifted = [(1,) + p for p in stacked.coords]
+    for lab, c in interior.items():
+        pair = (len(pts), pts.labels.index(lab))
+        assert len(c) == len(stacked) and all(c[u] > 0 for u in range(len(c)) if u not in pair)
+        assert all(sum(w * a for w, a in zip(c, col)) == 0 for col in zip(*lifted))
 
 
 def test_geometric_stack_on_flat_quadrilateral_pinned():
@@ -372,11 +377,12 @@ def test_construction_checks_survive_optimized_mode():
         from galepoly.errors import BadParametersError, CertificateError, NotAFacetError
         from galepoly.gale import PointConfiguration
 
-        def expect_error(call, error=CertificateError):
+        def expect_error(call, error=CertificateError, match=""):
             try:
                 call()
-            except error:
-                return
+            except error as exc:
+                if match in str(exc):
+                    return
             sys.exit("an unchecked verdict went unnoticed")
 
         real = mani._ceil_two_sqrt
@@ -420,30 +426,40 @@ def test_construction_checks_survive_optimized_mode():
         mani.cyclic_polytope = real
 
         # a forged midpoint certificate kept from a stacking trial, on fewer
-        # points than the final ones: weights that are no dependence of the
-        # points, then the true weights negated; then the same forgeries
-        # made by the trials' own hull test
+        # points than the final ones: a c that is no dependence of the
+        # points, then the true c negated
         c = mani.construct_nonsimplicial_mani(6, 1, mode="certificate")
         honest = c.diagonal_flags
-        if len(honest[0].lam) >= len(c.points):
+        if len(honest[0]) >= len(c.points):
             sys.exit("the first diagonal is not proved on a trial's prefix hull")
-        forges = (lambda lam: (1,) * len(lam), lambda lam: tuple(-w for w in lam))
+        forges = (lambda c: (1,) * len(c), lambda c: tuple(-w for w in c))
         for forge in forges:
-            forged = lp.DependenceCertificate("PositiveDependence", lam=forge(honest[0].lam))
-            c.diagonal_flags = (forged,) + honest[1:]
+            c.diagonal_flags = (forge(honest[0]),) + honest[1:]
             expect_error(lambda: mani.dual_spanning_report(c))
         c.diagonal_flags = honest
-        real = mani.interior_point_test
-        for forge in forges:
-            def forged_test(hull, x, forge=forge):
-                ok, cert = real(hull, x)
-                if ok:
-                    cert = lp.DependenceCertificate("PositiveDependence", lam=forge(cert.lam))
-                return ok, cert
-            mani.interior_point_test = forged_test
-            built = mani.construct_nonsimplicial_mani(6, 1, mode="certificate")
-            expect_error(lambda: mani.dual_spanning_report(built))
-        mani.interior_point_test = real
+
+        # the trials' own Gale-side step forged: the Farkas vector of each
+        # diagonal LP negated, so each c is too; then a Gale dual scaled
+        # vector by vector, which changes no LP verdict but leaves each c
+        # no affine dependence.  The diagonal re-check raises on both.
+        real = lp.solve_feasibility
+        def negated(columns, b):
+            x, y = real(columns, b)
+            if y is not None and sys._getframe(1).f_code.co_name == "hull_flags":
+                y = tuple(-a for a in y)
+            return x, y
+        lp.solve_feasibility = negated
+        build = lambda: mani.construct_nonsimplicial_mani(6, 1, mode="certificate")
+        expect_error(build, match="Gale-side")
+        lp.solve_feasibility = real
+        real = mani.gale_dual
+        def scaled_dual(points):
+            dual = real(points)
+            coords = tuple(tuple((u + 1) * a for a in v) for u, v in enumerate(dual.coords))
+            return mani.VectorConfiguration(m=dual.m, labels=dual.labels, coords=coords)
+        mani.gale_dual = scaled_dual
+        expect_error(build, match="Gale-side")
+        mani.gale_dual = real
 
         # weights that are no dependence give a c outside the column space of
         # V*: the one elimination finds no h for it, and that raises too
@@ -454,8 +470,7 @@ def test_construction_checks_survive_optimized_mode():
                 solved.append(real.solve_columns(self, rhs))
                 return solved[-1]
         mani.ExactMatrix = Recording
-        forged = lp.DependenceCertificate("PositiveDependence", lam=forges[0](honest[0].lam))
-        c.diagonal_flags = (forged,) + honest[1:]
+        c.diagonal_flags = (forges[0](honest[0]),) + honest[1:]
         expect_error(lambda: mani.dual_spanning_report(c))
         c.diagonal_flags = honest
         if [h is None for h in solved[0]] != [True] + [False] * (len(solved[0]) - 1):

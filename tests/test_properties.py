@@ -9,6 +9,8 @@ re-assertions of a single code path.
 import random
 from fractions import Fraction
 
+from fraction_kernels import interior_point_test
+
 from galepoly.gale import (
     all_points_are_vertices,
     enumerate_facet_complements,
@@ -19,7 +21,6 @@ from galepoly.gale import (
 )
 from galepoly.linalg import QQ, dot
 from galepoly.lp import (
-    interior_point_test,
     positively_spans,
     strict_positive_dependence,
     verify_certificate,

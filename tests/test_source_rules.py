@@ -95,8 +95,7 @@ def _functions_naming(tree, name: str) -> list[str]:
 
 
 def test_bareiss_pivot_runs_in_the_simplex_and_the_one_elimination_loop():
-    # lp's simplex and linalg.eliminate are the only loops that pivot; the
-    # integer rank test of lp's hull test calls eliminate, not a loop of its own
+    # lp's simplex and linalg.eliminate are the only loops that pivot
     found = {}
     for name, tree in _trees():
         for owner in _functions_naming(tree, "bareiss_pivot"):
