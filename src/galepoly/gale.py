@@ -41,7 +41,12 @@ from .spanning import VectorConfiguration, is_positively_k_spanning
 
 @dataclass(frozen=True)
 class PointConfiguration:
-    """Ordered labeled points in R^d."""
+    """Ordered labeled points in R^d.
+
+    ``gale_dual`` keeps its result as ``_gale_dual`` the first time it runs
+    on an object.  That is derived data, not a field, so equality, hashing
+    and repr see only the labels and coordinates.
+    """
 
     d: int
     labels: tuple[str, ...]
@@ -182,8 +187,19 @@ def gale_dual(points: PointConfiguration) -> VectorConfiguration:
     The lift prepends a homogenizing 1 to each point; the points must
     affinely span R^d, i.e. the lifted matrix must have rank d+1.  The
     result lives in R^(n-d-1) and carries the input labels in order; a
-    simplex (n = d+1) yields the empty-dimension configuration.
+    simplex (n = d+1) yields the empty-dimension configuration.  It is
+    computed once per points object and kept on it as the derived
+    attribute ``_gale_dual``, so every Gale-side fact of one point set
+    reads the same V*.
     """
+    dual = getattr(points, "_gale_dual", None)
+    if dual is None:
+        dual = _gale_dual(points)
+        object.__setattr__(points, "_gale_dual", dual)
+    return dual
+
+
+def _gale_dual(points: PointConfiguration) -> VectorConfiguration:
     n = len(points)
     d = points.d
     if n < d + 1:

@@ -799,6 +799,15 @@ def _diagonal_partner(objects: "_ReportObjects") -> list[list[str]]:
     return pairs
 
 
+def _fat_facet(objects: "_ReportObjects") -> list[str]:
+    # a repeated label would count twice towards the more-than-d vertices
+    # that make the facet fat
+    labels = _require_labels(objects.report, "fatFacet", "report")
+    if len(set(labels)) != len(labels):
+        raise SchemaError("report: 'fatFacet' repeats a label")
+    return labels
+
+
 def _embedded_dual(objects: "_ReportObjects", dual: VectorConfiguration) -> VectorConfiguration:
     """``dual``, once the report's ``dualConfiguration`` is shown to equal it."""
     if config_from_json(objects.report["dualConfiguration"]) != dual:
@@ -898,7 +907,7 @@ _DECODERS = {
     "points": lambda o: points_from_json(_require(o.report, "points", "report")),
     "stacks": _stacks,
     "header": _header,
-    "fat_facet": lambda o: _require_labels(o.report, "fatFacet", "report"),
+    "fat_facet": _fat_facet,
     "diagonal_partner": _diagonal_partner,
     "dual": _dual_configuration,
     "base_points": _base_points,

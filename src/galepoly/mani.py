@@ -25,26 +25,33 @@ hyperplane checks, which keeps d = 36 tractable.  Each designated facet is
 proved once, by its supporting hyperplane on the realized base
 (``designated_planes``).  Vertices are tested on the points; inner
 diagonals on the Gale dual of the hull, where faces of the points match
-cofaces of V* (``hull_flags``).  A vertex's separating functional is kept
-and re-checked by arithmetic at later trials, and each apex's accepted
-trial keeps the interior certificates of its diagonals, which prove every
-partner pair with no final midpoint LP.
+cofaces of V* (``hull_flags``).  Each trial's points are one
+``PointConfiguration``, which keeps the one Gale dual taken of it
+(``gale_dual``); the accepted trial's points are the stacked points.  A
+vertex's separating functional is kept and re-checked by arithmetic at
+later trials, and each apex's accepted trial keeps the interior
+certificates of its diagonals, which prove every partner pair with no
+final midpoint LP.
 
 ``spanning_bound_counterexample`` chains the d = 36 certificate build with
 dualization: the Gale dual of the resulting 49-vertex polytope is certified
 minimal positively 2-spanning with 49 > 2*2*12 vectors in R^12, beating the
 classical 2km bound on the size of minimal positively k-spanning
 configurations.  Both halves of that proof are read off the build's
-certificates by Gale duality, with no LP: the base scan off the separating
-functionals of the vertices, and the witness that no vector can be removed
-off the interior certificate of each vertex's inner diagonal, an affine
+certificates by Gale duality, on the dual the last stacking trial already
+took, and the dual stage has no LP path: the base scan is proved off the
+separating functionals of the vertices, re-checked as positive
+dependences of the dual, and the witness that no vector can be removed off
+the interior certificate of each vertex's inner diagonal, an affine
 dependence of the points, all indices solved in one elimination of the
-dual.
+dual.  A functional or certificate that fails its re-check leaves its
+verdict unproven (false); no LP runs in its place.
 
 Verify re-runs the certificate-mode steps a report does not embed through
 the functions build calls (``designated_planes``, ``vertex_proofs``,
 ``midpoint_flags``, ``dual_spanning_report``) on the report's own points,
-without the build's kept proofs.  It re-checks by arithmetic that the
+without the build's kept proofs; its midpoint flags and dual checks share
+one Gale dual of those points.  It re-checks by arithmetic that the
 first points realize the plan (``realizes``) and that the recorded apex
 placements stand on the designated planes (``stack_mismatch``).
 """
@@ -86,9 +93,9 @@ from .linalg import (
     vec_scale,
 )
 from .lp import (
+    KIND_POSITIVE_DEPENDENCE,
     KIND_STIEMKE_WITNESS,
     DependenceCertificate,
-    positively_spans,
     separating_functional,
     verify_integer_certificate,
 )
@@ -98,7 +105,7 @@ from .polytope import (
     illumination_report,
     stack_simplex_facet,
 )
-from .spanning import SpanningReport, VectorConfiguration, is_positively_k_spanning
+from .spanning import VectorConfiguration
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +270,8 @@ class StackCertificate:
     trials: int
 
 
-def hull_flags(coords, vertices, diagonals, separators=None):
-    """Exact LP flags on the hull of ``coords``, yielded lazily in order.
+def hull_flags(points: PointConfiguration, vertices, diagonals, separators=None):
+    """Exact LP flags on the hull of ``points``, yielded lazily in order.
 
     First, for each index in ``vertices``, whether that point is a vertex;
     then, for each index pair in ``diagonals``, the interior certificate of
@@ -282,9 +289,9 @@ def hull_flags(coords, vertices, diagonals, separators=None):
     LP.  Otherwise the LP runs and its functional is kept in the map.
     Without ``separators`` every vertex flag solves its LP.
 
-    The diagonals are tested on the Gale dual V* of the hull, one
-    ``gale_dual`` per call that reaches them; it also proves that the
-    points affinely span R^d (a hull that does not has no interior point).
+    The diagonals are tested on the Gale dual V* of the hull, the one
+    ``gale_dual`` that ``points`` keeps; it also proves that the points
+    affinely span R^d (a hull that does not has no interior point).
     Faces of the points match cofaces of V*, so the midpoint of p_i and p_j
     is interior exactly when V* minus {v*_i, v*_j} has no nonzero
     nonnegative dependence, that is (Gordan) when some h has h.v*_u > 0 for
@@ -297,6 +304,7 @@ def hull_flags(coords, vertices, diagonals, separators=None):
     """
     if separators is None:
         separators = {}
+    coords = points.coords
     rows = [integer_multiple((QQ(1),) + tuple(p)) for p in coords] if separators else None
     for i in vertices:
         kept = separators.get(i)
@@ -311,7 +319,7 @@ def hull_flags(coords, vertices, diagonals, separators=None):
         return
     n = len(coords)
     try:
-        dual = gale_dual(PointConfiguration(len(coords[0]), tuple(map(str, range(n))), tuple(coords)))
+        dual = gale_dual(points)
     except DegenerateInputError:
         yield from (None for _ in diagonals)
         return
@@ -342,7 +350,7 @@ def vertex_proofs(points: PointConfiguration, separators=None):
     without it every point solves its vertex LP.
     """
     separators = {} if separators is None else separators
-    flags = tuple(hull_flags(points.coords, range(len(points)), (), separators))
+    flags = tuple(hull_flags(points, range(len(points)), (), separators))
     return flags, {i: separators[i] for i, ok in enumerate(flags) if ok}
 
 
@@ -352,12 +360,13 @@ def midpoint_flags(points: PointConfiguration, pairs) -> tuple[tuple[int, ...] |
     A certificate is an integer affine dependence c of the points with
     c_u > 0 at every point off the pair (``hull_flags``); None means the
     midpoint is not interior.  One Gale dual of the points serves every
-    pair, and each pair solves its LP, in order.  Verify calls this on a
+    pair (the one ``points`` keeps, so verify's dual check reads it too),
+    and each pair solves its LP, in order.  Verify calls this on a
     report's final points; the build solves no final midpoint LP, as its
     stacking trials already proved each pair.
     """
     index = {lab: i for i, lab in enumerate(points.labels)}
-    return tuple(hull_flags(points.coords, (), [(index[a], index[b]) for a, b in pairs]))
+    return tuple(hull_flags(points, (), [(index[a], index[b]) for a, b in pairs]))
 
 
 def geometric_stack_point(
@@ -379,6 +388,10 @@ def geometric_stack_point(
     beyond the facet's own hyperplane holds for every positive height.
     ``separators`` keeps the points' separating functionals across trials
     and calls (``hull_flags``); the apex is appended, so indices stay valid.
+
+    Each trial builds its points first and tests its flags on them, so
+    the stacked points returned are the accepted trial's, which keep the
+    Gale dual their diagonals were tested on (``gale_dual``).
 
     Returns the stacked points, the placement's certificate, and the
     interior certificate of the accepted trial for each diagonal, keyed by
@@ -416,17 +429,13 @@ def geometric_stack_point(
         if dot(normal, apex) <= offset:
             raise CertificateError("apex is not beyond the facet's hyperplane")
         if all(dot(a, apex) < b for a, b in guard_planes):
-            coords = points.coords + (apex,)
-            n = len(coords)
-            diagonals = [(n - 1, i) for i in diagonal_order]
-            held = list(takewhile(bool, hull_flags(coords, vertex_order, diagonals, separators)))
+            stacked = PointConfiguration(
+                d=points.d, labels=points.labels + (new_label,), coords=points.coords + (apex,)
+            )
+            diagonals = [(len(points), i) for i in diagonal_order]
+            held = list(takewhile(bool, hull_flags(stacked, vertex_order, diagonals, separators)))
             nv = len(vertex_order)
             if len(held) == nv + len(diagonals):
-                stacked = PointConfiguration(
-                    d=points.d,
-                    labels=points.labels + (new_label,),
-                    coords=coords,
-                )
                 cert = StackCertificate(
                     facet=facet,
                     apex_label=new_label,
@@ -839,57 +848,45 @@ def _common_scale(rows) -> list[list[int]]:
     return [[a.numerator * (scale // a.denominator) for a in r] for r in rows]
 
 
-def _positive_dependence(y, lifted, vstar, i: int) -> bool:
-    """Whether y's affine values give V* minus v*_i a positive dependence.
+def _dual_base_scan(lifted, vstar, separators) -> bool:
+    """Whether the Gale dual V* is positively 2-spanning, proved off vertex functionals.
 
     ``lifted`` and ``vstar`` are the rows (1, p_u) and v*_u, each set scaled
-    to integers by one common factor.  The weights are
-    lam_u = y.(1, p_i) - y.(1, p_u), zero at i; they must be positive at
-    every other u and sum the dual rows to zero.
+    to integers by one common factor.  V* minus v*_i positively spans
+    exactly when p_i is a vertex.  If y separates p_i from the other
+    points, lam_u = y.(1, p_i) - y.(1, p_u) is positive off i, and these
+    values of an affine function are a linear dependence of V* because its
+    columns span the affine dependences of the points.  Each lam is
+    re-checked in integers as a ``PositiveDependence`` of the rows of V*
+    off i (``verify_integer_certificate``).  One rank test of V* and its
+    all-ones dependence (which leaves no v*_i outside the span of the
+    others) complete the proof that V* minus v*_i spans, with no LP.
+
+    A missing functional, or one whose lam fails the re-check, leaves the
+    proof undone: False, with no LP in its place.  A point that is no
+    vertex has no functional, and then V* minus v*_i does not span.  For a
+    true Gale dual the values of a separating functional always pass, so a
+    functional fails only when it or V* is forged.
     """
-    if len(y) != len(lifted[i]):
-        return False
-    values = [sum(a * b for a, b in zip(y, row)) for row in lifted]
-    lam = [values[i] - v for v in values]
-    if any(w <= 0 for u, w in enumerate(lam) if u != i):
-        return False
-    return all(sum(w * row[c] for w, row in zip(lam, vstar)) == 0 for c in range(len(vstar[i])))
-
-
-def _dual_base_scan(points, dual, separators) -> SpanningReport:
-    """The 2-spanning scan of the Gale dual V*, read off vertex functionals.
-
-    V* minus v*_i positively spans exactly when p_i is a vertex.  If y
-    separates p_i from the other points, lam_u = y.(1, p_i) - y.(1, p_u)
-    is positive off i, and these values of an affine function are a linear
-    dependence of V* because its columns span the affine dependences of the
-    points.  Each such dependence is re-checked in integers.  One rank test
-    of V* and its all-ones dependence (which leaves no v*_i outside the span
-    of the others) complete the proof that V* minus v*_i spans, with no LP.
-    An index without a functional that passes runs the LP scan of
-    ``is_positively_k_spanning``, whose report this equals.
-    """
-    n = len(dual)
-    if dual.m < 1 or n < 2:
-        return is_positively_k_spanning(dual, 2)
-    lifted = _common_scale([(QQ(1),) + tuple(p) for p in points.coords])
-    vstar = _common_scale(dual.coords)
     if not (
         all(sum(col) == 0 for col in zip(*vstar))
-        and ExactMatrix(dual.coords).rank() == dual.m
+        and ExactMatrix(vstar).rank() == len(vstar[0])
     ):
-        separators = {}  # not a Gale dual: every deletion runs its LP
-    for i in range(n):
+        return False
+    for i in range(len(lifted)):
         y = separators.get(i)
-        if y is not None and _positive_dependence(y, lifted, vstar, i):
-            continue
-        ok, cert = positively_spans(dual.coords, [u for u in range(n) if u != i])
-        if not ok:
-            return SpanningReport(False, 2, witness_deletion=(i,), certificate=cert)
-    return SpanningReport(True, 2)
+        if y is None:
+            return False
+        values = [sum(a * b for a, b in zip(y, r)) for r in lifted]
+        lam = [values[i] - v for u, v in enumerate(values) if u != i]
+        rest = [r for u, r in enumerate(vstar) if u != i]
+        proof = DependenceCertificate(KIND_POSITIVE_DEPENDENCE, lam=tuple(lam))
+        if not verify_integer_certificate(rest, proof):
+            return False
+    return True
 
 
-def _removal_witnesses(dual, pairs, certificates):
+def _removal_witnesses(dual, vstar, pairs, certificates):
     """Why no v*_i can leave the Gale dual V*, read off midpoint certificates.
 
     The interior certificate of the midpoint of p_i and p_j is an integer
@@ -901,7 +898,8 @@ def _removal_witnesses(dual, pairs, certificates):
     so V* h = c is solvable and h is a Stiemke witness that V* minus
     {v*_i, v*_j} does not positively span.  One elimination of V* solves
     for every index (``ExactMatrix.solve_columns``), and each h is
-    re-checked in integers against V* scaled once by a common lcm.  A c
+    re-checked in integers against ``vstar``, V* scaled once by a common
+    lcm.  A c
     outside the span has no h (None), which fails the re-check like a wrong
     h.  Index i uses the first of ``pairs`` (label pairs, each with its
     certificate or None in ``certificates``) that starts with its label and
@@ -921,7 +919,6 @@ def _removal_witnesses(dual, pairs, certificates):
         # a build's certificate weighs the points up to its apex; the later
         # apexes weigh 0
         rhs.append(tuple(c) + (0,) * (len(dual) - len(c)))
-    vstar = _common_scale(dual.coords)
     per_index = []
     for (lab, partner, pair), h in zip(removed, ExactMatrix(dual.coords).solve_columns(rhs)):
         witness = DependenceCertificate(KIND_STIEMKE_WITNESS, functional=h)
@@ -935,11 +932,15 @@ def _removal_witnesses(dual, pairs, certificates):
 def dual_spanning_report(construction: ManiConstruction, k: int = 2) -> CounterexampleReport:
     """Dualize a certificate-mode construction and prove it minimal 2-spanning.
 
-    The base scan reads each deletion off the construction's ``separators``
-    where it can (``_dual_base_scan``).  Each removal's witness is read off
-    the interior certificate of its ``diagonal_partner`` pair in
-    ``diagonal_flags`` (``_removal_witnesses``), with no LP; without one for
-    every index minimality is unproven and ``minimal`` is false.  Only
+    The dual is the one the construction's ``points`` keep (``gale_dual``):
+    a build's last accepted stacking trial took it, and verify's midpoint
+    flags did.  The lifted points and V* are scaled to integers once.  The
+    base scan is proved off the construction's ``separators``
+    (``_dual_base_scan``); a missing or failing functional leaves
+    ``spanning`` false.  Each removal's witness is read off the interior
+    certificate of its ``diagonal_partner`` pair in ``diagonal_flags``
+    (``_removal_witnesses``); without one for every index minimality is
+    unproven and ``minimal`` is false.  Neither half solves an LP.  Only
     k = 2 is proved; any other k is a ``BadParametersError``.
     """
     if k != 2:
@@ -947,16 +948,20 @@ def dual_spanning_report(construction: ManiConstruction, k: int = 2) -> Countere
     if construction.points is None:
         raise BadParametersError("dual stage needs a certificate-mode construction")
     dual = gale_dual(construction.points)
-    base = _dual_base_scan(construction.points, dual, construction.separators)
+    lifted = _common_scale([(QQ(1),) + tuple(p) for p in construction.points.coords])
+    vstar = _common_scale(dual.coords)
+    spanning = _dual_base_scan(lifted, vstar, construction.separators)
     per_index = None
-    if base.spanning:
-        per_index = _removal_witnesses(dual, construction.diagonal_partner, construction.diagonal_flags)
+    if spanning:
+        per_index = _removal_witnesses(
+            dual, vstar, construction.diagonal_partner, construction.diagonal_flags
+        )
     return CounterexampleReport(
         construction=construction,
         dual=dual,
         k=k,
         classical_bound=2 * k * dual.m,
-        spanning=base.spanning,
+        spanning=spanning,
         minimal=per_index is not None,
         exceeds_bound=len(dual) > 2 * k * dual.m,
         per_index=per_index or (),

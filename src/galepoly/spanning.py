@@ -4,7 +4,8 @@ A configuration is an ordered, labeled list of vectors in R^m.  It is
 positively k-spanning when deleting any k-1 vectors leaves a set whose
 nonnegative combinations fill R^m, and minimally so when no single vector
 can be dropped without losing that property.  Both predicates are decided
-by exhaustive deletion scans over the exact LP core, and every verdict is
+by one exhaustive deletion scan over the exact LP core (``_check_removal``,
+run with nothing or one vector removed), and every verdict is
 backed by a certificate for its witness case; a minimal verdict records
 each removal's least witness deletion.  These scans serve bare
 configurations.  The Gale dual of a certificate-mode build is proved
@@ -114,58 +115,47 @@ class MinimalityReport:
     per_index: tuple[tuple[str, tuple[str, ...], str], ...] = ()
 
 
-def _vacuous_failure(config: VectorConfiguration, k: int) -> SpanningReport:
-    size = min(k - 1, len(config))
-    cert = DependenceCertificate(
-        "RankDeficiency",
-        direction=tuple(QQ(1) if i == 0 else QQ(0) for i in range(config.m)),
-    )
-    return SpanningReport(False, k, witness_deletion=tuple(range(size)), certificate=cert)
+def _check_removal(config: VectorConfiguration, k: int, removed: tuple[int, ...], memo: dict):
+    """The k-spanning scan of ``config`` without the vectors in ``removed``.
+
+    The (k-1)-deletions run in lexicographic order, as positions among the
+    other vectors; the witness deletion is given in those positions.
+    Deleting k-1 of fewer than k-1 vectors is impossible, so too few
+    vectors fail vacuously with a maximal witness deletion.  Each LP is
+    keyed in ``memo`` by the original indices it removes: the scans of two
+    removals meet on the same selection of the same vectors in the same
+    order, so a hit is that LP's own ``(ok, cert)``.
+    """
+    rest = [j for j in range(len(config)) if j not in removed]
+    if k - 1 >= len(rest):
+        cert = DependenceCertificate(
+            "RankDeficiency",
+            direction=tuple(QQ(1) if i == 0 else QQ(0) for i in range(config.m)),
+        )
+        return SpanningReport(False, k, witness_deletion=tuple(range(len(rest))), certificate=cert)
+    for deletion in itertools.combinations(range(len(rest)), k - 1):
+        gone = frozenset([*removed, *(rest[t] for t in deletion)])
+        hit = memo.get(gone)
+        if hit is None:
+            hit = memo[gone] = positively_spans(config.coords, [j for j in rest if j not in gone])
+        ok, cert = hit
+        if not ok:
+            return SpanningReport(False, k, witness_deletion=deletion, certificate=cert)
+    return SpanningReport(True, k)
 
 
 def is_positively_k_spanning(config: VectorConfiguration, k: int) -> SpanningReport:
     """Scan all (k-1)-deletions; report the least failing one, if any.
 
-    Deleting k-1 of fewer than k-1 vectors is impossible, so configurations
-    with n <= k-1 fail vacuously with a maximal witness deletion.
+    This is the deletion scan with nothing removed (``_check_removal``), so
+    configurations with n <= k-1 fail vacuously with a maximal witness
+    deletion.
     """
     if k < 1:
         raise BadParametersError("k must be at least 1")
     if config.m < 1:
         raise BadParametersError("ambient dimension must be at least 1")
-    n = len(config)
-    if k - 1 >= n:
-        return _vacuous_failure(config, k)
-    for deletion in itertools.combinations(range(n), k - 1):
-        dropped = set(deletion)
-        ok, cert = positively_spans(config.coords, [i for i in range(n) if i not in dropped])
-        if not ok:
-            return SpanningReport(False, k, witness_deletion=deletion, certificate=cert)
-    return SpanningReport(True, k)
-
-
-def _check_removal(config: VectorConfiguration, k: int, index: int, memo: dict):
-    """The k-spanning scan of ``config`` without vector ``index``.
-
-    The (k-1)-deletions run in lexicographic order, as positions among the
-    other vectors.  Each LP is keyed in ``memo`` by the original indices it
-    removes: the scans of two removals meet on the same selection of the
-    same vectors in the same order, so a hit is that LP's own ``(ok, cert)``.
-    """
-    rest = [j for j in range(len(config)) if j != index]
-    if k - 1 >= len(rest):
-        return _vacuous_failure(config.delete((index,)), k)
-    for deletion in itertools.combinations(range(len(rest)), k - 1):
-        removed = frozenset([index, *(rest[t] for t in deletion)])
-        hit = memo.get(removed)
-        if hit is None:
-            hit = memo[removed] = positively_spans(
-                config.coords, [j for j in rest if j not in removed]
-            )
-        ok, cert = hit
-        if not ok:
-            return SpanningReport(False, k, witness_deletion=deletion, certificate=cert)
-    return SpanningReport(True, k)
+    return _check_removal(config, k, (), {})
 
 
 def removal_scan(config: VectorConfiguration, k: int) -> MinimalityReport:
@@ -180,7 +170,7 @@ def removal_scan(config: VectorConfiguration, k: int) -> MinimalityReport:
     per_index = []
     memo: dict = {}
     for index in range(n):
-        report = _check_removal(config, k, index, memo)
+        report = _check_removal(config, k, (index,), memo)
         if report.spanning:
             return MinimalityReport(False, k, removable_index=index)
         rest = [j for j in range(n) if j != index]

@@ -1,8 +1,9 @@
 """Reference certification paths for the differential tests.
 
-These are the minimality scan and the geometric stacking as they ran
-before either reused an answer: the scan runs every removal's k-spanning
-scan on its own, and the stacking solves a vertex LP for every point and a
+These are the k-spanning and minimality scans and the geometric stacking
+as they ran before any reused an answer or shared a loop: the k-spanning
+scan solves every deletion by its own LP, the minimality scan runs every
+removal's k-spanning scan on its own, and the stacking solves a vertex LP for every point and a
 midpoint LP for every diagonal at every trial, in point order, then solves
 every final flag again.  Its midpoint test is the point-side one, on the
 points translated by the midpoint (``fraction_kernels.interior_point_test``),
@@ -14,13 +15,30 @@ imports this module.
 
 from __future__ import annotations
 
+import itertools
+
 from fraction_kernels import interior_point_test
 
 from galepoly.gale import PointConfiguration, barycenter
 from galepoly.linalg import QQ, ExactMatrix, dot, vec_add, vec_scale
-from galepoly.lp import is_vertex_of_hull
+from galepoly.lp import DependenceCertificate, is_vertex_of_hull, positively_spans
 from galepoly.mani import StackCertificate, _apex_labels, _designated_facets
-from galepoly.spanning import MinimalityReport, is_positively_k_spanning
+from galepoly.spanning import MinimalityReport, SpanningReport
+
+
+def is_positively_k_spanning(config, k):
+    """Every (k-1)-deletion by its own LP, in lexicographic order; too few
+    vectors fail vacuously with a maximal witness deletion."""
+    n = len(config)
+    if k - 1 >= n:
+        e1 = tuple(QQ(1) if i == 0 else QQ(0) for i in range(config.m))
+        cert = DependenceCertificate("RankDeficiency", direction=e1)
+        return SpanningReport(False, k, witness_deletion=tuple(range(n)), certificate=cert)
+    for deletion in itertools.combinations(range(n), k - 1):
+        ok, cert = positively_spans(config.coords, [i for i in range(n) if i not in deletion])
+        if not ok:
+            return SpanningReport(False, k, witness_deletion=deletion, certificate=cert)
+    return SpanningReport(True, k)
 
 
 def is_minimal_k_spanning(config, k):

@@ -232,7 +232,7 @@ def test_criterion_6_property_suites():
             pairs = [(i, j) for i in range(len(labels)) for j in range(i + 1, len(labels))]
             # the library tests the diagonals on the Gale dual, the
             # reference on the points translated by the midpoint
-            for (i, j), flag in zip(pairs, hull_flags(coords, (), pairs)):
+            for (i, j), flag in zip(pairs, hull_flags(points, (), pairs)):
                 u, v = labels[i], labels[j]
                 combinatorial = not any(
                     u in f and v in f for f in poly.facets

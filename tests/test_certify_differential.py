@@ -8,9 +8,11 @@ across stacking trials; all of it must give exactly the reference's
 reports, certificates, apex placements and flags.  The library tests each
 inner diagonal on the Gale dual of its hull, the reference on the points
 translated by the midpoint; the verdicts must agree at every trial.  The
-dual of a certificate build is proved minimal without any scan, from the
-midpoint certificates; its verdict must be the reference scan's, and each
-witness it derives must break positive spanning by an LP of its own.
+dual of a certificate build is proved 2-spanning and minimal without any
+scan, from the vertex functionals and the midpoint certificates; its
+verdicts must be the LP scans', each witness it derives must break
+positive spanning by an LP of its own, and forged inputs must leave the
+verdict unproven with no LP.
 """
 
 import functools
@@ -141,8 +143,9 @@ def test_gale_side_diagonals_match_the_point_side_reference_on_every_trial(monke
     real = mani.hull_flags
     checked = [0]
 
-    def checking(coords, vertices, diagonals, separators=None):
-        flags = real(coords, vertices, diagonals, separators)
+    def checking(points, vertices, diagonals, separators=None):
+        flags = real(points, vertices, diagonals, separators)
+        coords = points.coords
         for k, flag in enumerate(flags):
             if k >= len(vertices):
                 i, j = diagonals[k - len(vertices)]
@@ -240,9 +243,10 @@ def _separates(y, coords, i):
 
 def test_a_forged_kept_functional_falls_back_to_the_lp(monkeypatch):
     # a square and its center: four vertices, one interior point
-    coords = [tuple(map(QQ, p)) for p in [(0, 0), (2, 0), (0, 2), (2, 2), (1, 1)]]
+    points = PointConfiguration.from_pairs(2, enumerate([(0, 0), (2, 0), (0, 2), (2, 2), (1, 1)]))
+    coords = points.coords
     separators = {}
-    assert list(hull_flags(coords, range(5), (), separators)) == [True] * 4 + [False]
+    assert list(hull_flags(points, range(5), (), separators)) == [True] * 4 + [False]
     assert sorted(separators) == [0, 1, 2, 3]
     assert all(_separates(separators[i], coords, i) for i in range(4))
 
@@ -252,13 +256,13 @@ def test_a_forged_kept_functional_falls_back_to_the_lp(monkeypatch):
     separators[1] = separators[0]  # separates point 0, not point 1
     separators[2] = (0, 0, 0)
     separators[4] = (1, 0, 0)  # positive on every point
-    assert list(hull_flags(coords, range(5), (), separators)) == [True] * 4 + [False]
+    assert list(hull_flags(points, range(5), (), separators)) == [True] * 4 + [False]
     assert solved == [1, 2, 4]
     assert all(_separates(separators[i], coords, i) for i in range(4))
 
     # without kept functionals every flag solves its LP
     solved.clear()
-    assert list(hull_flags(coords, range(5), ())) == [True] * 4 + [False]
+    assert list(hull_flags(points, range(5), ())) == [True] * 4 + [False]
     assert solved == [0, 1, 2, 3, 4]
 
 
@@ -324,80 +328,134 @@ def test_the_build_solves_no_midpoint_lp_after_its_last_stack(monkeypatch):
     assert "gale_dual" in events[:last] and "gale_dual" not in events[last:]
 
 
-@pytest.mark.parametrize("d,p", [(d, p) for d in range(6, 10) for p in (3, 4, 5)])
-def test_base_scan_from_functionals_matches_the_lp_scan(monkeypatch, d, p):
-    c = construct_nonsimplicial_mani(d, 1, p=p, mode="certificate")
-    dual = gale_dual(c.points)
+def _count_gale_duals(monkeypatch):
+    # one kernel elimination per Gale dual: count those run under gale_dual
+    count = [0]
+    real = linalg.ExactMatrix.kernel_basis
+
+    def counting(self):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name != "gale_dual":
+            frame = frame.f_back
+        count[0] += frame is not None
+        return real(self)
+
+    monkeypatch.setattr(linalg.ExactMatrix, "kernel_basis", counting)
+    return count
+
+
+def test_one_gale_dual_per_point_set(monkeypatch):
+    # the build's dual stage reads the dual its last stacking trial took;
+    # verify's midpoint flags and dual checks share one dual of its points
+    c = construct_nonsimplicial_mani(6, 1, mode="certificate")
+    count = _count_gale_duals(monkeypatch)
+    counterexample = dual_spanning_report(c)
+    assert counterexample.spanning and counterexample.minimal
+    assert count[0] == 0
+    doc = json.loads(dumps(build_report(c, counterexample)))
+    payloads = verify_report(doc, None)
+    assert count[0] == 1
+    assert {p["check"]: digest(p) for p in payloads} == doc["certificateDigests"]
+
+
+@pytest.mark.parametrize("d,p,ell", ALL_BUILDS)
+def test_base_scan_from_functionals_matches_the_lp_scan(monkeypatch, d, p, ell):
+    c = _build(d, p, ell)
     assert sorted(c.separators) == list(range(len(c.points)))
     count = _count_lps(monkeypatch)
-    got = mani._dual_base_scan(c.points, dual, c.separators)
+    report = dual_spanning_report(c)
     assert count[0] == 0
-    assert got == is_positively_k_spanning(dual, 2)
-    assert got.spanning
+    assert report.spanning == is_positively_k_spanning(gale_dual(c.points), 2).spanning
+    assert report.spanning
 
 
-def test_a_wrong_or_missing_functional_falls_back_to_the_lp(monkeypatch):
-    c = construct_nonsimplicial_mani(6, 1, p=3, mode="certificate")
-    dual = gale_dual(c.points)
-    expected = is_positively_k_spanning(dual, 2)
-    forged = dict(c.separators)
-    del forged[0]  # missing
-    forged[1] = forged[2]  # separates another point
-    forged[3] = (0,) * len(forged[3])  # zero
-    forged[4] = tuple(-a for a in forged[4])  # negated
-    forged[5] = forged[5][:-1]  # wrong length
-    # a constant added to a functional leaves every weight as it was
-    forged[6] = (forged[6][0] + 7,) + forged[6][1:]
+def _fresh_build(d, p):
+    # a construction of its own, so the Gale dual kept on its points can be
+    # forged without reaching the builds other tests share
+    return construct_nonsimplicial_mani(d, 1, p=p, mode="certificate")
+
+
+FUNCTIONAL_FORGERIES = {
+    "missing": lambda seps: {i: y for i, y in seps.items() if i != 0},
+    "another point's": lambda seps: {**seps, 1: seps[2]},
+    "zero": lambda seps: {**seps, 3: (0,) * len(seps[3])},
+    "negated": lambda seps: {**seps, 4: tuple(-a for a in seps[4])},
+}
+
+
+@pytest.mark.parametrize("forgery", sorted(FUNCTIONAL_FORGERIES))
+def test_a_wrong_or_missing_functional_leaves_spanning_unproven(monkeypatch, forgery):
+    # the dual does positively 2-span, but a forged functional proves
+    # nothing, and no LP runs in its place
+    c = _fresh_build(6, 3)
+    c.separators = FUNCTIONAL_FORGERIES[forgery](c.separators)
     count = _count_lps(monkeypatch)
-    assert mani._dual_base_scan(c.points, dual, forged) == expected
-    assert count[0] == 5
-    count[0] = 0
-    assert mani._dual_base_scan(c.points, dual, {}) == expected
-    assert count[0] == len(dual)
+    report = dual_spanning_report(c)
+    assert count[0] == 0
+    assert not report.spanning and not report.minimal and report.per_index == ()
+    assert is_positively_k_spanning(report.dual, 2).spanning
 
 
-@pytest.mark.parametrize("forgery", ["doubled row", "swapped rows"])
-def test_a_dual_that_is_no_gale_dual_gets_no_lp_free_proofs(monkeypatch, forgery):
-    # doubling one row breaks the all-ones dependence, so no functional
-    # proves anything.  Swapping rows 0 and 1 keeps it and the rank, and
-    # the values of functional i stay a dependence only where they agree
-    # at points 0 and 1; every other deletion runs its LP.
-    c = construct_nonsimplicial_mani(6, 1, p=4, mode="certificate")
-    dual = gale_dual(c.points)
+def test_a_functional_shifted_by_a_constant_still_proves_spanning(monkeypatch):
+    # a constant added to a functional leaves every weight as it was
+    c = _fresh_build(6, 3)
+    y = c.separators[6]
+    c.separators = {**c.separators, 6: (y[0] + 7,) + y[1:]}
+    count = _count_lps(monkeypatch)
+    assert dual_spanning_report(c).spanning
+    assert count[0] == 0
+
+
+def _forged_dual(dual, forgery):
     v = dual.coords
     if forgery == "doubled row":
         coords = (tuple(2 * a for a in v[0]),) + v[1:]
-        solved = len(dual)
     else:
         coords = (v[1], v[0]) + v[2:]
+    return VectorConfiguration(m=dual.m, labels=dual.labels, coords=coords)
+
+
+@pytest.mark.parametrize("forgery", ["doubled row", "swapped rows"])
+def test_a_dual_that_is_no_gale_dual_is_not_proved_spanning(monkeypatch, forgery):
+    # doubling one row breaks the all-ones dependence.  Swapping rows 0 and
+    # 1 keeps it and the rank, and the values of functional i stay a
+    # dependence only where they agree at points 0 and 1, which some do
+    # not.  Either way spanning stays unproven, with no LP.
+    c = _fresh_build(6, 4)
+    forged = _forged_dual(gale_dual(c.points), forgery)
+    if forgery == "swapped rows":
         values = [
             [y[0] + sum(a * b for a, b in zip(y[1:], p)) for p in c.points.coords[:2]]
             for y in c.separators.values()
         ]
-        solved = sum(a != b for a, b in values)
-        assert 0 < solved < len(dual)
-    forged = VectorConfiguration(m=dual.m, labels=dual.labels, coords=coords)
-    expected = is_positively_k_spanning(forged, 2)
+        assert 0 < sum(a != b for a, b in values) < len(forged)
+    object.__setattr__(c.points, "_gale_dual", forged)
     count = _count_lps(monkeypatch)
-    assert mani._dual_base_scan(c.points, forged, c.separators) == expected
-    assert count[0] == solved
+    report = dual_spanning_report(c)
+    assert report.dual is forged
+    assert count[0] == 0
+    assert not report.spanning and not report.minimal
 
 
-def test_a_dual_that_fails_reports_the_lp_scans_witness(monkeypatch):
-    # an interior point has no functional; its deletion fails on its LP
-    c = construct_nonsimplicial_mani(6, 1, p=3, mode="certificate")
+def test_a_dual_that_fails_is_proved_not_spanning_with_no_lp(monkeypatch):
+    # the stacked points plus an interior point: the interior point has no
+    # functional, so its deletion is not proved, and the LP scan agrees
+    # that the dual does not positively 2-span
+    c = _fresh_build(6, 3)
     points = c.points
     center = tuple(sum(col) / len(points) for col in zip(*points.coords))
     inner = PointConfiguration(
         d=points.d, labels=points.labels + ("mid",), coords=points.coords + (center,)
     )
-    separators = {}
-    flags = list(hull_flags(inner.coords, range(len(inner)), (), separators))
-    assert flags == [True] * len(points) + [False]
-    dual = gale_dual(inner)
-    got = mani._dual_base_scan(inner, dual, separators)
-    assert got == is_positively_k_spanning(dual, 2)
-    assert not got.spanning and got.witness_deletion == (len(points),)
+    flags, separators = mani.vertex_proofs(inner)
+    assert flags == (True,) * len(points) + (False,)
+    c.points, c.separators = inner, separators
+    count = _count_lps(monkeypatch)
+    report = dual_spanning_report(c)
+    assert count[0] == 0
+    assert not report.spanning
+    scan = is_positively_k_spanning(gale_dual(inner), 2)
+    assert not scan.spanning and scan.witness_deletion == (len(points),)
 
 
 def test_an_index_without_an_interior_certificate_leaves_minimality_unproven(monkeypatch):
@@ -461,7 +519,6 @@ def test_a_witness_replaced_by_an_edge_partner_fails():
 GALE_FORGERIES = textwrap.dedent(
     """
     import sys
-    from fractions import Fraction
     from galepoly import lp, mani
     from galepoly.errors import CertificateError
     from galepoly.gale import PointConfiguration
@@ -469,7 +526,7 @@ GALE_FORGERIES = textwrap.dedent(
 
     # a square with a point on its bottom edge: the midpoint of points 0
     # and 3 is interior, that of the edge 0, 1 and the edge point itself not
-    square = [tuple(map(Fraction, p)) for p in [(0, 0), (2, 0), (0, 2), (2, 2), (1, 0)]]
+    square = PointConfiguration.from_pairs(2, enumerate([(0, 0), (2, 0), (0, 2), (2, 2), (1, 0)]))
     pair = (0, 3)
     flags = list(mani.hull_flags(square, (), [pair, (0, 1), (4, 4)]))
     if flags[0] is None or flags[1:] != [None, None]:
@@ -478,7 +535,7 @@ GALE_FORGERIES = textwrap.dedent(
     # c0 = (-1, 1, 1, -1, 0) is an affine dependence of the points,
     # nonnegative off the pair but 0 on the edge point: Stiemke-valid, so
     # it proves the removal of v*_0 and v*_3, but not the interior midpoint
-    dual = mani.gale_dual(PointConfiguration(2, tuple("abcde"), tuple(square)))
+    dual = mani.gale_dual(square)
     vstar = mani._common_scale(dual.coords)
     h0 = ExactMatrix(vstar).solve([-1, 1, 1, -1, 0])
     rest = [row for u, row in enumerate(vstar) if u not in pair]
@@ -532,35 +589,53 @@ def test_gale_side_rechecks_survive_optimized_mode():
     assert proc.stdout.strip() == "1"
 
 
+# The forgeries above, run under python -O, where no assert would run: each
+# must leave spanning false with no LP.
+DUAL_FORGERIES = textwrap.dedent(
+    """
+    import sys
+    from galepoly import lp, mani
+
+    count = [0]
+    real = lp.solve_feasibility
+
+    def counting(*args):
+        count[0] += 1
+        return real(*args)
+
+    build = lambda: mani.construct_nonsimplicial_mani(6, 1, p=3, mode="certificate")
+    c, other = build(), build()
+    lp.solve_feasibility = counting
+    if not mani.dual_spanning_report(c).spanning or count[0]:
+        sys.exit("the honest functionals prove no spanning with no LP")
+    forgeries = [
+        {i: tuple(-a for a in y) for i, y in c.separators.items()},
+        {i: y for i, y in c.separators.items() if i},
+        {},
+    ]
+    for forged in forgeries:
+        c.separators = forged
+        if mani.dual_spanning_report(c).spanning:
+            sys.exit("a forged functional proved spanning")
+    c = other
+    dual = mani.gale_dual(c.points)
+    doubled = (tuple(2 * a for a in dual.coords[0]),) + dual.coords[1:]
+    forged = mani.VectorConfiguration(m=dual.m, labels=dual.labels, coords=doubled)
+    object.__setattr__(c.points, "_gale_dual", forged)
+    if mani.dual_spanning_report(c).spanning:
+        sys.exit("a forged dual was proved spanning")
+    if count[0]:
+        sys.exit("the dual stage solved an LP")
+    print(sys.flags.optimize)
+    """
+)
+
+
 def test_dual_checks_survive_optimized_mode():
-    code = "\n".join(
-        [
-            "import sys",
-            "from galepoly import lp, mani",
-            "count = [0]",
-            "real = lp.solve_feasibility",
-            "def counting(*args):",
-            "    count[0] += 1",
-            "    return real(*args)",
-            "lp.solve_feasibility = counting",
-            "c = mani.construct_nonsimplicial_mani(6, 1, p=3, mode='certificate')",
-            "count[0] = 0",
-            "report = mani.dual_spanning_report(c)",
-            "clean = count[0]",
-            "c.separators = {i: tuple(-a for a in y) for i, y in c.separators.items()}",
-            "count[0] = 0",
-            "forged = mani.dual_spanning_report(c)",
-            "if (forged.spanning, forged.per_index) != (report.spanning, report.per_index):",
-            "    sys.exit('a forged functional changed the report')",
-            "if count[0] != clean + len(c.points):",
-            "    sys.exit('a forged functional did not fall back to the LP')",
-            "print(sys.flags.optimize)",
-        ]
-    )
     src = os.path.dirname(os.path.dirname(mani.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+        [sys.executable, "-O", "-c", DUAL_FORGERIES], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "1"

@@ -22,6 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from galepoly import lp
+from galepoly.gale import PointConfiguration
 from galepoly.linalg import ExactMatrix
 from galepoly.mani import construct_nonsimplicial_mani, dual_spanning_report, hull_flags
 
@@ -151,7 +152,7 @@ def _hull_pairs(rng: random.Random, branch: str):
 
 
 def _check_diagonals(points, pairs):
-    flags = list(hull_flags(points, (), pairs))
+    flags = list(hull_flags(PointConfiguration.from_pairs(len(points[0]), enumerate(points)), (), pairs))
     lifted = [(QQ(1),) + p for p in points]
     for (i, j), c in zip(pairs, flags):
         mid = tuple((a + b) / 2 for a, b in zip(points[i], points[j]))

@@ -29,6 +29,7 @@ from galepoly.lp import (
     strict_positive_dependence,
     verify_certificate,
 )
+from galepoly.gale import PointConfiguration
 from galepoly.mani import hull_flags
 
 E1 = (QQ(1), QQ(0))
@@ -114,8 +115,7 @@ def test_interior_boundary_outside_of_square():
     assert not ok
     assert cert.kind == KIND_STIEMKE_WITNESS
     assert cert.functional == (QQ(-1), QQ(-1))
-    coords = [tuple(map(QQ, p)) for p in square]
-    flags = list(hull_flags(coords, (), [(0, 2), (0, 0), (0, 1)]))
+    flags = list(hull_flags(PointConfiguration.from_pairs(2, enumerate(square)), (), [(0, 2), (0, 0), (0, 1)]))
     assert flags[0] == (-1, 1, -1, 1) and flags[1:] == [None, None]
 
 
@@ -262,9 +262,9 @@ def test_failed_reverification_raises_certificate_error(monkeypatch):
 HULL_FORGERIES = textwrap.dedent(
     """
     import sys
-    from fractions import Fraction
     from galepoly import lp, mani
     from galepoly.errors import CertificateError
+    from galepoly.gale import PointConfiguration
 
     real_solve = lp.solve_feasibility
 
@@ -276,7 +276,7 @@ HULL_FORGERIES = textwrap.dedent(
         x, y = real_solve(columns, b)
         return x, (y[0],) + (0,) * (len(y) - 1)
 
-    square = [tuple(map(Fraction, p)) for p in [(1, 1), (-1, 1), (-1, -1), (1, -1)]]
+    square = PointConfiguration.from_pairs(2, enumerate([(1, 1), (-1, 1), (-1, -1), (1, -1)]))
     for forged in (wrong_y, zero_h):
         if None in mani.hull_flags(square, (), [(0, 2)]):
             sys.exit("the square's diagonal is not proved interior")

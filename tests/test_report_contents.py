@@ -3,8 +3,9 @@
 Verify re-checks that a certificate report's first points realize its plan
 (``mani.realizes``) and its ``stacks`` against the designated planes of those
 points (``mani.stack_mismatch``), all without an LP, and every report's
-header against its plan and its polytope or points.  A mismatch is a
-``SchemaError``, so the command line exits 2; an honest report verifies with
+header against its plan and its polytope or points, and that a fat facet
+names each label once.  A mismatch is a ``SchemaError``, so the command
+line exits 2; an honest report verifies with
 the digests it records.  Reports carry no ``gamma``; one left in an older
 report is not read.
 """
@@ -227,6 +228,27 @@ def test_cli_rejects_a_forged_header(tmp_path, capsys):
     code, out, err = _cli_report(tmp_path, capsys, lambda r: r.update(forged))
     assert (code, out) == (2, "")
     assert err.startswith("galepoly: error: report: 'd' is 40, but its contents give 6")
+
+
+# a simplex facet of the d = 6, p = 3 build: d labels on a supporting
+# plane, so no fat facet; repeating a label made it look like d + 1
+SIMPLEX_FACET = ["T1.1", "T1.2", "C.0", "C.1", "C.2", "S1"]
+
+
+def test_a_fat_facet_that_repeats_a_label_is_a_schema_error():
+    report = _report()
+    report["fatFacet"] = SIMPLEX_FACET
+    payload = rederive_report_payload(report, "nonsimplicial")
+    assert payload["verdict"] is False and "normal" in payload
+    report["fatFacet"] = SIMPLEX_FACET + ["T1.1"]
+    with pytest.raises(SchemaError, match="'fatFacet' repeats a label"):
+        verify_document(report, None)
+
+
+def test_cli_rejects_a_fat_facet_that_repeats_a_label(tmp_path, capsys):
+    code, out, err = _cli_report(tmp_path, capsys, lambda r: r.update(fatFacet=SIMPLEX_FACET + ["T1.1"]))
+    assert (code, out) == (2, "")
+    assert err.startswith("galepoly: error: report: 'fatFacet' repeats a label")
 
 
 def _translated(report: dict, shift) -> None:

@@ -144,3 +144,22 @@ def test_the_certificate_dual_has_one_minimality_proof():
     assert "removal_scan" not in _named(trees["mani.py"])
     written, read = _string_uses(trees["jsonio.py"], "perIndex")
     assert written and read == []
+
+
+def test_the_certificate_dual_stage_runs_no_lp():
+    # the dual's base scan is proved off the vertex functionals and its
+    # removal witnesses off the midpoint certificates: mani imports no LP
+    # scan, and no function of the dual stage names the LP kernel
+    trees = dict(_trees())
+    mani = trees["mani.py"]
+    defined = {node.name for node in ast.walk(mani) if isinstance(node, ast.FunctionDef)}
+    dual_stage = {"_dual_base_scan", "_removal_witnesses", "dual_spanning_report", "spanning_bound_counterexample"}
+    assert dual_stage <= defined
+    assert "solve_feasibility" in _named(mani)  # the rule can see it: hull_flags solves LPs
+    assert _named(mani) & {"positively_spans", "is_positively_k_spanning"} == set()
+    owners = {
+        owner
+        for name in ("positively_spans", "is_positively_k_spanning", "solve_feasibility")
+        for owner in _functions_naming(mani, name)
+    }
+    assert owners & dual_stage == set()
