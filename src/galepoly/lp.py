@@ -28,10 +28,13 @@ Everything else is a thin layer over that kernel:
 Every certificate returned by this module has been re-verified by direct
 arithmetic (``verify_certificate``, or ``linalg.separates`` for a Farkas
 vector) before it leaves the producing function, so downstream code may
-treat certificates as ground truth.  ``verify_integer_certificate`` re-checks
-one against integer rows, as ``mani`` does for the dual's removal witnesses.
-The checks are explicit and raise ``CertificateError``, so they also run
-under ``python -O``.
+treat certificates as ground truth.  ``verify_certificate`` is the one
+certificate re-check of the library: it takes rows of ints, Fractions or
+rational strings and keeps int entries as they are, so ``mani`` re-checks
+the dual's integer rows in integers through it.  A feasible point is
+re-checked to be nonnegative and to reproduce the rhs.  The checks are
+explicit and raise ``CertificateError``, so they also run under
+``python -O``.
 """
 
 from __future__ import annotations
@@ -52,9 +55,6 @@ from .linalg import (
     as_vector,
     bareiss_pivot,
     denominator_lcm,
-    dot,
-    integer_multiple,
-    is_zero_vector,
     qq,
     separates,
     vec_sum,
@@ -176,6 +176,8 @@ def solve_feasibility(
             if bv < n:
                 rhs = tab[i][-1]
                 x[bv] = QQ(rhs * scales[bv], den * b_scale)
+                if x[bv] < 0:
+                    raise CertificateError("feasible point has a negative entry")
                 total_b = [t + rhs * a for t, a in zip(total_b, int_cols[bv])]
         if total_b != [den * a for a in int_b]:
             raise CertificateError("feasible point fails to reproduce the rhs")
@@ -289,70 +291,41 @@ def is_vertex_of_hull(points: Sequence[Sequence[Fraction]], i: int) -> bool:
     return separating_functional(points, i) is not None
 
 
-def verify_certificate(
-    coords: Sequence[Sequence[Fraction]], selection, cert: DependenceCertificate
-) -> bool:
-    """Re-check a certificate by direct arithmetic; no LP involved."""
+def verify_certificate(coords: Sequence[Sequence], selection, cert: DependenceCertificate) -> bool:
+    """Re-check a certificate by direct arithmetic; no LP involved.
+
+    Rows may be ints, Fractions or rational strings: int entries stay as
+    they are and the rest are coerced by ``qq``, so integer rows with an
+    integer certificate are checked in integer arithmetic.  A
+    ``PositiveDependence`` needs every weight >= 1.  An empty selection is
+    a rank deficiency of nothing: any nonzero ``direction`` of the ambient
+    length ``len(coords[0])`` verifies, and no other certificate does.
+    """
     if selection is None:
         selection = range(len(coords))
-    idx = tuple(sorted(set(selection)))
-    sel = [as_vector(coords[i]) for i in idx]
-    if not sel:
+    sel = [_exact_vector(coords[i]) for i in sorted(set(selection))]
+    if not coords:
         return False
-    m = len(sel[0])
+    m = len(coords[0])
     if cert.kind == KIND_POSITIVE_DEPENDENCE:
         lam = cert.lam
-        if lam is None or len(lam) != len(sel):
+        if not sel or lam is None or len(lam) != len(sel):
             return False
-        if any(l <= 0 for l in lam):
+        lam = _exact_vector(lam)
+        if any(w < 1 for w in lam):
             return False
-        total = vec_sum(([l * c for c in v] for l, v in zip(lam, sel)), m)
-        return is_zero_vector(total)
-    if cert.kind == KIND_STIEMKE_WITNESS:
-        c = cert.functional
-        if c is None or len(c) != m or is_zero_vector(c):
-            return False
-        values = [dot(c, v) for v in sel]
-        return all(v >= 0 for v in values) and any(v > 0 for v in values)
-    if cert.kind == KIND_RANK_DEFICIENCY:
-        w = cert.direction
-        if w is None or len(w) != m or is_zero_vector(w):
-            return False
-        return all(dot(w, v) == 0 for v in sel)
-    return False
-
-
-def verify_integer_certificate(rows: Sequence[Sequence[int]], cert: DependenceCertificate) -> bool:
-    """Re-check a certificate against integer rows; integer arithmetic only.
-
-    ``rows`` are the selected vectors, each set scaled to integers by one
-    positive factor, which changes no sign and no dependence.  The
-    certificate's Fractions are scaled to integers the same way.  A
-    ``PositiveDependence`` must have every weight >= 1.
-    """
-    if not rows:
-        return False
-    m = len(rows[0])
-    if cert.kind == KIND_POSITIVE_DEPENDENCE:
-        lam = cert.lam
-        if lam is None or len(lam) != len(rows):
-            return False
-        scale = denominator_lcm(lam)
-        weights = [a.numerator * (scale // a.denominator) for a in lam]
-        if any(w < scale for w in weights):
-            return False
-        return all(sum(w * a for w, a in zip(weights, col)) == 0 for col in zip(*rows))
+        return all(sum(w * a for w, a in zip(lam, col)) == 0 for col in zip(*sel))
     if cert.kind == KIND_STIEMKE_WITNESS:
         c = cert.functional
         if c is None or len(c) != m:
             return False
-        c = integer_multiple(c)
-        values = [sum(a * b for a, b in zip(c, row)) for row in rows]
+        c = _exact_vector(c)
+        values = [sum(a * b for a, b in zip(c, v)) for v in sel]
         return all(v >= 0 for v in values) and any(v > 0 for v in values)
     if cert.kind == KIND_RANK_DEFICIENCY:
         w = cert.direction
         if w is None or len(w) != m:
             return False
-        w = integer_multiple(w)
-        return any(w) and all(sum(a * b for a, b in zip(w, row)) == 0 for row in rows)
+        w = _exact_vector(w)
+        return any(w) and all(sum(a * b for a, b in zip(w, v)) == 0 for v in sel)
     return False

@@ -44,8 +44,10 @@ separating functionals of the vertices, re-checked as positive
 dependences of the dual, and the witness that no vector can be removed off
 the interior certificate of each vertex's inner diagonal, an affine
 dependence of the points, all indices solved in one elimination of the
-dual.  A functional or certificate that fails its re-check leaves its
-verdict unproven (false); no LP runs in its place.
+dual.  Both are re-checked by ``lp.verify_certificate``, the library's one
+certificate check, on the dual's integer rows and in integer arithmetic.
+A functional or certificate that fails its re-check leaves its verdict
+unproven (false); no LP runs in its place.
 
 Verify re-runs the certificate-mode steps a report does not embed through
 the functions build calls (``designated_planes``, ``vertex_proofs``,
@@ -97,7 +99,7 @@ from .lp import (
     KIND_STIEMKE_WITNESS,
     DependenceCertificate,
     separating_functional,
-    verify_integer_certificate,
+    verify_certificate,
 )
 from .polytope import (
     IncidencePolytope,
@@ -856,11 +858,12 @@ def _dual_base_scan(lifted, vstar, separators) -> bool:
     exactly when p_i is a vertex.  If y separates p_i from the other
     points, lam_u = y.(1, p_i) - y.(1, p_u) is positive off i, and these
     values of an affine function are a linear dependence of V* because its
-    columns span the affine dependences of the points.  Each lam is
+    columns span the affine dependences of the points.  Each integer lam is
     re-checked in integers as a ``PositiveDependence`` of the rows of V*
-    off i (``verify_integer_certificate``).  One rank test of V* and its
-    all-ones dependence (which leaves no v*_i outside the span of the
-    others) complete the proof that V* minus v*_i spans, with no LP.
+    off i (``verify_certificate`` on ``vstar`` and a selection).  One rank
+    test of V* and its all-ones dependence (which leaves no v*_i outside
+    the span of the others) complete the proof that V* minus v*_i spans,
+    with no LP.
 
     A missing functional, or one whose lam fails the re-check, leaves the
     proof undone: False, with no LP in its place.  A point that is no
@@ -873,15 +876,15 @@ def _dual_base_scan(lifted, vstar, separators) -> bool:
         and ExactMatrix(vstar).rank() == len(vstar[0])
     ):
         return False
-    for i in range(len(lifted)):
+    n = len(lifted)
+    for i in range(n):
         y = separators.get(i)
         if y is None:
             return False
         values = [sum(a * b for a, b in zip(y, r)) for r in lifted]
-        lam = [values[i] - v for u, v in enumerate(values) if u != i]
-        rest = [r for u, r in enumerate(vstar) if u != i]
-        proof = DependenceCertificate(KIND_POSITIVE_DEPENDENCE, lam=tuple(lam))
-        if not verify_integer_certificate(rest, proof):
+        lam = tuple(values[i] - v for u, v in enumerate(values) if u != i)
+        proof = DependenceCertificate(KIND_POSITIVE_DEPENDENCE, lam=lam)
+        if not verify_certificate(vstar, [u for u in range(n) if u != i], proof):
             return False
     return True
 
@@ -897,11 +900,11 @@ def _removal_witnesses(dual, vstar, pairs, certificates):
     {i, j} and positive on the first points.  The columns of V* span those,
     so V* h = c is solvable and h is a Stiemke witness that V* minus
     {v*_i, v*_j} does not positively span.  One elimination of V* solves
-    for every index (``ExactMatrix.solve_columns``), and each h is
-    re-checked in integers against ``vstar``, V* scaled once by a common
-    lcm.  A c
-    outside the span has no h (None), which fails the re-check like a wrong
-    h.  Index i uses the first of ``pairs`` (label pairs, each with its
+    for every index (``ExactMatrix.solve_columns``), and each h, scaled to
+    integers, is re-checked in integers by ``verify_certificate`` on
+    ``vstar``, V* scaled once by a common lcm, off the pair.  A c outside
+    the span has no h (None), which fails the re-check like a wrong h.
+    Index i uses the first of ``pairs`` (label pairs, each with its
     certificate or None in ``certificates``) that starts with its label and
     has a certificate.  Returns one ``(label, (partner,), kind)`` per index,
     or None when some index has no such pair.
@@ -915,15 +918,15 @@ def _removal_witnesses(dual, vstar, pairs, certificates):
     removed, rhs = [], []
     for i, lab in enumerate(dual.labels):
         partner, c = proofs[lab]
-        removed.append((lab, partner, {i, dual.index_of(partner)}))
+        pair = (i, dual.index_of(partner))
+        removed.append((lab, partner, [u for u in range(len(dual)) if u not in pair]))
         # a build's certificate weighs the points up to its apex; the later
         # apexes weigh 0
         rhs.append(tuple(c) + (0,) * (len(dual) - len(c)))
     per_index = []
-    for (lab, partner, pair), h in zip(removed, ExactMatrix(dual.coords).solve_columns(rhs)):
-        witness = DependenceCertificate(KIND_STIEMKE_WITNESS, functional=h)
-        rest = [row for u, row in enumerate(vstar) if u not in pair]
-        if not verify_integer_certificate(rest, witness):
+    for (lab, partner, off), h in zip(removed, ExactMatrix(dual.coords).solve_columns(rhs)):
+        h = None if h is None else integer_multiple(h)
+        if not verify_certificate(vstar, off, DependenceCertificate(KIND_STIEMKE_WITNESS, functional=h)):
             raise CertificateError(f"the midpoint certificate of {lab} and {partner} is no removal witness")
         per_index.append((lab, (partner,), KIND_STIEMKE_WITNESS))
     return tuple(per_index)

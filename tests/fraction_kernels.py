@@ -2,11 +2,13 @@
 
 These are the phase-1 simplex and the Gauss-Jordan elimination as they ran
 before the library moved to integer pivoting, kept verbatim in behaviour
-(Fraction tableau, Bland's rule, first-nonzero pivot rule), and the
+(Fraction tableau, Bland's rule, first-nonzero pivot rule), the
 point-side midpoint-interior hull test as it ran before the library moved
 it to integers and then to the Gale dual (Fraction translation, rank test,
-target sum and re-check).  They are used only to compare results exactly.
-Nothing in ``src/`` imports this module.
+target sum and re-check), and the certificate check as it ran on Fraction
+rows before one checker served Fraction and integer rows alike.  They are
+used only to compare results exactly.  Nothing in ``src/`` imports this
+module.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from galepoly.lp import (
     KIND_RANK_DEFICIENCY,
     KIND_STIEMKE_WITNESS,
     DependenceCertificate,
-    verify_certificate,
 )
 
 QQ = Fraction
@@ -157,7 +158,7 @@ def interior_point_test(points, x):
     The points are translated by x in Fractions; a rank deficiency gives the
     first kernel vector, else the strict positive dependence LP runs on the
     target -(sum of the translated points), and the certificate is
-    re-checked by ``lp.verify_certificate``.
+    re-checked by the Fraction ``verify_certificate`` below.
     """
     x = [QQ(v) for v in x]
     translated = [tuple(QQ(a) - b for a, b in zip(p, x)) for p in points]
@@ -174,3 +175,44 @@ def interior_point_test(points, x):
     if not verify_certificate(translated, None, cert):
         raise AssertionError(f"{cert.kind} certificate failed re-verification")
     return cert.kind == KIND_POSITIVE_DEPENDENCE, cert
+
+
+def verify_certificate(coords, selection, cert):
+    """The Fraction certificate check: every row and sum in Fractions.
+
+    A ``PositiveDependence`` needs positive weights (not weights >= 1), and
+    an empty selection verifies nothing.
+    """
+    if selection is None:
+        selection = range(len(coords))
+    sel = [tuple(QQ(a) for a in coords[i]) for i in sorted(set(selection))]
+    if not sel:
+        return False
+    m = len(sel[0])
+
+    def dot(u, v):
+        return sum((a * b for a, b in zip(u, v, strict=True)), start=QQ(0))
+
+    if cert.kind == KIND_POSITIVE_DEPENDENCE:
+        lam = cert.lam
+        if lam is None or len(lam) != len(sel):
+            return False
+        if any(w <= 0 for w in lam):
+            return False
+        total = [QQ(0)] * m
+        for w, v in zip(lam, sel):
+            for i, a in enumerate(v):
+                total[i] += w * a
+        return all(t == 0 for t in total)
+    if cert.kind == KIND_STIEMKE_WITNESS:
+        c = cert.functional
+        if c is None or len(c) != m or all(a == 0 for a in c):
+            return False
+        values = [dot(c, v) for v in sel]
+        return all(v >= 0 for v in values) and any(v > 0 for v in values)
+    if cert.kind == KIND_RANK_DEFICIENCY:
+        w = cert.direction
+        if w is None or len(w) != m or all(a == 0 for a in w):
+            return False
+        return all(dot(w, v) == 0 for v in sel)
+    return False

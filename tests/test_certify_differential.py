@@ -538,8 +538,8 @@ GALE_FORGERIES = textwrap.dedent(
     dual = mani.gale_dual(square)
     vstar = mani._common_scale(dual.coords)
     h0 = ExactMatrix(vstar).solve([-1, 1, 1, -1, 0])
-    rest = [row for u, row in enumerate(vstar) if u not in pair]
-    if not lp.verify_integer_certificate(rest, lp.DependenceCertificate("StiemkeWitness", functional=h0)):
+    off = [u for u in range(len(vstar)) if u not in pair]
+    if not lp.verify_certificate(vstar, off, lp.DependenceCertificate("StiemkeWitness", functional=h0)):
         sys.exit("c0 is no Stiemke witness")
 
     real_solve, real_dual = lp.solve_feasibility, mani.gale_dual

@@ -353,8 +353,21 @@ KERNEL_FORGERIES = textwrap.dedent(
         rows[-1][c] = 1
         return pv
 
+    def negative_basic(rows, r, c, den, calls=[]):
+        # column 1 re-enters after the first pivot; after the second the
+        # phase-1 value reads 0 and column 1's basic value reads -1, which
+        # still reproduces b
+        pv = real_pivot(rows, r, c, den)
+        calls.append(c)
+        if len(calls) == 1:
+            rows[r][1] = rows[-1][1] = 1
+        else:
+            rows[r][-1], rows[-1][-1] = -pv, 0
+        return pv
+
     cases = [
         ("bareiss_pivot", rhs_off, [(1, 0), (0, 1)], (1, 1), "fails to reproduce the rhs"),
+        ("bareiss_pivot", negative_basic, [(1,), (-1,)], (1,), "negative entry"),
         ("bareiss_pivot", no_leaving_row, [(1,)], (1,), "no unbounded ray"),
         ("separates", lambda *args: False, [(1,)], (-1,), "Farkas vector"),
     ]

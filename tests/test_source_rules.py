@@ -163,3 +163,20 @@ def test_the_certificate_dual_stage_runs_no_lp():
         for owner in _functions_naming(mani, name)
     }
     assert owners & dual_stage == set()
+
+
+def test_lp_has_one_certificate_checker():
+    # Fraction and integer rows are re-checked by the one
+    # lp.verify_certificate; a second verify_ function in lp, or any
+    # mention of the integer copy it replaced, is a fork of that check
+    trees = dict(_trees())
+    defined = {
+        name: [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for name, tree in trees.items()
+    }
+    found = [
+        name for name, tree in trees.items()
+        if "verify_integer_certificate" in _named(tree) | set(defined[name])
+    ]
+    assert found == []
+    assert [name for name in defined["lp.py"] if name.startswith("verify_")] == ["verify_certificate"]

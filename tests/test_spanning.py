@@ -10,7 +10,8 @@ import pytest
 from galepoly import spanning as spanning_module
 from galepoly.errors import BadParametersError, DimensionMismatchError
 from galepoly.linalg import QQ
-from galepoly.lp import KIND_POSITIVE_DEPENDENCE, verify_certificate
+from galepoly.jsonio import config_from_json, verify_document
+from galepoly.lp import KIND_POSITIVE_DEPENDENCE, DependenceCertificate, verify_certificate
 from galepoly.spanning import (
     VectorConfiguration,
     is_minimal_k_spanning,
@@ -72,6 +73,19 @@ def test_single_copy_basis_pair_is_not_two_spanning():
         [i for i in range(4) if i != 0],
         report.certificate,
     )
+
+
+def test_the_vacuous_failure_passes_its_own_recheck():
+    # one vector in R^1 cannot lose k - 1 = 1 vector and still span: the
+    # scan deletes it and proves the empty remainder rank deficient
+    doc = {"schemaVersion": 1, "m": 1, "vectors": [{"label": "a", "coords": ["1"]}]}
+    (payload,) = verify_document(doc, ["kspanning:2"])
+    assert payload["verdict"] is False and payload["witnessDeletion"] == ["a"]
+    cert = payload["certificate"]
+    assert cert == {"kind": "RankDeficiency", "direction": ["1"]}
+    coords = config_from_json(doc).coords
+    direction = DependenceCertificate(cert["kind"], direction=tuple(cert["direction"]))
+    assert verify_certificate(coords, [], direction)
 
 
 def test_two_copies_of_basis_pairs_are_two_spanning():
