@@ -14,6 +14,15 @@ of coordinates; downstream consumers rely on coface structure alone, which
 both directions preserve exactly (and which the tests re-derive on both
 sides).  ``supporting_hyperplane`` and ``verify_facets_geometrically``
 cross-check claimed combinatorics against exact convex geometry.
+
+The coface LPs (``is_coface``), the sign masks of the kept Stiemke
+functionals (``_StiemkePool``) and ``realize``'s positive dependence run
+on the configuration's integer view, ``VectorConfiguration.integer_coords``:
+every vector times one common lcm of all the denominators, computed once
+per configuration.  One positive factor changes no coface, no sign and no
+pivot of the solver, so every certificate is the one the Fraction rows
+give, while the target sums, the re-checks and the masks run in
+integers.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from .errors import (
     DimensionMismatchError,
     NotTwoSpanningError,
 )
-from .linalg import QQ, ExactMatrix, as_vector, dot, is_zero_vector, primitive, vec_sum
+from .linalg import QQ, ExactMatrix, as_vector, dot, integer_multiple, is_zero_vector, primitive, vec_sum
 from .lp import (
     KIND_POSITIVE_DEPENDENCE,
     DependenceCertificate,
@@ -87,11 +96,12 @@ class CofaceReport:
 def is_coface(config: VectorConfiguration, subset: Iterable[int]) -> CofaceReport:
     """Does 0 lie in the relative interior of the convex hull of the subset?
 
-    Decided by the strict-positive-dependence test; in ambient dimension 0
-    every nonempty subset qualifies (the hull is the single point 0).
+    Decided by the strict-positive-dependence test on the configuration's
+    integer view; in ambient dimension 0 every nonempty subset qualifies
+    (the hull is the single point 0).
     """
     idx = tuple(sorted(set(subset)))
-    cert = strict_positive_dependence(config.coords, idx)
+    cert = strict_positive_dependence(config.integer_coords, idx)
     return CofaceReport(idx, cert.kind == KIND_POSITIVE_DEPENDENCE, cert)
 
 
@@ -102,18 +112,22 @@ class _StiemkePool:
     T and > 0 somewhere on T.  The same c proves that any other subset S is
     no coface when it is >= 0 on S and > 0 somewhere on S: read over the
     vectors as ``pos`` (c . u_i > 0) and ``neg`` (c . u_i < 0) masks, when
-    ``S & neg == 0`` and ``S & pos != 0``.  The signs are exact Fraction dot
-    products, so each stored c is a checkable certificate for the rejection.
+    ``S & neg == 0`` and ``S & pos != 0``.  The signs are exact integer dot
+    products of c's integer multiple with the configuration's integer view
+    (``VectorConfiguration.integer_coords``); both factors are positive, so
+    the signs are those of c . u_i, and each stored c is a checkable
+    certificate for the rejection.
     """
 
-    def __init__(self, coords: Sequence[Sequence[Fraction]]):
+    def __init__(self, coords: Sequence[Sequence[int]]):
         self.coords = coords
         self.entries: list[tuple[int, int, tuple[Fraction, ...]]] = []
 
     def add(self, functional: tuple[Fraction, ...]) -> None:
+        c = integer_multiple(functional)
         pos = neg = 0
         for i, u in enumerate(self.coords):
-            value = dot(functional, u)
+            value = sum(a * b for a, b in zip(c, u))
             if value > 0:
                 pos |= 1 << i
             elif value < 0:
@@ -164,7 +178,7 @@ def enumerate_facet_complements(config: VectorConfiguration) -> list[tuple[int, 
     m = config.m
     found: list[tuple[int, ...]] = []
     free: list[tuple[tuple[int, ...], int]] = [((), 0)]
-    pool = _StiemkePool(config.coords)
+    pool = _StiemkePool(config.integer_coords)
     for _ in range(min(n, m + 1)):
         survivors = []
         for subset, mask in _candidates(free, n):
@@ -251,7 +265,7 @@ def realize(config: VectorConfiguration) -> PointConfiguration:
         )
     n = len(config)
     m = config.m
-    cert = strict_positive_dependence(config.coords, range(n))
+    cert = strict_positive_dependence(config.integer_coords, range(n))
     if cert.kind != KIND_POSITIVE_DEPENDENCE:
         raise CertificateError("no positive dependence on a positively 2-spanning configuration")
     lam = cert.lam

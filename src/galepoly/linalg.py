@@ -99,6 +99,17 @@ def integer_multiple(u: Sequence[Fraction]) -> list[int]:
     return [a.numerator * (scale // a.denominator) for a in u]
 
 
+def common_scale(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[int, ...], ...]:
+    """The rows times one common lcm of all their denominators.
+
+    One positive factor for every row keeps each row's direction and the
+    ratios between rows, so dependences, signs of functionals and affine
+    relations among the rows all carry over to the integers.
+    """
+    scale = math.lcm(*(denominator_lcm(r) for r in rows))
+    return tuple(tuple(a.numerator * (scale // a.denominator) for a in r) for r in rows)
+
+
 def primitive(u: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Scale by a positive rational so entries are integers with gcd 1.
 

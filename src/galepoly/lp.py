@@ -19,7 +19,9 @@ Everything else is a thin layer over that kernel:
 * ``strict_positive_dependence`` decides whether a selection of vectors
   admits a dependence with all coefficients strictly positive, which by the
   Stiemke alternative fails exactly when some linear functional is
-  nonnegative on the selection and positive somewhere on it;
+  nonnegative on the selection and positive somewhere on it; on integer
+  rows (``gale`` passes a configuration's integer view) its target sum and
+  its certificate re-check run in integers;
 * ``positively_spans`` combines a rank check with the dependence test;
 * ``separating_functional`` is the convex-combination membership test,
   returning the functional that separates a vertex from the other points;
@@ -31,10 +33,11 @@ vector) before it leaves the producing function, so downstream code may
 treat certificates as ground truth.  ``verify_certificate`` is the one
 certificate re-check of the library: it takes rows of ints, Fractions or
 rational strings and keeps int entries as they are, so ``mani`` re-checks
-the dual's integer rows in integers through it.  A feasible point is
-re-checked to be nonnegative and to reproduce the rhs.  The checks are
-explicit and raise ``CertificateError``, so they also run under
-``python -O``.
+the dual's integer rows in integers through it, and this module
+re-checks the integer multiple of each certificate it returns.  A
+feasible point is re-checked to be nonnegative and to reproduce the rhs.
+The checks are explicit and raise ``CertificateError``, so they also run
+under ``python -O``.
 """
 
 from __future__ import annotations
@@ -55,9 +58,9 @@ from .linalg import (
     as_vector,
     bareiss_pivot,
     denominator_lcm,
+    integer_multiple,
     qq,
     separates,
-    vec_sum,
     zero_vector,
 )
 
@@ -200,21 +203,42 @@ def nonneg_combination(
     return x
 
 
-def _selected(coords: Sequence[Sequence[Fraction]], selection) -> tuple[tuple[int, ...], list]:
+def _indices(n: int, selection) -> tuple[int, ...]:
+    """The selected indices of n vectors, sorted and without repeats.
+
+    None selects all n.  An index outside 0..n-1, a negative one included,
+    is a ``BadParametersError``.
+    """
     if selection is None:
-        selection = range(len(coords))
+        return tuple(range(n))
     idx = tuple(sorted(set(selection)))
-    if not idx:
-        raise EmptySelectionError("selection of vectors is empty")
-    n = len(coords)
     for i in idx:
         if not 0 <= i < n:
             raise BadParametersError(f"index {i} out of range for {n} vectors")
+    return idx
+
+
+def _selected(coords: Sequence[Sequence[Fraction]], selection) -> tuple[tuple[int, ...], list]:
+    idx = _indices(len(coords), selection)
+    if not idx:
+        raise EmptySelectionError("selection of vectors is empty")
     return idx, [coords[i] for i in idx]
 
 
 def _check_certificate(coords, idx, cert: DependenceCertificate) -> None:
-    if not verify_certificate(coords, idx, cert):
+    """Re-check ``cert`` on the rows through its integer multiple.
+
+    A positive multiple keeps every sign and every zero sum, so integer
+    rows are re-checked in integers.  Only the weight bound of a
+    ``PositiveDependence`` depends on the scale; it is read off ``lam``.
+    """
+    payload = (cert.lam, cert.functional, cert.direction)
+    scaled = DependenceCertificate(
+        cert.kind, *(None if v is None else tuple(integer_multiple(v)) for v in payload)
+    )
+    # a weight w >= 1 has a numerator at least its (positive) denominator
+    light = any(w.numerator < w.denominator for w in cert.lam or ())
+    if light or not verify_certificate(coords, idx, scaled):
         raise CertificateError(f"{cert.kind} certificate failed re-verification")
 
 
@@ -225,10 +249,16 @@ def strict_positive_dependence(coords: Sequence[Sequence[Fraction]], selection) 
     lambda > 0 has ``sum lambda_i u_i = 0``, else a ``StiemkeWitness``.  The
     substitution lambda = 1 + mu reduces the question to feasibility of
     ``sum mu_i u_i = -(sum u_i)`` with mu >= 0.
+
+    Rows may be Fractions or integers.  The target is summed column by
+    column and the certificate's integer multiple is re-checked on the
+    rows, so integer rows stay integers outside the solver: ``gale`` passes
+    ``VectorConfiguration.integer_coords``, its vectors times one common
+    factor.  That factor changes no pivot of ``solve_feasibility``, so the
+    certificate is the one the Fraction rows give.
     """
     idx, sel = _selected(coords, selection)
-    m = len(sel[0])
-    target = tuple(-t for t in vec_sum(sel, m))
+    target = tuple(-sum(col) for col in zip(*sel))
     x, y = solve_feasibility(sel, target)
     if x is not None:
         cert = DependenceCertificate(
@@ -299,11 +329,11 @@ def verify_certificate(coords: Sequence[Sequence], selection, cert: DependenceCe
     integer certificate are checked in integer arithmetic.  A
     ``PositiveDependence`` needs every weight >= 1.  An empty selection is
     a rank deficiency of nothing: any nonzero ``direction`` of the ambient
-    length ``len(coords[0])`` verifies, and no other certificate does.
+    length ``len(coords[0])`` verifies, and no other certificate does.  An
+    index outside the rows, a negative one included, is a
+    ``BadParametersError``, as in the LP entry points.
     """
-    if selection is None:
-        selection = range(len(coords))
-    sel = [_exact_vector(coords[i]) for i in sorted(set(selection))]
+    sel = [_exact_vector(coords[i]) for i in _indices(len(coords), selection)]
     if not coords:
         return False
     m = len(coords[0])

@@ -86,7 +86,7 @@ from .gale import (
 from .linalg import (
     QQ,
     ExactMatrix,
-    denominator_lcm,
+    common_scale,
     dot,
     integer_multiple,
     primitive,
@@ -300,7 +300,8 @@ def hull_flags(points: PointConfiguration, vertices, diagonals, separators=None)
     every u off the pair.  One ``solve_feasibility`` per pair asks for the
     dependence: columns (1, v*_u) for u off the pair, rhs (1, 0, ..., 0).
     Its Farkas vector y gives h = -y[1:], and the certificate is the
-    integer vector c_u = h.v*_u over V* scaled by one common lcm: an affine
+    integer vector c_u = h.v*_u over V*'s integer view (one common lcm,
+    ``VectorConfiguration.integer_coords``, kept on the dual): an affine
     dependence of the points, positive at every u off the pair.  Both are
     re-checked in integers on the lifted rows (1, p_u) before c is yielded.
     """
@@ -326,13 +327,13 @@ def hull_flags(points: PointConfiguration, vertices, diagonals, separators=None)
         yield from (None for _ in diagonals)
         return
     # one common scale for each matrix keeps c a dependence of the points
-    lifted = _common_scale([(QQ(1),) + tuple(p) for p in coords])
-    vstar = _common_scale(dual.coords)
+    lifted = common_scale([(QQ(1),) + tuple(p) for p in coords])
+    vstar = dual.integer_coords
     rhs = [1] + [0] * dual.m
     for i, j in diagonals:
         off = [u for u in range(n) if u not in (i, j)]
         # through the module, so a wrapper set on lp.solve_feasibility sees it
-        _, y = lp.solve_feasibility([[1] + vstar[u] for u in off], rhs)
+        _, y = lp.solve_feasibility([(1, *vstar[u]) for u in off], rhs)
         if y is None:
             yield None
             continue
@@ -844,12 +845,6 @@ class CounterexampleReport:
         )
 
 
-def _common_scale(rows) -> list[list[int]]:
-    """The rows times one common lcm of all their denominators."""
-    scale = math.lcm(*(denominator_lcm(r) for r in rows))
-    return [[a.numerator * (scale // a.denominator) for a in r] for r in rows]
-
-
 def _dual_base_scan(lifted, vstar, separators) -> bool:
     """Whether the Gale dual V* is positively 2-spanning, proved off vertex functionals.
 
@@ -937,7 +932,9 @@ def dual_spanning_report(construction: ManiConstruction, k: int = 2) -> Countere
 
     The dual is the one the construction's ``points`` keep (``gale_dual``):
     a build's last accepted stacking trial took it, and verify's midpoint
-    flags did.  The lifted points and V* are scaled to integers once.  The
+    flags did.  The lifted points are scaled to integers once, and V* is
+    read in its kept integer view (``integer_coords``), so verify's midpoint
+    flags and this stage scale it once between them.  The
     base scan is proved off the construction's ``separators``
     (``_dual_base_scan``); a missing or failing functional leaves
     ``spanning`` false.  Each removal's witness is read off the interior
@@ -951,8 +948,8 @@ def dual_spanning_report(construction: ManiConstruction, k: int = 2) -> Countere
     if construction.points is None:
         raise BadParametersError("dual stage needs a certificate-mode construction")
     dual = gale_dual(construction.points)
-    lifted = _common_scale([(QQ(1),) + tuple(p) for p in construction.points.coords])
-    vstar = _common_scale(dual.coords)
+    lifted = common_scale([(QQ(1),) + tuple(p) for p in construction.points.coords])
+    vstar = dual.integer_coords
     spanning = _dual_base_scan(lifted, vstar, construction.separators)
     per_index = None
     if spanning:

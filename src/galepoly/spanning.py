@@ -15,19 +15,25 @@ minimal 2-spanning without them, from the build's own certificates
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import BadParametersError, DimensionMismatchError
-from .linalg import QQ, as_vector
+from .linalg import QQ, as_vector, common_scale
 from .lp import DependenceCertificate, positively_spans
 
 
 @dataclass(frozen=True)
 class VectorConfiguration:
-    """Ordered labeled vectors in R^m; labels are distinct nonempty strings."""
+    """Ordered labeled vectors in R^m; labels are distinct nonempty strings.
+
+    ``integer_coords`` is the integer view of the vectors, computed once
+    and kept on the object.  That is derived data, not a field, so
+    equality, hashing and repr see only the labels and coordinates.
+    """
 
     m: int
     labels: tuple[str, ...]
@@ -56,6 +62,16 @@ class VectorConfiguration:
 
     def __len__(self) -> int:
         return len(self.labels)
+
+    @functools.cached_property
+    def integer_coords(self) -> tuple[tuple[int, ...], ...]:
+        """Every vector times one common lcm of all the denominators.
+
+        A factor common to all vectors keeps every coface, sign and
+        dependence, and the exact LP takes the same pivots on these rows as
+        on ``coords``, so each certificate is the one ``coords`` give.
+        """
+        return common_scale(self.coords)
 
     def pairs(self) -> tuple[tuple[str, tuple[Fraction, ...]], ...]:
         return tuple(zip(self.labels, self.coords))

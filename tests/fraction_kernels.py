@@ -5,10 +5,11 @@ before the library moved to integer pivoting, kept verbatim in behaviour
 (Fraction tableau, Bland's rule, first-nonzero pivot rule), the
 point-side midpoint-interior hull test as it ran before the library moved
 it to integers and then to the Gale dual (Fraction translation, rank test,
-target sum and re-check), and the certificate check as it ran on Fraction
-rows before one checker served Fraction and integer rows alike.  They are
-used only to compare results exactly.  Nothing in ``src/`` imports this
-module.
+target sum and re-check), the strict positive dependence test as it ran
+on Fraction rows before the coface LPs moved to a configuration's integer
+view, and the certificate check as it ran on Fraction rows before one
+checker served Fraction and integer rows alike.  They are used only to
+compare results exactly.  Nothing in ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -175,6 +176,27 @@ def interior_point_test(points, x):
     if not verify_certificate(translated, None, cert):
         raise AssertionError(f"{cert.kind} certificate failed re-verification")
     return cert.kind == KIND_POSITIVE_DEPENDENCE, cert
+
+
+def strict_positive_dependence(coords, selection):
+    """The strict positive dependence test as it ran on Fraction rows.
+
+    The rows are coerced to Fractions, the target -(sum of the selected
+    rows) is summed in Fractions, the Fraction simplex above solves the LP,
+    and the certificate is re-checked by the Fraction
+    ``verify_certificate`` below.
+    """
+    idx = sorted(set(selection))
+    sel = [tuple(QQ(a) for a in coords[i]) for i in idx]
+    target = tuple(-sum(col, start=QQ(0)) for col in zip(*sel))
+    lam, y = solve_feasibility(sel, target)
+    if lam is not None:
+        cert = DependenceCertificate(KIND_POSITIVE_DEPENDENCE, lam=tuple(1 + v for v in lam))
+    else:
+        cert = DependenceCertificate(KIND_STIEMKE_WITNESS, functional=tuple(-v for v in y))
+    if not verify_certificate(coords, idx, cert):
+        raise AssertionError(f"{cert.kind} certificate failed re-verification")
+    return cert
 
 
 def verify_certificate(coords, selection, cert):

@@ -1,17 +1,21 @@
 """The one certificate checker on Fraction and integer rows.
 
-``lp.verify_certificate`` is the library's only certificate re-check: the
-LP layer calls it on Fraction rows and ``mani``'s dual stage on integer
-rows.  It is compared with the Fraction checker it replaced
-(``fraction_kernels.verify_certificate``) on every certificate re-checked
-in one round of each benchmark workload, on the same rows scaled to
-integers by one common lcm, and on hypothesis inputs.  The two differ by
-design in two places only: a ``PositiveDependence`` needs every weight
->= 1, and an empty selection is proved rank deficient by any nonzero
-direction of the ambient length.  Forged certificates fail on both number
-types, also under ``python -O``.
+``lp.verify_certificate`` is the library's only certificate re-check.  The
+LP layer calls it on the integer view of a configuration for the coface
+and ``realize`` LPs and on Fraction rows for the spanning scans;
+``mani``'s dual stage calls it on integer rows.  It is compared with the
+Fraction checker it replaced (``fraction_kernels.verify_certificate``) on
+every certificate re-checked in one round of each benchmark workload, on
+the same rows scaled to integers by one common lcm, and on hypothesis
+inputs.  The two differ by design in three places only: a
+``PositiveDependence`` needs every weight >= 1, an empty selection is
+proved rank deficient by any nonzero direction of the ambient length, and
+an index outside the rows is a ``BadParametersError``.  Forged
+certificates fail on both number types, and a forged coface certificate
+on the integer view raises ``CertificateError``, also under ``python -O``.
 """
 
+import collections
 import functools
 import math
 import os
@@ -26,6 +30,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from galepoly import lp, mani
+from galepoly.errors import BadParametersError
 from galepoly.linalg import integer_multiple
 from galepoly.lp import (
     KIND_POSITIVE_DEPENDENCE,
@@ -97,21 +102,25 @@ def _no_fraction_coercion(*args):
     raise AssertionError("an integer re-check coerced an entry to Fraction")
 
 
-# the rows and certificate kinds each round re-checks: certify the dual
-# stage's integer rows and realize's Fraction ones, enumerate the coface
-# LPs', verify-stream the spanning scans' (no rank deficiency in round 0)
+# how many re-checks of each certificate kind on each row type a round
+# runs.  certify: on integer rows the dual stage's 78 dependences and 78
+# Stiemke witnesses and realize's 3 dependences, on Fraction rows the 30
+# dependences of realize's 2-spanning scan.  enumerate: its 434 coface
+# LPs, all on the integer view.  verify-stream: the spanning scans, still
+# on Fraction rows (no rank deficiency in round 0).
 ROUND_KINDS = {
-    "certify": {(KIND_POSITIVE_DEPENDENCE, int), (KIND_STIEMKE_WITNESS, int),
-                (KIND_POSITIVE_DEPENDENCE, Fraction)},
-    "enumerate": {(KIND_POSITIVE_DEPENDENCE, Fraction), (KIND_STIEMKE_WITNESS, Fraction)},
-    "verify-stream": {(KIND_POSITIVE_DEPENDENCE, Fraction), (KIND_STIEMKE_WITNESS, Fraction)},
+    "certify": {(KIND_POSITIVE_DEPENDENCE, int): 81, (KIND_STIEMKE_WITNESS, int): 78,
+                (KIND_POSITIVE_DEPENDENCE, Fraction): 30},
+    "enumerate": {(KIND_POSITIVE_DEPENDENCE, int): 388, (KIND_STIEMKE_WITNESS, int): 46},
+    "verify-stream": {(KIND_POSITIVE_DEPENDENCE, Fraction): 1025, (KIND_STIEMKE_WITNESS, Fraction): 224},
 }
 
 
 @pytest.mark.parametrize("name", sorted(ROUND_KINDS))
 def test_every_recheck_of_a_round_matches_the_fraction_reference(name):
     calls = _round_calls(name)
-    assert {(cert.kind, type(coords[0][0])) for coords, _, cert, _ in calls} == ROUND_KINDS[name]
+    kinds = collections.Counter((cert.kind, type(coords[0][0])) for coords, _, cert, _ in calls)
+    assert kinds == ROUND_KINDS[name]
     for coords, selection, cert, verdict in calls:
         assert verdict is True
         assert ref.verify_certificate(coords, selection, cert) is True
@@ -160,6 +169,19 @@ def test_an_empty_selection_is_proved_only_by_a_nonzero_direction():
         ):
             assert not verify_certificate(coords, [], cert)
     assert not verify_certificate([], None, DependenceCertificate(KIND_RANK_DEFICIENCY, direction=(1,)))
+
+
+def test_an_index_outside_the_rows_is_a_bad_parameter():
+    ones = DependenceCertificate(KIND_POSITIVE_DEPENDENCE, lam=(1, 1))
+    for coords in ([(1,), (-1,)], [(QQ(1),), (QQ(-1),)]):
+        assert verify_certificate(coords, [0, 1], ones)
+        # -1 would read the last row, as if the selection were [0, 1]
+        for selection in ([0, -1], [0, 2], [7]):
+            with pytest.raises(BadParametersError):
+                verify_certificate(coords, selection, ones)
+    # the index is checked before the empty rows are
+    with pytest.raises(BadParametersError):
+        verify_certificate([], [0], DependenceCertificate(KIND_RANK_DEFICIENCY, direction=(1,)))
 
 
 _rationals = st.one_of(
@@ -211,8 +233,9 @@ def test_the_checker_matches_the_reference_on_hypothesis_inputs(case):
 
 
 # Forge the honest certificate of each kind one way at a time, on Fraction
-# rows and on the same rows scaled to integers: every forgery must fail,
-# also under python -O.
+# rows and on the same rows scaled to integers, and forge the LP's answer
+# to a coface test on the integer view: every forgery must fail, also
+# under python -O.
 FORGERIES = textwrap.dedent(
     """
     import sys
@@ -248,6 +271,42 @@ FORGERIES = textwrap.dedent(
             for name, vector in forged.items():
                 if verify_certificate(coords, None, Cert(kind, **{field[kind]: tuple(vector)})):
                     sys.exit(f"{kind} on {number_type} rows: a {name} certificate verified")
+
+    # forge the LP's answer as a coface test sees it on the integer view:
+    # the re-check of the certificate on those rows must raise
+    from galepoly import gale, lp
+    from galepoly.errors import CertificateError
+    from galepoly.spanning import VectorConfiguration
+
+    real_solve = lp.solve_feasibility
+    answers = {
+        "PositiveDependence": {
+            "a weight off by one": lambda x, y: ((1,) + x[1:], None),
+            "weights 1/2": lambda x, y: (tuple(a - QQ(1, 2) for a in x), None),
+            "a Farkas vector": lambda x, y: (None, (1, 1)),
+        },
+        "StiemkeWitness": {
+            "a negated functional": lambda x, y: (None, tuple(-a for a in y)),
+            "a zero functional": lambda x, y: (None, (0,) * len(y)),
+            "a feasible point": lambda x, y: ((0, 0, 0), None),
+        },
+    }
+    for kind, forgeries in answers.items():
+        config = VectorConfiguration.from_pairs(2, zip("abc", cases[kind]))
+        if {type(a) for row in config.integer_coords for a in row} != {int}:
+            sys.exit(f"{kind}: the integer view holds a non-integer")
+        if gale.is_coface(config, range(3)).certificate.kind != kind:
+            sys.exit(f"{kind}: the honest coface test gives another kind")
+        for name, forge in forgeries.items():
+            lp.solve_feasibility = lambda columns, b, forge=forge: forge(*real_solve(columns, b))
+            try:
+                gale.is_coface(config, range(3))
+            except CertificateError:
+                pass
+            else:
+                sys.exit(f"{kind}: {name} in a coface test went unnoticed")
+            finally:
+                lp.solve_feasibility = real_solve
     print(sys.flags.optimize)
     """
 )

@@ -536,7 +536,7 @@ GALE_FORGERIES = textwrap.dedent(
     # nonnegative off the pair but 0 on the edge point: Stiemke-valid, so
     # it proves the removal of v*_0 and v*_3, but not the interior midpoint
     dual = mani.gale_dual(square)
-    vstar = mani._common_scale(dual.coords)
+    vstar = dual.integer_coords
     h0 = ExactMatrix(vstar).solve([-1, 1, 1, -1, 0])
     off = [u for u in range(len(vstar)) if u not in pair]
     if not lp.verify_certificate(vstar, off, lp.DependenceCertificate("StiemkeWitness", functional=h0)):

@@ -180,3 +180,18 @@ def test_lp_has_one_certificate_checker():
     ]
     assert found == []
     assert [name for name in defined["lp.py"] if name.startswith("verify_")] == ["verify_certificate"]
+
+
+def test_rows_get_one_common_scale_from_one_helper():
+    # rows times one lcm common to all of them come from
+    # linalg.common_scale alone, for mani's lifted points and for every
+    # configuration's integer view; another such helper, or math.lcm
+    # outside linalg, would be a second copy of it
+    trees = dict(_trees())
+    defined = {
+        name: [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for name, tree in trees.items()
+    }
+    assert [name for name, funcs in defined.items() if any("common_scale" in f for f in funcs)] == ["linalg.py"]
+    assert [name for name, tree in trees.items() if "lcm" in _named(tree)] == ["linalg.py"]
+    assert {name for name, tree in trees.items() if "common_scale" in _named(tree)} == {"mani.py", "spanning.py"}
