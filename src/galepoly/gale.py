@@ -7,6 +7,14 @@ when S carries a strictly positive dependence; the faces of the polytope
 are exactly the complements of cofaces, and facets are the complements of
 the inclusion-minimal ones.
 
+Facet enumeration rests on two lemmas.  Scaling a vector by a positive
+factor keeps every coface, and a minimal coface holds at most one vector
+per direction.  So ``enumerate_facet_complements`` solves its LPs on one
+representative per direction class and expands each minimal coface found
+there by the copies of its members; the block diagrams of the
+construction repeat one positive basis and its negation, so most of their
+vectors are such copies.
+
 ``gale_dual`` maps labeled points to such a configuration (kernel of the
 lifted coordinate matrix) and ``realize`` inverts it for positively
 2-spanning configurations.  Outputs are unique only up to a linear change
@@ -27,6 +35,7 @@ integers.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -160,30 +169,55 @@ def _candidates(free: list[tuple[tuple[int, ...], int]], n: int):
                 yield subset + (j,), grown
 
 
+def _direction_classes(config: VectorConfiguration) -> list[list[int]]:
+    """The vector indices grouped by positive direction, each class in
+    increasing order and the classes in order of their first member.
+
+    Two vectors share a class when ``primitive`` maps them to the same
+    integer vector, that is, when one is a positive multiple of the other;
+    all zero vectors form one class.
+    """
+    classes: dict[tuple[Fraction, ...], list[int]] = {}
+    for i, u in enumerate(config.coords):
+        classes.setdefault(primitive(u), []).append(i)
+    return list(classes.values())
+
+
 def enumerate_facet_complements(config: VectorConfiguration) -> list[tuple[int, ...]]:
     """All inclusion-minimal cofaces, in size-then-lexicographic order.
 
-    A minimal coface carries a one-dimensional space of dependencies, so its
-    size is at most m+1; enumeration stops at that size and tests, at each
-    size, only the sets that contain no coface already found, which
-    preserves exactly the minimal ones.  Those candidates are generated from
-    the coface-free sets of the size below (``_candidates``).
+    Two lemmas reduce the search to one vector per direction.  Scaling a
+    vector by a positive factor keeps every coface, since it rescales one
+    weight of a strictly positive dependence.  And a minimal coface holds at
+    most one vector per direction: with v = c u (c > 0) both in S, the
+    dependence of S folds v's weight into u's, so S minus v is a coface
+    already (a zero vector is a coface by itself).  So the minimal cofaces
+    are the sets that take one member from each class of a minimal coface
+    of the class representatives (``_direction_classes``, first members).
 
-    Each failed coface test leaves its Stiemke functional in a pool, and a
-    candidate that some pooled functional already proves to be no coface is
-    skipped without an LP.  Only non-cofaces are skipped that way, so the
-    result and its order are those of testing every candidate.
+    On the representatives, a minimal coface carries a one-dimensional
+    space of dependencies, so its size is at most m+1; enumeration stops at
+    that size and tests, at each size, only the sets that contain no coface
+    already found, which preserves exactly the minimal ones.  Those
+    candidates are generated from the coface-free sets of the size below
+    (``_candidates``).  Each failed coface test leaves its Stiemke
+    functional in a pool, and a candidate that some pooled functional
+    already proves to be no coface is skipped without an LP.  Only
+    non-cofaces are skipped that way, so the result and its order are those
+    of testing every candidate.
     """
-    n = len(config)
     m = config.m
+    classes = _direction_classes(config)
+    reps = [members[0] for members in classes]
+    k = len(reps)
     found: list[tuple[int, ...]] = []
     free: list[tuple[tuple[int, ...], int]] = [((), 0)]
-    pool = _StiemkePool(config.integer_coords)
-    for _ in range(min(n, m + 1)):
+    pool = _StiemkePool([config.integer_coords[r] for r in reps])
+    for _ in range(min(k, m + 1)):
         survivors = []
-        for subset, mask in _candidates(free, n):
+        for subset, mask in _candidates(free, k):
             if pool.witness(mask) is None:
-                report = is_coface(config, subset)
+                report = is_coface(config, tuple(reps[c] for c in subset))
                 if report.is_coface:
                     found.append(subset)
                     continue
@@ -192,7 +226,12 @@ def enumerate_facet_complements(config: VectorConfiguration) -> list[tuple[int, 
         free = survivors
     if any(len(f) > m + 1 for f in found):
         raise CertificateError("minimal coface exceeds the size bound")
-    return found
+    cofaces = [
+        tuple(sorted(choice))
+        for f in found
+        for choice in itertools.product(*(classes[c] for c in f))
+    ]
+    return sorted(cofaces, key=lambda s: (len(s), s))
 
 
 def gale_dual(points: PointConfiguration) -> VectorConfiguration:

@@ -218,11 +218,18 @@ def _indices(n: int, selection) -> tuple[int, ...]:
     return idx
 
 
+_EXACT_TYPES = frozenset((int, Fraction))
+
+
 def _selected(coords: Sequence[Sequence[Fraction]], selection) -> tuple[tuple[int, ...], list]:
+    """The selected indices and rows; a row of ints and Fractions passes
+    through as it is, any other (rational strings) is coerced by
+    ``_exact_vector``."""
     idx = _indices(len(coords), selection)
     if not idx:
         raise EmptySelectionError("selection of vectors is empty")
-    return idx, [coords[i] for i in idx]
+    rows = [coords[i] for i in idx]
+    return idx, [r if _EXACT_TYPES.issuperset(map(type, r)) else _exact_vector(r) for r in rows]
 
 
 def _check_certificate(coords, idx, cert: DependenceCertificate) -> None:

@@ -755,27 +755,31 @@ class SimplicialConstruction:
 
 
 def _find_cover(
-    candidates: list[tuple[int, ...]], universe: set[int], limit: int, set_size: int
+    candidates: list[tuple[int, ...]],
+    uncovered: set[int],
+    limit: int,
+    set_size: int,
+    chosen: tuple[int, ...] = (),
 ) -> list[int] | None:
-    """First (in lexicographic branch order) cover of the universe by at
-    most ``limit`` candidate sets, chosen by always branching on the least
-    uncovered element."""
+    """First (in lexicographic branch order) cover of the uncovered elements
+    by at most ``limit`` candidate sets in all, ``chosen`` included, chosen
+    by always branching on the least uncovered element.
 
-    def recurse(uncovered: set[int], chosen: list[int]) -> list[int] | None:
-        if not uncovered:
-            return chosen
-        slots = limit - len(chosen)
-        if slots * set_size < len(uncovered):
-            return None
-        e = min(uncovered)
-        for idx, cand in enumerate(candidates):
-            if e in cand:
-                got = recurse(uncovered - set(cand), chosen + [idx])
-                if got is not None:
-                    return got
+    It recurses on itself rather than on an inner closure, which would be a
+    function-cell reference cycle left for the cyclic garbage collector.
+    """
+    if not uncovered:
+        return list(chosen)
+    slots = limit - len(chosen)
+    if slots * set_size < len(uncovered):
         return None
-
-    return recurse(universe, [])
+    e = min(uncovered)
+    for idx, cand in enumerate(candidates):
+        if e in cand:
+            got = _find_cover(candidates, uncovered - set(cand), limit, set_size, chosen + (idx,))
+            if got is not None:
+                return got
+    return None
 
 
 def mani_simplicial(d: int) -> SimplicialConstruction:

@@ -317,25 +317,31 @@ def _evenness_rows(d: int, n: int) -> list[tuple[int, ...]]:
     contains n.
     """
     rows: list[tuple[int, ...]] = []
-    row: list[int] = []
-
-    def grow(i: int, run: int) -> None:
-        closable = run % 2 == 0 or run == i - 1
-        left = d - len(row)
-        if left == 0:
-            if i > n or closable:
-                rows.append(tuple(row))
-            return
-        if n - i + 1 < left:
-            return
-        row.append(i)
-        grow(i + 1, run + 1)
-        row.pop()
-        if closable:
-            grow(i + 1, 0)
-
-    grow(1, 0)
+    _grow_evenness(d, n, 1, 0, [], rows)
     return rows
+
+
+def _grow_evenness(d: int, n: int, i: int, run: int, row: list[int], rows: list) -> None:
+    """Extend ``row`` from position i, with a run of length ``run`` open
+    before it, appending each completed row to ``rows``.
+
+    A module-level function rather than an inner closure: a closure that
+    calls itself is a function-cell reference cycle, which would keep
+    ``rows`` alive until the cyclic garbage collector runs.
+    """
+    closable = run % 2 == 0 or run == i - 1
+    left = d - len(row)
+    if left == 0:
+        if i > n or closable:
+            rows.append(tuple(row))
+        return
+    if n - i + 1 < left:
+        return
+    row.append(i)
+    _grow_evenness(d, n, i + 1, run + 1, row, rows)
+    row.pop()
+    if closable:
+        _grow_evenness(d, n, i + 1, 0, row, rows)
 
 
 def cyclic_polytope(d: int, n: int) -> IncidencePolytope:

@@ -105,13 +105,14 @@ def _no_fraction_coercion(*args):
 # how many re-checks of each certificate kind on each row type a round
 # runs.  certify: on integer rows the dual stage's 78 dependences and 78
 # Stiemke witnesses and realize's 3 dependences, on Fraction rows the 30
-# dependences of realize's 2-spanning scan.  enumerate: its 434 coface
-# LPs, all on the integer view.  verify-stream: the spanning scans, still
+# dependences of realize's 2-spanning scan.  enumerate: its 69 coface
+# LPs, one per distinct set of directions tested, all on the integer
+# view.  verify-stream: the spanning scans, still
 # on Fraction rows (no rank deficiency in round 0).
 ROUND_KINDS = {
     "certify": {(KIND_POSITIVE_DEPENDENCE, int): 81, (KIND_STIEMKE_WITNESS, int): 78,
                 (KIND_POSITIVE_DEPENDENCE, Fraction): 30},
-    "enumerate": {(KIND_POSITIVE_DEPENDENCE, int): 388, (KIND_STIEMKE_WITNESS, int): 46},
+    "enumerate": {(KIND_POSITIVE_DEPENDENCE, int): 23, (KIND_STIEMKE_WITNESS, int): 46},
     "verify-stream": {(KIND_POSITIVE_DEPENDENCE, Fraction): 1025, (KIND_STIEMKE_WITNESS, Fraction): 224},
 }
 

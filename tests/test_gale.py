@@ -286,10 +286,10 @@ def test_realize_and_enumeration_checks_survive_optimized_mode():
         ExactMatrix.solve = lambda self, b: None
         expect_error(lambda: gale.realize(config))
 
-        # enumeration: a minimal coface beyond the size bound m + 1
-        everything = tuple(range(len(config)))
+        # enumeration: a minimal coface beyond the size bound m + 1, forged
+        # on the direction classes as all n of them at once
         real_candidates = gale._candidates
-        gale._candidates = lambda free, n: [(everything, (1 << n) - 1)]
+        gale._candidates = lambda free, n: [(tuple(range(n)), (1 << n) - 1)]
         expect_error(lambda: gale.enumerate_facet_complements(config))
         gale._candidates = real_candidates
 

@@ -8,18 +8,21 @@ every candidate against the cofaces found so far, and the evenness filter
 over all d-subsets.  Each must agree exactly with the library: the same
 canonical facets, edges, diagonals and partners, the same error (type and
 message) on an invalid facet family or stacking request, the same minimal
-cofaces in the same order from the same coface LPs, and the same cyclic
-facets.  Matchings must have networkx's size and be made of inner
+cofaces in the same order (also with planted copies, multiples and zero
+vectors), the coface LPs of the filtering reference run on one vector
+per direction, never two on the same rows, and the same cyclic facets.  Matchings must have networkx's size and be made of inner
 diagonals.  The 2-spanning verdict read off the cofaces must equal the
 deletion scan's.
 """
 
 import random
+from fractions import Fraction
 
 import incidence_reference as ref
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_certificate_checker import _workloads
 
 from galepoly import gale, polytope
 from galepoly.errors import GalepolyError, NotTwoSpanningError
@@ -205,8 +208,8 @@ def test_stacking_matches_reference_hypothesis(case, data):
 # Facet enumeration with the Stiemke-witness pool
 
 
-def _block_diagrams():
-    for d in range(6, 16):
+def _block_diagrams(dims=range(6, 16)):
+    for d in dims:
         for ell in range(1, build_block_diagram(d).q):
             yield build_block_diagram(d, ell=ell).config
 
@@ -230,7 +233,8 @@ def _random_configs(seed: int, count: int):
 
 def test_pooled_enumeration_matches_plain_lps_on_block_diagrams():
     for config in _block_diagrams():
-        assert gale.enumerate_facet_complements(config) == ref.enumerate_facet_complements(config)
+        got = gale.enumerate_facet_complements(config)
+        assert got == ref.enumerate_facet_complements(config) == ref.enumerate_by_filtering(config)
 
 
 def test_pooled_enumeration_matches_plain_lps_on_random_configurations():
@@ -280,16 +284,81 @@ def _coface_tests(monkeypatch, enumerate_, config):
     return found, tested
 
 
+def _direction(u) -> tuple:
+    """u divided by the absolute value of its first nonzero entry; the
+    zero vector as it is."""
+    pivot = next((abs(a) for a in u if a), 1)
+    return tuple(a / pivot for a in u)
+
+
+def _representatives(config: VectorConfiguration):
+    """The first index of each direction, in order, and the configuration
+    of those vectors alone."""
+    first = {}
+    for i, u in enumerate(config.coords):
+        first.setdefault(_direction(u), i)
+    reps = sorted(first.values())
+    sub = VectorConfiguration(
+        config.m, tuple(config.labels[i] for i in reps), tuple(config.coords[i] for i in reps)
+    )
+    return reps, sub
+
+
 def test_generated_candidates_run_the_same_coface_lps(monkeypatch):
-    configs = [
-        build_block_diagram(d, ell=ell).config
-        for d in (6, 9, 12)
-        for ell in range(1, build_block_diagram(d).q)
-    ]
-    configs += list(_random_configs(8, 150))
+    # the LPs are those of the filtering reference on one vector per
+    # direction; the cofaces are the reference's on every vector
+    configs = list(_block_diagrams((6, 9, 12))) + list(_random_configs(8, 150))
     for config in configs:
-        got = _coface_tests(monkeypatch, gale.enumerate_facet_complements, config)
-        assert got == _coface_tests(monkeypatch, ref.enumerate_by_filtering, config)
+        found, tested = _coface_tests(monkeypatch, gale.enumerate_facet_complements, config)
+        assert found == ref.enumerate_by_filtering(config)
+        reps, sub = _representatives(config)
+        _, on_reps = _coface_tests(monkeypatch, ref.enumerate_by_filtering, sub)
+        assert tested == [tuple(reps[i] for i in subset) for subset in on_reps]
+
+
+def test_no_two_coface_lps_of_an_enumeration_select_the_same_rows(monkeypatch):
+    # copies of one vector select the same row, and positive multiples
+    # the same direction: a minimal coface holds at most one of them, so
+    # an enumeration tests each set of directions once
+    configs = list(_block_diagrams((6, 9, 12))) + list(_random_configs(10, 150))
+    for config in configs:
+        _, tested = _coface_tests(monkeypatch, gale.enumerate_facet_complements, config)
+        rows = [tuple(sorted(config.integer_coords[i] for i in subset)) for subset in tested]
+        directions = [frozenset(_direction(config.coords[i]) for i in subset) for subset in tested]
+        assert len(set(rows)) == len(rows)
+        assert len(set(directions)) == len(directions)
+
+
+# exact copies, positive multiples, an opposite vector and the zero vector
+PLANTED_FACTORS = (1, 2, Fraction(3, 2), -1, 0)
+
+
+@st.composite
+def planted_configurations(draw):
+    """Small-integer configurations in R^0..R^3, plus vectors planted as
+    multiples of drawn ones, in a drawn order."""
+    m = draw(st.integers(0, 3))
+    vector = st.tuples(*[st.integers(-2, 2)] * m)
+    base = draw(st.lists(vector, min_size=1, max_size=5))
+    planted = draw(
+        st.lists(st.tuples(st.sampled_from(base), st.sampled_from(PLANTED_FACTORS)), max_size=5)
+    )
+    vectors = base + [tuple(c * a for a in u) for u, c in planted]
+    vectors = draw(st.permutations(vectors))
+    return VectorConfiguration.from_pairs(m, [(f"v{i}", v) for i, v in enumerate(vectors)])
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(planted_configurations())
+def test_enumeration_matches_the_filtering_reference_with_planted_directions(config):
+    assert gale.enumerate_facet_complements(config) == ref.enumerate_by_filtering(config)
+
+
+def test_full_builds_keep_the_benchmark_facet_counts():
+    counts = _workloads().FULL_BASE_FACETS
+    assert len(counts) == 12
+    for (d, ell), count in counts.items():
+        assert len(construct_nonsimplicial_mani(d, ell, mode="full").base.facets) == count, (d, ell)
 
 
 # ---------------------------------------------------------------------------

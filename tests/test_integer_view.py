@@ -75,7 +75,7 @@ def _check_coface(config, subset, report) -> None:
 
 def test_every_coface_lp_of_an_enumerate_round_gives_the_fraction_certificate():
     calls = _recorded("enumerate", gale, "is_coface")
-    assert len(calls) == 434
+    assert len(calls) == 69
     assert sum(not report.is_coface for _, report in calls) == 46
     for (config, subset), report in calls:
         _check_coface(config, subset, report)

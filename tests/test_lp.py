@@ -143,6 +143,27 @@ def test_exact_entries_of_every_kind_give_the_same_answers():
         separating_functional([(1, 1), (0.5, 0)], 0)
 
 
+def test_rational_string_rows_give_the_fraction_certificates():
+    # the dependence test and the spanning test take the entries that
+    # solve_feasibility and verify_certificate take
+    cases = [
+        [("1",), ("-1",)],
+        [("1/2", 0), (0, "1"), (QQ(-1), "-1/3")],
+        [("1", "2"), ("-2", "-4")],
+        [("1", "0"), ("0", "1")],
+    ]
+    for rows in cases:
+        fractions = [tuple(QQ(a) for a in r) for r in rows]
+        assert strict_positive_dependence(rows, None) == strict_positive_dependence(fractions, None)
+        assert positively_spans(rows, None) == positively_spans(fractions, None)
+    with pytest.raises(TypeError):
+        strict_positive_dependence([(1,), (-0.5,)], None)
+    # int and Fraction rows are selected as they are, not copied
+    rows = [(QQ(1), 0), (0, QQ(-1, 2)), (2, 3)]
+    _, selected = lp_module._selected(rows, None)
+    assert all(got is row for got, row in zip(selected, rows))
+
+
 def test_vertex_of_hull_pinned():
     square_plus_center = [(1, 1), (-1, 1), (-1, -1), (1, -1), (0, 0)]
     for i in range(4):

@@ -1,5 +1,6 @@
 """Block-diagram constructions, geometric stacking, and the dual stage."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -358,6 +359,22 @@ def test_mani_simplicial_d6_reaches_minimum_size():
 def test_mani_simplicial_validation():
     with pytest.raises(BadParametersError):
         mani_simplicial(2)
+
+
+def test_builds_leave_no_cyclic_garbage():
+    # the recursive helpers behind the cyclic facets and the simplicial
+    # cover hold no function-cell cycle, so what a build drops is freed at
+    # once, without the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        for d in range(12, 17):
+            mani_simplicial(d)
+            assert gc.collect() == 0, d
+        construct_nonsimplicial_mani(12, 1, mode="full")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_mani_construction_defaults():

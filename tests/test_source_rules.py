@@ -182,6 +182,25 @@ def test_lp_has_one_certificate_checker():
     assert [name for name in defined["lp.py"] if name.startswith("verify_")] == ["verify_certificate"]
 
 
+def test_gale_normalizes_directions_only_through_primitive():
+    # coface enumeration groups vectors by linalg.primitive of their
+    # coordinates; a gcd taken in gale would be a second normalization
+    gale = dict(_trees())["gale.py"]
+    imported = {
+        alias.name
+        for node in ast.walk(gale)
+        if isinstance(node, ast.ImportFrom) and node.module == "linalg"
+        for alias in node.names
+    }
+    assert "primitive" in imported
+    classes = next(
+        node for node in ast.walk(gale)
+        if isinstance(node, ast.FunctionDef) and node.name == "_direction_classes"
+    )
+    assert "primitive" in _named(classes)
+    assert [name for name in _named(gale) if "gcd" in name.lower()] == []
+
+
 def test_rows_get_one_common_scale_from_one_helper():
     # rows times one lcm common to all of them come from
     # linalg.common_scale alone, for mani's lifted points and for every
