@@ -4,9 +4,9 @@ Scalars are ``fractions.Fraction`` at every boundary; vectors are plain
 tuples of Fractions and matrices are immutable row-major grids.  Elimination
 (``eliminate``) runs fraction-free (Edmonds/Bareiss) Gauss-Jordan steps on
 integer rows over one common denominator; ``ExactMatrix`` first scales each
-row to integers and converts back to Fraction only in ``kernel_basis`` and
-``solve_columns`` (one elimination for many right-hand sides; ``solve`` is
-its one-column case).
+row to coprime integers and converts back to Fraction only in
+``kernel_basis`` and ``solve_columns`` (one elimination for many right-hand
+sides; ``solve`` is its one-column case).
 The step is ``bareiss_pivot``, the one pivot step of the library: ``lp``'s
 simplex pivots through it too, and ``eliminate`` is the only other loop
 that does.
@@ -278,15 +278,20 @@ class ExactMatrix:
         Returns ``(rows, pivot_columns, den)`` with integer ``rows``; the
         reduced row echelon form is ``rows / den``.  The right-hand sides
         ``rhs``, one column each, are carried as each row's last columns.
-        Each row is first scaled, with its rhs entries, by the lcm of its
-        denominators; that leaves the reduced rows and the pivot-row rhs of
-        every consistent column unchanged, and on zero rows changes only the
-        magnitude of an rhs entry, never whether it is zero.
+        Each row is first scaled, with its rhs entries, to coprime integers:
+        by the lcm of its denominators, then divided by the gcd of the
+        results.  That positive factor leaves the reduced rows and the
+        pivot-row rhs of every consistent column unchanged, and on zero rows
+        changes only the magnitude of an rhs entry, never whether it is
+        zero.  Dividing out the gcd also undoes a factor common to all rows
+        (``gale.PointConfiguration.lifted``), which would otherwise turn
+        unit pivots into ones that rescale every row.
         """
         entries = self.entries
         if rhs:
             entries = [r + tuple(b[i] for b in rhs) for i, r in enumerate(entries)]
-        return eliminate([integer_multiple(r) for r in entries], self.cols)
+        rows = [integer_multiple(r) for r in entries]
+        return eliminate([[a // g for a in r] if (g := math.gcd(*r)) > 1 else r for r in rows], self.cols)
 
     def rank(self) -> int:
         _, pivots, _ = self._eliminate()

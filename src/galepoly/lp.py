@@ -99,6 +99,15 @@ def _exact_vector(xs) -> tuple:
     return tuple(a if isinstance(a, int) else qq(a) for a in xs)
 
 
+_EXACT_TYPES = frozenset((int, Fraction))
+
+
+def _exact_row(row):
+    """A row of ints and Fractions as it is, any other (rational strings)
+    coerced by ``_exact_vector``; the one coercion of this module's rows."""
+    return row if _EXACT_TYPES.issuperset(map(type, row)) else _exact_vector(row)
+
+
 def solve_feasibility(
     columns: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
 ) -> tuple[tuple[Fraction, ...] | None, tuple[Fraction, ...] | None]:
@@ -117,9 +126,9 @@ def solve_feasibility(
     pivots are exactly those of the Fraction tableau, and the dual read from
     the artificial columns does not depend on the column scales.
     """
-    b = _exact_vector(b)
+    b = _exact_row(b)
     m = len(b)
-    cols = [_exact_vector(c) for c in columns]
+    cols = [_exact_row(c) for c in columns]
     n = len(cols)
     for c in cols:
         if len(c) != m:
@@ -218,18 +227,12 @@ def _indices(n: int, selection) -> tuple[int, ...]:
     return idx
 
 
-_EXACT_TYPES = frozenset((int, Fraction))
-
-
 def _selected(coords: Sequence[Sequence[Fraction]], selection) -> tuple[tuple[int, ...], list]:
-    """The selected indices and rows; a row of ints and Fractions passes
-    through as it is, any other (rational strings) is coerced by
-    ``_exact_vector``."""
+    """The selected indices and rows, each row through ``_exact_row``."""
     idx = _indices(len(coords), selection)
     if not idx:
         raise EmptySelectionError("selection of vectors is empty")
-    rows = [coords[i] for i in idx]
-    return idx, [r if _EXACT_TYPES.issuperset(map(type, r)) else _exact_vector(r) for r in rows]
+    return idx, [_exact_row(coords[i]) for i in idx]
 
 
 def _check_certificate(coords, idx, cert: DependenceCertificate) -> None:
@@ -340,7 +343,7 @@ def verify_certificate(coords: Sequence[Sequence], selection, cert: DependenceCe
     index outside the rows, a negative one included, is a
     ``BadParametersError``, as in the LP entry points.
     """
-    sel = [_exact_vector(coords[i]) for i in _indices(len(coords), selection)]
+    sel = [_exact_row(coords[i]) for i in _indices(len(coords), selection)]
     if not coords:
         return False
     m = len(coords[0])
@@ -348,7 +351,7 @@ def verify_certificate(coords: Sequence[Sequence], selection, cert: DependenceCe
         lam = cert.lam
         if not sel or lam is None or len(lam) != len(sel):
             return False
-        lam = _exact_vector(lam)
+        lam = _exact_row(lam)
         if any(w < 1 for w in lam):
             return False
         return all(sum(w * a for w, a in zip(lam, col)) == 0 for col in zip(*sel))
@@ -356,13 +359,13 @@ def verify_certificate(coords: Sequence[Sequence], selection, cert: DependenceCe
         c = cert.functional
         if c is None or len(c) != m:
             return False
-        c = _exact_vector(c)
+        c = _exact_row(c)
         values = [sum(a * b for a, b in zip(c, v)) for v in sel]
         return all(v >= 0 for v in values) and any(v > 0 for v in values)
     if cert.kind == KIND_RANK_DEFICIENCY:
         w = cert.direction
         if w is None or len(w) != m:
             return False
-        w = _exact_vector(w)
+        w = _exact_row(w)
         return any(w) and all(sum(a * b for a, b in zip(w, v)) == 0 for v in sel)
     return False

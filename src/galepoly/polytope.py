@@ -18,6 +18,7 @@ implies unneighborliness because an inner diagonal is a missing edge.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -47,9 +48,9 @@ class IncidencePolytope:
     Construction also keeps the incidences as bitmasks over the canonical
     facet order: ``_rows[f]`` is facet f as sorted vertex indices and
     ``_masks[i]`` has bit f set exactly when vertex i lies on facet f.
-    ``illumination_report`` keeps its result as ``_illumination`` the first
-    time it runs.  These are derived data, not fields, so equality and
-    hashing see only the labels.
+    ``illumination`` is a cached property: the illumination report,
+    computed the first time it is read and kept on the object.  These are
+    derived data, not fields, so equality and hashing see only the labels.
     """
 
     d: int
@@ -122,6 +123,11 @@ class IncidencePolytope:
     def is_simplicial(self) -> bool:
         return all(len(f) == self.d for f in self.facets)
 
+    @functools.cached_property
+    def illumination(self) -> IlluminationReport:
+        """The polytope's illumination report (``illumination_report``)."""
+        return _illumination(self)
+
 
 def _facets_through(masks: Sequence[int], row: Iterable[int]) -> int:
     """Mask of the facets containing every vertex of ``row``."""
@@ -190,12 +196,8 @@ class IlluminationReport:
 
 def illumination_report(poly: IncidencePolytope) -> IlluminationReport:
     """The polytope's illumination report, computed once per polytope object
-    and kept on it as the derived attribute ``_illumination``."""
-    report = getattr(poly, "_illumination", None)
-    if report is None:
-        report = _illumination(poly)
-        object.__setattr__(poly, "_illumination", report)
-    return report
+    and kept on it as the cached property ``IncidencePolytope.illumination``."""
+    return poly.illumination
 
 
 def _illumination(poly: IncidencePolytope) -> IlluminationReport:

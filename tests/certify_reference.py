@@ -9,7 +9,9 @@ every final flag again.  Its midpoint test is the point-side one, on the
 points translated by the midpoint (``fraction_kernels.interior_point_test``),
 where the library tests each diagonal on the hull's Gale dual.  The removal
 functionals of a certificate dual are solved one ``ExactMatrix.solve`` per
-index.  They are used only to compare results exactly.  Nothing in ``src/``
+index.  A supporting hyperplane is the kernel of the rows (p_i, -1) of
+its points, where the library reads the lifted view (1, p_i).  They are
+used only to compare results exactly.  Nothing in ``src/``
 imports this module.
 """
 
@@ -20,7 +22,7 @@ import itertools
 from fraction_kernels import interior_point_test
 
 from galepoly.gale import PointConfiguration, barycenter
-from galepoly.linalg import QQ, ExactMatrix, dot, vec_add, vec_scale
+from galepoly.linalg import QQ, ExactMatrix, dot, primitive, vec_add, vec_scale
 from galepoly.lp import DependenceCertificate, is_vertex_of_hull, positively_spans
 from galepoly.mani import StackCertificate, _apex_labels, _designated_facets
 from galepoly.spanning import MinimalityReport, SpanningReport
@@ -128,3 +130,26 @@ def removal_functionals(dual, pairs, certificates):
         _, c = proofs[lab]
         out.append(matrix.solve(list(c) + [0] * (len(dual) - len(c))))
     return out
+
+
+def supporting_hyperplane(points, subset_labels):
+    """The primitive (a, beta) spanned by the kernel of the rows (p_i, -1)
+    of the subset, oriented so the other points lie beneath; None unless
+    that kernel is a line and the other points lie strictly on one side."""
+    labels = set(subset_labels)
+    inside = [i for i, lab in enumerate(points.labels) if lab in labels]
+    outside = [i for i, lab in enumerate(points.labels) if lab not in labels]
+    if not inside or not outside:
+        return None
+    system = ExactMatrix([list(points.coords[i]) + [QQ(-1)] for i in inside], cols=points.d + 1)
+    kernel = system.kernel_basis()
+    if kernel.cols != 1:
+        return None
+    vec = primitive(kernel.column(0))
+    a, beta = vec[:-1], vec[-1]
+    values = [dot(a, points.coords[i]) - beta for i in outside]
+    if all(v < 0 for v in values):
+        return a, beta
+    if all(v > 0 for v in values):
+        return tuple(-x for x in a), -beta
+    return None

@@ -30,7 +30,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from galepoly import linalg, lp, mani
-from galepoly.gale import PointConfiguration, gale_dual
+from galepoly.gale import PointConfiguration, gale_dual, supporting_hyperplane
 from galepoly.jsonio import (
     _ReportObjects,
     build_report,
@@ -358,6 +358,95 @@ def test_one_gale_dual_per_point_set(monkeypatch):
     assert {p["check"]: digest(p) for p in payloads} == doc["certificateDigests"]
 
 
+def _count_lifts(monkeypatch, points):
+    # the lifted rows (1, p_u) of ``points`` scaled to integers: count the
+    # common scales taken of them, under whatever name a module holds
+    rows = [(1,) + tuple(p) for p in points.coords]
+    count = [0]
+    real = linalg.common_scale
+
+    def counting(matrix):
+        count[0] += [tuple(r) for r in matrix] == rows
+        return real(matrix)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("galepoly") and getattr(module, "common_scale", None) is real:
+            monkeypatch.setattr(module, "common_scale", counting)
+    return count
+
+
+@pytest.mark.parametrize("d", [6, 7, 8])
+def test_one_lift_per_point_set(monkeypatch, d):
+    # a build's dual stage reads the lifted view its last stacking trial
+    # took; verify's midpoint flags and dual stage share one lift of the
+    # report's final points
+    c = construct_nonsimplicial_mani(d, 1, mode="certificate")
+    count = _count_lifts(monkeypatch, c.points)
+    counterexample = dual_spanning_report(c)
+    assert counterexample.spanning and counterexample.minimal
+    assert count[0] == 0
+    doc = json.loads(dumps(build_report(c, counterexample)))
+    payloads = verify_report(doc, None)
+    assert count[0] == 1
+    assert {p["check"]: digest(p) for p in payloads} == doc["certificateDigests"]
+
+
+# every certificate build at d = 6..15 and 36 with its default block size
+# and each valid ell
+PLANE_BUILDS = [
+    (d, plan.p, ell)
+    for d in [*range(6, 16), 36]
+    for plan in [mani.build_block_diagram(d)]
+    for ell in range(1, plan.q)
+]
+
+
+@pytest.mark.parametrize("d,p,ell", PLANE_BUILDS)
+def test_supporting_hyperplanes_match_the_reference(d, p, ell):
+    # the library solves each plane on the lifted view (1, p_u), the
+    # reference on the rows (p_u, -1): every designated facet and the fat
+    # facet, on the base and on the final points, get the same plane
+    c = _build(d, p, ell)
+    facets = [*mani._designated_facets(c.plan), c.fat_facet]
+    planes = {}
+    for which, points in (("base", c.base_points), ("final", c.points)):
+        for facet in facets:
+            planes[which, facet] = supporting_hyperplane(points, facet)
+            assert planes[which, facet] == ref.supporting_hyperplane(points, facet)
+    assert [planes["base", f] for f in facets[:-1]] == list(c.designated_planes)
+    assert planes["final", c.fat_facet] == c.fat_facet_plane is not None
+
+
+_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def _points_about_a_plane(draw):
+    """Labeled points in R^d, some on a hyperplane a.x = beta and at least
+    one off it, with the labels of those on it and another drawn subset."""
+    d = draw(st.integers(1, 4))
+    a = draw(st.lists(_RATIONALS, min_size=d, max_size=d).filter(lambda a: a[-1] != 0))
+    beta = draw(_RATIONALS)
+    heads = draw(st.lists(st.lists(_RATIONALS, min_size=d - 1, max_size=d - 1), min_size=1, max_size=d + 1))
+    on = [tuple(h) + ((beta - sum(x * y for x, y in zip(a, h))) / a[-1],) for h in heads]
+    off = draw(st.lists(
+        st.tuples(*[_RATIONALS] * d).filter(lambda p: sum(x * y for x, y in zip(a, p)) != beta),
+        min_size=1, max_size=3,
+    ))
+    coords = on + off
+    labels = [f"p{i}" for i in draw(st.permutations(range(len(coords))))]
+    points = PointConfiguration.from_pairs(d, zip(labels, coords))
+    return points, labels[: len(on)], draw(st.sets(st.sampled_from(labels)))
+
+
+@given(_points_about_a_plane())
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+def test_supporting_hyperplanes_of_drawn_points_match_the_reference(case):
+    points, on_plane, subset = case
+    for facet in (on_plane, subset):
+        assert supporting_hyperplane(points, facet) == ref.supporting_hyperplane(points, facet)
+
+
 @pytest.mark.parametrize("d,p,ell", ALL_BUILDS)
 def test_base_scan_from_functionals_matches_the_lp_scan(monkeypatch, d, p, ell):
     c = _build(d, p, ell)
@@ -429,7 +518,7 @@ def test_a_dual_that_is_no_gale_dual_is_not_proved_spanning(monkeypatch, forgery
             for y in c.separators.values()
         ]
         assert 0 < sum(a != b for a, b in values) < len(forged)
-    object.__setattr__(c.points, "_gale_dual", forged)
+    object.__setattr__(c.points, "gale_dual", forged)
     count = _count_lps(monkeypatch)
     report = dual_spanning_report(c)
     assert report.dual is forged
@@ -621,7 +710,7 @@ DUAL_FORGERIES = textwrap.dedent(
     dual = mani.gale_dual(c.points)
     doubled = (tuple(2 * a for a in dual.coords[0]),) + dual.coords[1:]
     forged = mani.VectorConfiguration(m=dual.m, labels=dual.labels, coords=doubled)
-    object.__setattr__(c.points, "_gale_dual", forged)
+    object.__setattr__(c.points, "gale_dual", forged)
     if mani.dual_spanning_report(c).spanning:
         sys.exit("a forged dual was proved spanning")
     if count[0]:

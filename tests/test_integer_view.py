@@ -9,6 +9,10 @@ factor common to all vectors changes no pivot, so each certificate must be
 one Fraction dot products give: on every coface LP of round 0 (seed 1) of
 the ``enumerate`` workload, on every ``realize`` LP of round 0 of
 ``certify``, and on hypothesis configurations.
+
+``PointConfiguration.lifted`` is the same kind of view of a point set: the
+rows (1, p_u) times one common lcm, each a positive integer multiple of
+the row's own ``integer_multiple``.
 """
 
 import functools
@@ -21,7 +25,8 @@ from hypothesis import strategies as st
 from test_certificate_checker import _no_fraction_coercion, _workloads
 
 from galepoly import gale, lp, mani
-from galepoly.linalg import dot
+from galepoly.gale import PointConfiguration
+from galepoly.linalg import common_scale, dot, integer_multiple
 from galepoly.lp import strict_positive_dependence
 from galepoly.spanning import VectorConfiguration
 
@@ -134,3 +139,28 @@ def test_a_full_build_enumerates_its_cofaces_in_integers(monkeypatch):
     # integer rows with integer certificates never reach a Fraction
     monkeypatch.setattr(lp, "qq", _no_fraction_coercion)
     assert gale.enumerate_facet_complements(config) == expected
+
+
+_entries = st.one_of(st.integers(-9, 9), st.builds(QQ, st.integers(-9, 9), st.integers(1, 7)))
+
+
+@st.composite
+def _point_sets(draw):
+    # ints and Fractions mixed, as PointConfiguration takes them
+    d = draw(st.integers(0, 4))
+    coords = draw(st.lists(st.tuples(*[_entries] * d), min_size=1, max_size=7))
+    return PointConfiguration(d=d, labels=tuple(f"p{i}" for i in range(len(coords))), coords=tuple(coords))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_point_sets())
+def test_the_lifted_view_is_one_common_scale_of_the_lifted_rows(points):
+    rows = [(QQ(1),) + p for p in points.coords]
+    lifted = points.lifted
+    assert lifted == common_scale(rows) and lifted is points.lifted
+    for row, view in zip(rows, lifted):
+        own = integer_multiple(row)
+        factor = view[0] // own[0]
+        assert factor >= 1 and list(view) == [factor * a for a in own]
+        assert all(type(a) is int for a in view)
+        assert [(a > 0) - (a < 0) for a in view] == [(a > 0) - (a < 0) for a in own]

@@ -173,6 +173,21 @@ def test_solve_columns_gives_each_columns_own_solution():
         singular.solve_columns([(1, 2, 3), (1, 2)])
 
 
+def test_elimination_divides_out_a_common_row_factor():
+    # each row enters the elimination as coprime integers, so rows scaled
+    # by one factor (like a point set's lifted view) eliminate exactly as
+    # the rows themselves, pivots, denominator and all
+    rng = random.Random(11)
+    for _ in range(50):
+        rows = [[QQ(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)] for _ in range(3)]
+        factor = rng.choice([2, 6, 35, 2**40])
+        scaled = ExactMatrix([[factor * a for a in r] for r in rows])
+        assert scaled._eliminate() == ExactMatrix(rows)._eliminate()
+        assert scaled.kernel_basis() == ExactMatrix(rows).kernel_basis()
+    rows, pivots, den = ExactMatrix([[4, 6], [QQ(2, 3), 0]])._eliminate()
+    assert (pivots, den) == ([0, 1], -3)
+
+
 def test_solve_random_round_trip():
     rng = random.Random(7)
     for _ in range(50):

@@ -164,6 +164,33 @@ def test_rational_string_rows_give_the_fraction_certificates():
     assert all(got is row for got, row in zip(selected, rows))
 
 
+def test_int_and_fraction_rows_reach_the_solver_and_the_checker_uncoerced(monkeypatch):
+    # the solver, the certificate check and the selection share one
+    # coercion rule: a row of ints and Fractions is used as it is, and only
+    # another row (rational strings) is coerced entry by entry
+    coerced = []
+    real = lp_module._exact_vector
+    monkeypatch.setattr(lp_module, "_exact_vector", lambda xs: coerced.append(xs) or real(xs))
+    rows = [(QQ(1), 0), (0, QQ(-1, 2)), (-2, 3)]
+    assert solve_feasibility(rows, (QQ(1, 3), -1))[0] is not None
+    assert solve_feasibility(rows[:2], (-1, 0))[1] is not None
+    certificates = [
+        DependenceCertificate(KIND_POSITIVE_DEPENDENCE, lam=(2, QQ(6), 1)),
+        DependenceCertificate(KIND_STIEMKE_WITNESS, functional=(QQ(1), -1)),
+        DependenceCertificate(KIND_RANK_DEFICIENCY, direction=(0, QQ(1, 7))),
+    ]
+    assert [verify_certificate(rows, None, c) for c in certificates] == [True, False, False]
+    assert verify_certificate(rows, [0, 1], certificates[1])
+    assert verify_certificate(rows, [0], certificates[2])
+    assert coerced == []
+    # rational strings are still read, and floats still rejected
+    assert solve_feasibility([("1", 0)], ("1/2", 0)) == ((QQ(1, 2),), None)
+    assert verify_certificate([("1/2",), ("-1",)], None, DependenceCertificate(KIND_POSITIVE_DEPENDENCE, lam=("2", 1)))
+    assert len(coerced) == 5
+    with pytest.raises(TypeError):
+        verify_certificate([(1, 0.5)], None, certificates[1])
+
+
 def test_vertex_of_hull_pinned():
     square_plus_center = [(1, 1), (-1, 1), (-1, -1), (1, -1), (0, 0)]
     for i in range(4):

@@ -76,22 +76,29 @@ def test_bareiss_division_lives_only_in_linalg():
     assert found == {}
 
 
-def _functions_naming(tree, name: str) -> list[str]:
-    """The innermost function around each reference to ``name``."""
+def _owners(tree, match) -> list[str]:
+    """The innermost function around each node for which ``match`` holds."""
     found = []
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
-        if isinstance(node, ast.Name) and node.id == name or (
-            isinstance(node, ast.Attribute) and node.attr == name
-        ):
+        if match(node):
             found.append(owner)
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
     visit(tree, None)
     return found
+
+
+def _functions_naming(tree, name: str) -> list[str]:
+    """The innermost function around each reference to ``name``."""
+    return _owners(
+        tree,
+        lambda node: isinstance(node, ast.Name) and node.id == name
+        or isinstance(node, ast.Attribute) and node.attr == name,
+    )
 
 
 def test_bareiss_pivot_runs_in_the_simplex_and_the_one_elimination_loop():
@@ -203,9 +210,9 @@ def test_gale_normalizes_directions_only_through_primitive():
 
 def test_rows_get_one_common_scale_from_one_helper():
     # rows times one lcm common to all of them come from
-    # linalg.common_scale alone, for mani's lifted points and for every
-    # configuration's integer view; another such helper, or math.lcm
-    # outside linalg, would be a second copy of it
+    # linalg.common_scale alone, for each point set's lifted view (gale)
+    # and for every configuration's integer view (spanning); another such
+    # helper, or math.lcm outside linalg, would be a second copy of it
     trees = dict(_trees())
     defined = {
         name: [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
@@ -213,4 +220,50 @@ def test_rows_get_one_common_scale_from_one_helper():
     }
     assert [name for name, funcs in defined.items() if any("common_scale" in f for f in funcs)] == ["linalg.py"]
     assert [name for name, tree in trees.items() if "lcm" in _named(tree)] == ["linalg.py"]
-    assert {name for name, tree in trees.items() if "common_scale" in _named(tree)} == {"mani.py", "spanning.py"}
+    assert {name for name, tree in trees.items() if "common_scale" in _named(tree)} == {"gale.py", "spanning.py"}
+
+
+def _is_lifted_row(node) -> bool:
+    """``(QQ(1),) + ...`` or ``(1,) + ...``: a point lifted to (1, p)."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
+        return False
+    head = node.left
+    if not (isinstance(head, ast.Tuple) and len(head.elts) == 1):
+        return False
+    one = head.elts[0]
+    if isinstance(one, ast.Call) and len(one.args) == 1:
+        one = one.args[0]
+    return isinstance(one, ast.Constant) and one.value == 1
+
+
+def test_lifted_rows_are_built_in_one_place():
+    # every hull, Gale-dual and realization step reads the one lifted view
+    # of a point set (gale.PointConfiguration.lifted); only the vertex LP
+    # of lp.separating_functional builds its own Fraction rows, whose
+    # per-column scales keep its tableau entries small
+    found = {}
+    for name, tree in _trees():
+        for owner in _owners(tree, _is_lifted_row):
+            found.setdefault(name, set()).add(owner)
+    assert found == {"gale.py": {"lifted"}, "lp.py": {"separating_functional"}}
+
+
+def test_derived_views_are_cached_properties():
+    # derived data is kept by functools.cached_property; a getattr with a
+    # default, or an object.__setattr__ outside the construction of an
+    # IncidencePolytope, would be a second caching idiom
+    defaults = []
+    setters = {}
+    for name, tree in _trees():
+        defaults += [
+            f"{name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr"
+            and len(node.args) == 3
+        ]
+        for owner in _functions_naming(tree, "__setattr__"):
+            setters.setdefault(name, set()).add(owner)
+    assert defaults == []
+    assert setters == {"polytope.py": {"_store", "stack_simplex_facet"}}
