@@ -378,7 +378,7 @@ def incidence_from_gale(config: VectorConfiguration) -> "IncidencePolytope":
     decided from the enumerated cofaces; only when it fails does the
     deletion scan run, to report the least failing deletion.
     """
-    from .polytope import IncidencePolytope
+    from .polytope import _from_rows
 
     _reject_zero_vectors(config)
     complements = enumerate_facet_complements(config)
@@ -393,11 +393,8 @@ def incidence_from_gale(config: VectorConfiguration) -> "IncidencePolytope":
             report,
         )
     n = len(config)
-    facets = tuple(
-        tuple(config.labels[i] for i in range(n) if i not in set(coface))
-        for coface in complements
-    )
-    return IncidencePolytope(d=n - config.m - 1, vertices=config.labels, facets=facets)
+    rows = [tuple(sorted(set(range(n)).difference(coface))) for coface in complements]
+    return _from_rows(n - config.m - 1, config.labels, rows)
 
 
 def supporting_hyperplane(

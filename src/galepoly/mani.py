@@ -765,15 +765,16 @@ class SimplicialConstruction:
 
 
 def _find_cover(
-    candidates: list[tuple[int, ...]],
-    uncovered: set[int],
+    candidates: list[int],
+    uncovered: int,
     limit: int,
     set_size: int,
     chosen: tuple[int, ...] = (),
 ) -> list[int] | None:
     """First (in lexicographic branch order) cover of the uncovered elements
     by at most ``limit`` candidate sets in all, ``chosen`` included, chosen
-    by always branching on the least uncovered element.
+    by always branching on the least uncovered element.  Sets are int
+    masks: bit i stands for element i.
 
     It recurses on itself rather than on an inner closure, which would be a
     function-cell reference cycle left for the cyclic garbage collector.
@@ -781,12 +782,12 @@ def _find_cover(
     if not uncovered:
         return list(chosen)
     slots = limit - len(chosen)
-    if slots * set_size < len(uncovered):
+    if slots * set_size < uncovered.bit_count():
         return None
-    e = min(uncovered)
+    least = uncovered & -uncovered
     for idx, cand in enumerate(candidates):
-        if e in cand:
-            got = _find_cover(candidates, uncovered - set(cand), limit, set_size, chosen + (idx,))
+        if cand & least:
+            got = _find_cover(candidates, uncovered & ~cand, limit, set_size, chosen + (idx,))
             if got is not None:
                 return got
     return None
@@ -802,25 +803,28 @@ def mani_simplicial(d: int) -> SimplicialConstruction:
     base = cyclic_polytope(d, n)
     if not base.is_simplicial():
         raise CertificateError(f"the cyclic polytope C({d}, {n}) is not simplicial")
-    all_idx = set(range(1, n + 1))
-    complements = [
-        tuple(sorted(all_idx - {int(v) for v in facet})) for facet in base.facets
-    ]
-    cover_idx = _find_cover(complements, all_idx, q + 1, p)
+    everything = (1 << n) - 1
+    bits = [1 << i for i in range(n)]
+    complements = [everything ^ sum(map(bits.__getitem__, r)) for r in base._rows]
+    cover_idx = _find_cover(complements, everything, q + 1, p)
     if cover_idx is None:
         raise NoCoverFoundError(
             f"no {q + 1} facet complements cover all {n} vertices for d = {d}"
         )
-    cover = tuple(tuple(str(i) for i in complements[c]) for c in cover_idx)
+    labels = base.vertices
+    cover = tuple(
+        tuple(labels[i] for i in range(n) if complements[c] >> i & 1) for c in cover_idx
+    )
     stacked = base
-    for comp, apex in zip(cover, _apex_labels(q)):
-        facet = tuple(lab for lab in base.vertices if lab not in set(comp))
-        stacked = stack_simplex_facet(stacked, facet, new_label=apex)
+    for c, apex in zip(cover_idx, _apex_labels(q)):
+        stacked = stack_simplex_facet(stacked, base.facets[c], new_label=apex)
     result = SimplicialConstruction(
         d=d, p=p, q=q, base=base, stacked=stacked, cover=cover
     )
-    covered = set().union(*(set(c) for c in cover))
-    result.checks["complementsCoverVertices"] = covered == set(base.vertices)
+    covered = 0
+    for c in cover_idx:
+        covered |= complements[c]
+    result.checks["complementsCoverVertices"] = covered == everything
     result.checks["simplicial"] = stacked.is_simplicial()
     report = illumination_report(stacked)
     result.checks["illuminated"] = report.illuminated

@@ -6,9 +6,14 @@ face-level questions (edges, inner diagonals, illumination, stacking) are
 answered from incidences alone; geometric agreement is a theorem that the
 realization tests check, never an assumption made here.
 
-Incidences are held as int bitmasks, one facet-membership mask per vertex,
+Incidences are held twice: as sorted vertex-index rows, one per facet in
+canonical order, and as int bitmasks, one facet-membership mask per vertex,
 so a face-level question is a few integer ANDs rather than set algebra over
-the facet list.
+the facet list.  Every polytope is built once from index rows: a labelled
+facet list is mapped to rows and checked by the same row checker that the
+cyclic polytope's evenness rows and the Gale polytope's coface complements
+go through directly, and stacking splices its new rows and bits into the
+old ones rather than rebuilding them.
 
 An inner diagonal is a vertex pair contained in no common facet.  A
 polytope is illuminated when every vertex lies on an inner diagonal, and
@@ -18,10 +23,12 @@ implies unneighborliness because an inner diagonal is a missing edge.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BadParametersError,
@@ -41,16 +48,17 @@ class IncidencePolytope:
 
     Facets are canonicalized on construction: each facet sorted by vertex
     order, the facet list sorted lexicographically by those index tuples.
-    Construction enforces that labels are distinct, every vertex lies in at
-    least one facet, no facet contains every vertex, and facets are pairwise
-    inclusion-incomparable.
+    Construction enforces that labels are distinct nonempty strings, every
+    vertex lies in at least one facet, no facet contains every vertex, and
+    facets are pairwise inclusion-incomparable.
 
     Construction also keeps the incidences as bitmasks over the canonical
-    facet order: ``_rows[f]`` is facet f as sorted vertex indices and
-    ``_masks[i]`` has bit f set exactly when vertex i lies on facet f.
-    ``illumination`` is a cached property: the illumination report,
-    computed the first time it is read and kept on the object.  These are
-    derived data, not fields, so equality and hashing see only the labels.
+    facet order: ``_rows[f]`` is facet f as sorted vertex indices,
+    ``_masks[i]`` has bit f set exactly when vertex i lies on facet f, and
+    ``_index`` maps each label to its position.  ``illumination`` is a
+    cached property: the illumination report, computed the first time it is
+    read and kept on the object.  These are derived data, not fields, so
+    equality and hashing see only the labels.
     """
 
     d: int
@@ -58,53 +66,8 @@ class IncidencePolytope:
     facets: tuple[tuple[str, ...], ...]
 
     def __post_init__(self):
-        if self.d < 1:
-            raise BadParametersError("dimension must be at least 1")
-        if len(set(self.vertices)) != len(self.vertices):
-            raise BadParametersError("vertex labels must be distinct")
-        if any(not v for v in self.vertices):
-            raise BadParametersError("vertex labels must be nonempty")
-        order = {v: i for i, v in enumerate(self.vertices)}
-        rows = []
-        for facet in self.facets:
-            missing = [v for v in facet if v not in order]
-            if missing:
-                raise UnknownVertexError(f"facet uses unknown vertices {missing}")
-            if len(set(facet)) != len(facet):
-                raise BadParametersError("facet repeats a vertex")
-            if len(facet) == len(self.vertices):
-                raise BadParametersError("a facet cannot contain every vertex")
-            if not facet:
-                raise BadParametersError("a facet cannot be empty")
-            rows.append(tuple(sorted(order[v] for v in facet)))
-        self._store(order, sorted(rows))
-        # a facet lies in another (or repeats) exactly when the facets
-        # through all of its vertices are more than itself
-        masks = self._masks
-        for f, row in enumerate(self._rows):
-            if _facets_through(masks, row) != 1 << f:
-                raise BadParametersError("facets must be pairwise incomparable")
-        lonely = [v for v, mask in zip(self.vertices, masks) if not mask]
-        if lonely:
-            raise BadParametersError(f"vertices on no facet: {lonely}")
-
-    def _store(self, index: dict[str, int], rows: list[tuple[int, ...]], facets=None) -> None:
-        """Set the canonical facets and the masks from sorted index rows.
-
-        ``facets`` gives the rows' label tuples when the caller has them.
-        """
-        masks = [0] * len(self.vertices)
-        for f, row in enumerate(rows):
-            bit = 1 << f
-            for i in row:
-                masks[i] |= bit
-        if facets is None:
-            label = self.vertices.__getitem__
-            facets = [tuple(map(label, r)) for r in rows]
-        object.__setattr__(self, "facets", tuple(facets))
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_rows", tuple(rows))
-        object.__setattr__(self, "_masks", tuple(masks))
+        index = _vertex_index(self.d, self.vertices)
+        _set_rows(self, index, _label_rows(index, self.facets))
 
     @property
     def f0(self) -> int:
@@ -129,6 +92,97 @@ class IncidencePolytope:
         return _illumination(self)
 
 
+def _assign(poly: IncidencePolytope, **fields) -> None:
+    """Set fields and derived data on a frozen polytope under construction."""
+    for name, value in fields.items():
+        object.__setattr__(poly, name, value)
+
+
+def _vertex_index(d: int, vertices: Sequence[str]) -> dict[str, int]:
+    """The position of each label, after checking the dimension and labels."""
+    if d < 1:
+        raise BadParametersError("dimension must be at least 1")
+    if not all(isinstance(v, str) for v in vertices):
+        raise BadParametersError("vertex labels must be strings")
+    index = {v: i for i, v in enumerate(vertices)}
+    if len(index) != len(vertices):
+        raise BadParametersError("vertex labels must be distinct")
+    if "" in index:
+        raise BadParametersError("vertex labels must be nonempty")
+    return index
+
+
+def _label_rows(index: dict[str, int], facets) -> Iterator[tuple[int, ...]]:
+    """Each facet as sorted vertex indices, made only when the row checker
+    asks for it, so an unknown vertex is reported after the facets before it
+    were checked."""
+    for facet in facets:
+        try:
+            yield tuple(sorted([index[v] for v in facet]))
+        except KeyError:
+            missing = [v for v in facet if v not in index]
+            raise UnknownVertexError(f"facet uses unknown vertices {missing}") from None
+
+
+def _from_rows(d: int, vertices: tuple[str, ...], rows: Iterable[tuple[int, ...]]) -> IncidencePolytope:
+    """The polytope whose facets are the given sorted vertex-index rows,
+    checked as ``IncidencePolytope(d, vertices, facets)`` checks its facets."""
+    poly = object.__new__(IncidencePolytope)
+    _assign(poly, d=d, vertices=vertices)
+    _set_rows(poly, _vertex_index(d, vertices), rows)
+    return poly
+
+
+def _set_rows(poly: IncidencePolytope, index: dict[str, int], rows: Iterable[tuple[int, ...]]) -> None:
+    """Check the sorted vertex-index rows of the facets, put them in
+    canonical order and set the facets, rows, masks and index.
+
+    Each row is checked as it arrives; the family is then checked for
+    nesting and for vertices on no facet.  Distinct facets of one size
+    cannot nest, so only facets smaller than the largest are tested against
+    the facets through all of their vertices, and repeated rows, which sort
+    next to each other, are caught on the side.
+    """
+    n = len(index)
+    checked = []
+    for row in rows:
+        if len(set(row)) != len(row):
+            raise BadParametersError("facet repeats a vertex")
+        if len(row) == n:
+            raise BadParametersError("a facet cannot contain every vertex")
+        if not row:
+            raise BadParametersError("a facet cannot be empty")
+        checked.append(row)
+    checked.sort()
+    masks = [0] * n
+    for f, row in enumerate(checked):
+        bit = 1 << f
+        for i in row:
+            masks[i] |= bit
+    widest = max(map(len, checked), default=0)
+    if any(map(operator.eq, checked, checked[1:])) or any(
+        _facets_through(masks, row) != 1 << f
+        for f, row in enumerate(checked)
+        if len(row) < widest
+    ):
+        raise BadParametersError("facets must be pairwise incomparable")
+    lonely = [v for v, mask in zip(poly.vertices, masks) if not mask]
+    if lonely:
+        raise BadParametersError(f"vertices on no facet: {lonely}")
+    labels = poly.vertices
+    _assign(
+        poly,
+        # itemgetter of one index gives the label itself, not a 1-tuple
+        facets=tuple(
+            operator.itemgetter(*row)(labels) if len(row) > 1 else (labels[row[0]],)
+            for row in checked
+        ),
+        _index=index,
+        _rows=tuple(checked),
+        _masks=tuple(masks),
+    )
+
+
 def _facets_through(masks: Sequence[int], row: Iterable[int]) -> int:
     """Mask of the facets containing every vertex of ``row``."""
     common = -1
@@ -139,11 +193,12 @@ def _facets_through(masks: Sequence[int], row: Iterable[int]) -> int:
 
 def _edge(masks: Sequence[int], i: int, j: int) -> bool:
     """Mask form of ``is_edge``: the vertices share a facet, and every other
-    vertex misses one of their common facets."""
+    vertex misses one of their common facets, so i and j are the only
+    vertices on all of them."""
     common = masks[i] & masks[j]
     if not common:
         return False
-    return all(common & ~mask for k, mask in enumerate(masks) if k != i and k != j)
+    return list(map(common.__and__, masks)).count(common) == 2
 
 
 def is_edge(poly: IncidencePolytope, u: str, v: str) -> bool:
@@ -228,10 +283,14 @@ def stack_simplex_facet(
     apex shares no facet with any vertex off F, so its inner diagonals are
     exactly the pairs with those vertices.
 
-    The kept facets were validated with ``poly``, so only the d new facets
-    are checked against the others, and the masks are rebuilt rather than
-    the whole polytope re-validated.  The kept facets keep their label
-    tuples.
+    The stacked polytope is spliced from ``poly``: F's row and bit are
+    deleted, and each new row is inserted at its bisected place in the
+    canonical order, with a zero bit opened at that place in every mask.
+    The kept facets keep their label tuples.  Of the family checks only
+    the one for vertices on no facet can fail: the new facets are distinct
+    d-sets, none of them lies in a kept facet, since no kept facet holds
+    the apex, and none holds one, since a kept facet inside F minus v would
+    lie inside F.
     """
     fset = frozenset(facet)
     index = poly._index
@@ -239,7 +298,9 @@ def stack_simplex_facet(
         if v not in index:
             raise UnknownVertexError(f"no vertex labeled {v!r}")
     row = tuple(sorted(index[v] for v in fset))
-    if row not in poly._rows:
+    rows = list(poly._rows)
+    k = bisect.bisect_left(rows, row)
+    if k == len(rows) or rows[k] != row:
         raise NotAFacetError(f"{sorted(fset)} is not a facet")
     if len(fset) != poly.d:
         raise NotASimplexFacetError(
@@ -250,39 +311,40 @@ def stack_simplex_facet(
         while f"z{i}" in index:
             i += 1
         new_label = f"z{i}"
-    elif new_label in index:
+    elif isinstance(new_label, str) and new_label in index:
         raise BadParametersError(f"label {new_label!r} already in use")
-    elif not new_label:
-        raise BadParametersError("vertex labels must be nonempty")
-    apex = poly.f0
     vertices = poly.vertices + (new_label,)
-    kept = [(r, f) for r, f in zip(poly._rows, poly.facets) if r != row]
-    added = [tuple(w for w in row if w != v) + (apex,) for v in row]
-    added = [(r, tuple(vertices[w] for w in r)) for r in added]
-    # kept is sorted already, so the sort is little more than a merge
-    entries = sorted(kept + added)
-    stacked = object.__new__(IncidencePolytope)
-    object.__setattr__(stacked, "d", poly.d)
-    object.__setattr__(stacked, "vertices", vertices)
-    stacked._store({**index, new_label: apex}, [r for r, _ in entries], [f for _, f in entries])
-    masks = stacked._masks
-    everything = (1 << len(stacked._rows)) - 1
-    for f, r in enumerate(stacked._rows):
-        if r[-1] != apex:
-            continue
-        outside = 0
-        for w, mask in enumerate(masks):
-            if w not in r:
-                outside |= mask
-        # no other facet contains this one, and it contains no other facet
-        if _facets_through(masks, r) != 1 << f or everything & ~outside != 1 << f:
-            raise BadParametersError("facets must be pairwise incomparable")
-    lonely = [v for v, mask in zip(stacked.vertices, masks) if not mask]
+    index = _vertex_index(poly.d, vertices)
+    apex = poly.f0
+    facets = list(poly.facets)
+    del rows[k], facets[k]
+    low = (1 << k) - 1
+    masks = [mask & low | mask >> (k + 1) << k for mask in poly._masks]
+    masks.append(0)
+    # F minus its last vertex sorts first; each insertion lies past the last
+    for v in reversed(row):
+        added = tuple(w for w in row if w != v) + (apex,)
+        at = bisect.bisect_left(rows, added)
+        rows.insert(at, added)
+        facets.insert(at, tuple(vertices[w] for w in added))
+        low = (1 << at) - 1
+        masks = [mask & low | mask >> at << (at + 1) for mask in masks]
+        for w in added:
+            masks[w] |= 1 << at
+    lonely = [v for v, mask in zip(vertices, masks) if not mask]
     if lonely:
         raise BadParametersError(f"vertices on no facet: {lonely}")
+    stacked = object.__new__(IncidencePolytope)
+    _assign(
+        stacked,
+        d=poly.d,
+        vertices=vertices,
+        facets=tuple(facets),
+        _index=index,
+        _rows=tuple(rows),
+        _masks=tuple(masks),
+    )
     return stacked
-
-
 
 
 def crosspolytope(d: int) -> IncidencePolytope:
@@ -309,41 +371,32 @@ def simplex(d: int) -> IncidencePolytope:
 
 
 def _evenness_rows(d: int, n: int) -> list[tuple[int, ...]]:
-    """The d-subsets of 1..n satisfying Gale's evenness condition, in
+    """The d-subsets of 0..n-1 satisfying Gale's evenness condition, in
     lexicographic order.
 
     In such a subset every maximal run of consecutive elements that contains
-    neither 1 nor n has even length.  The subsets are grown position by
-    position, taking i before leaving it out; a run may end (i left out)
-    only when it has even length or began at 1, and a run still open past n
-    contains n.
+    neither 0 nor n-1 has even length.  The subsets are grown position by
+    position, taking i before leaving it out, by a depth-first walk with an
+    explicit stack of (position, length of the run open before it, length
+    of the row); a run may end (i left out) only when it has even length or
+    began at 0, and a run still open past n-1 contains n-1.
     """
     rows: list[tuple[int, ...]] = []
-    _grow_evenness(d, n, 1, 0, [], rows)
+    row: list[int] = []
+    stack = [(0, 0, 0)]
+    while stack:
+        i, run, size = stack.pop()
+        del row[size:]
+        closable = run % 2 == 0 or run == i
+        if size == d:
+            if i == n or closable:
+                rows.append(tuple(row))
+        elif n - i >= d - size:
+            if closable:
+                stack.append((i + 1, 0, size))
+            row.append(i)
+            stack.append((i + 1, run + 1, size + 1))
     return rows
-
-
-def _grow_evenness(d: int, n: int, i: int, run: int, row: list[int], rows: list) -> None:
-    """Extend ``row`` from position i, with a run of length ``run`` open
-    before it, appending each completed row to ``rows``.
-
-    A module-level function rather than an inner closure: a closure that
-    calls itself is a function-cell reference cycle, which would keep
-    ``rows`` alive until the cyclic garbage collector runs.
-    """
-    closable = run % 2 == 0 or run == i - 1
-    left = d - len(row)
-    if left == 0:
-        if i > n or closable:
-            rows.append(tuple(row))
-        return
-    if n - i + 1 < left:
-        return
-    row.append(i)
-    _grow_evenness(d, n, i + 1, run + 1, row, rows)
-    row.pop()
-    if closable:
-        _grow_evenness(d, n, i + 1, 0, row, rows)
 
 
 def cyclic_polytope(d: int, n: int) -> IncidencePolytope:
@@ -352,15 +405,14 @@ def cyclic_polytope(d: int, n: int) -> IncidencePolytope:
     Vertices are labeled "1" ... "n" in curve order; facets are the
     d-subsets satisfying the evenness condition: any two vertices outside
     the subset have an even number of subset elements strictly between
-    them.  They are generated directly rather than filtered from all
-    d-subsets.  Requires n >= d+1 and d >= 2 (and yields the simplex at
-    n = d+1).
+    them.  They are generated directly, as index rows, rather than filtered
+    from all d-subsets.  Requires n >= d+1 and d >= 2 (and yields the
+    simplex at n = d+1).
     """
     if d < 2 or n < d + 1:
         raise BadParametersError("cyclic polytope needs d >= 2 and n >= d+1")
     vertices = tuple(str(i) for i in range(1, n + 1))
-    facets = tuple(tuple(vertices[i - 1] for i in row) for row in _evenness_rows(d, n))
-    return IncidencePolytope(d=d, vertices=vertices, facets=facets)
+    return _from_rows(d, vertices, _evenness_rows(d, n))
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_certificate_checker import _workloads
+from test_polytope_goldens import assert_derived_data_fresh
 
 from galepoly import gale, polytope
 from galepoly.errors import GalepolyError, NotTwoSpanningError
@@ -54,6 +55,7 @@ def _outcome(fn, *args):
 def _check_polytope(poly: IncidencePolytope) -> None:
     verts, facets = poly.vertices, poly.facets
     assert ref.canonical_facets(poly.d, verts, facets) == facets
+    assert_derived_data_fresh(poly)
     for i, v in enumerate(verts):
         assert poly.vertex_index(v) == i
         assert poly.facets_containing(v) == tuple(f for f in facets if v in f)
@@ -88,8 +90,9 @@ def _check_stack(poly: IncidencePolytope, facet, label) -> IncidencePolytope | N
         assert (kind, got) == want
         return None
     assert want == ("ok", (got.vertices, got.facets))
-    # the stacked polytope equals one built, and fully validated, from scratch
-    assert got == IncidencePolytope(d=got.d, vertices=got.vertices, facets=got.facets)
+    # the stacked polytope, masks and rows included, equals one built and
+    # fully validated from scratch
+    assert_derived_data_fresh(got)
     return got
 
 
@@ -369,7 +372,7 @@ def test_cyclic_generator_matches_evenness_filter():
     for d in range(2, 14):
         for n in range(d + 1, d + 9):
             rows = ref.cyclic_facets(d, n)
-            assert polytope._evenness_rows(d, n) == rows, (d, n)
+            assert polytope._evenness_rows(d, n) == [tuple(i - 1 for i in r) for r in rows], (d, n)
             assert cyclic_polytope(d, n).facets == tuple(
                 tuple(str(i) for i in row) for row in rows
             )

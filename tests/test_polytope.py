@@ -1,6 +1,7 @@
 """Combinatorial polytopes: incidence data, illumination, stacking, families."""
 
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import textwrap
 import pytest
 
 from galepoly import polytope as polytope_module
+from galepoly.jsonio import dumps, polytope_from_json, polytope_to_json, verify_document
 from galepoly.errors import (
     BadParametersError,
     NotAFacetError,
@@ -243,6 +245,47 @@ def test_stack_label_defaults_skip_used_names():
     assert twice.vertices[-1] == "z1"
     named = stack_simplex_facet(c3, ("+1", "+2", "+3"), new_label="apex")
     assert named.vertices[-1] == "apex"
+
+
+def _round_trip(poly: IncidencePolytope) -> IncidencePolytope:
+    return polytope_from_json(json.loads(dumps(polytope_to_json(poly))))
+
+
+def test_a_polytope_either_round_trips_or_is_refused_for_its_labels():
+    # the document of any polytope the library builds must read back; a
+    # label that is not a string would be written out and then refused
+    for make in (
+        lambda: IncidencePolytope(2, (1, 2, 3), ((1, 2), (1, 3), (2, 3))),
+        lambda: IncidencePolytope(2, ("1", "2", 3), (("1", "2"), ("1", 3), ("2", 3))),
+        lambda: stack_simplex_facet(simplex(2), ("1", "2"), new_label=7),
+        lambda: stack_simplex_facet(simplex(2), ("1", "2"), new_label=("z",)),
+    ):
+        with pytest.raises(BadParametersError, match="vertex labels must be strings"):
+            make()
+    for poly in (
+        SQUARE,
+        PYRAMID,
+        stack_simplex_facet(simplex(2), ("1", "2"), new_label="7"),
+        stack_simplex_facet(stack_simplex_facet(crosspolytope(3), ("+1", "+2", "+3")), ("-1", "-2", "-3")),
+    ):
+        back = _round_trip(poly)
+        assert (back, back._rows, back._masks) == (poly, poly._rows, poly._masks)
+
+
+def test_a_pair_on_a_simplex_facet_need_not_be_an_edge():
+    # a and b lie on the simplex facet abc, yet abc is the only facet
+    # through both, so they are no edge.  The shortcut "two vertices of a
+    # simplex facet span an edge" holds on a polytope but not on every
+    # facet family a polytope document may carry, which is why edges are
+    # decided by the exact scan over all vertices
+    poly = IncidencePolytope(
+        3, ("a", "b", "c", "x", "y"), (("a", "b", "c"), ("a", "x", "y"), ("b", "x", "y"), ("c", "x", "y"))
+    )
+    assert not is_edge(poly, "a", "b")
+    doc = polytope_to_json(poly)
+    (payload,) = verify_document(doc, ["unneighborly"])
+    assert payload["verdict"] is True
+    assert payload["partners"][0] == ["a", "b"]
 
 
 def test_illumination_implies_unneighborly_on_catalogue():

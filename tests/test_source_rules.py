@@ -250,8 +250,9 @@ def test_lifted_rows_are_built_in_one_place():
 
 def test_derived_views_are_cached_properties():
     # derived data is kept by functools.cached_property; a getattr with a
-    # default, or an object.__setattr__ outside the construction of an
-    # IncidencePolytope, would be a second caching idiom
+    # default, or an object.__setattr__ outside the one setter that every
+    # construction of an IncidencePolytope goes through, would be a second
+    # caching idiom
     defaults = []
     setters = {}
     for name, tree in _trees():
@@ -266,4 +267,4 @@ def test_derived_views_are_cached_properties():
         for owner in _functions_naming(tree, "__setattr__"):
             setters.setdefault(name, set()).add(owner)
     assert defaults == []
-    assert setters == {"polytope.py": {"_store", "stack_simplex_facet"}}
+    assert setters == {"polytope.py": {"_assign"}}
