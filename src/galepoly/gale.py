@@ -30,8 +30,9 @@ tests re-derive on both sides).  ``supporting_hyperplane`` and ``verify_facets_g
 cross-check claimed combinatorics against exact convex geometry.
 
 The coface LPs (``is_coface``), the sign masks of the kept Stiemke
-functionals (``_StiemkePool``) and ``realize``'s positive dependence run
-on the configuration's integer view, ``VectorConfiguration.integer_coords``:
+functionals (``_StiemkePool``), ``realize``'s positive dependence and
+kernel, and the rank test of ``incidence_from_gale`` run on the
+configuration's integer view, ``VectorConfiguration.integer_coords``:
 every vector times one common lcm of all the denominators, computed once
 per configuration.  One positive factor changes no coface, no sign and no
 pivot of the solver, so every certificate is the one the Fraction rows
@@ -76,7 +77,8 @@ from .spanning import VectorConfiguration, is_positively_k_spanning
 
 @dataclass(frozen=True)
 class PointConfiguration:
-    """Ordered labeled points in R^d.
+    """Ordered labeled points in R^d; labels are a tuple of distinct
+    nonempty strings.
 
     ``lifted`` and ``gale_dual`` are cached properties: each is computed
     the first time it is read and kept on the object.  That is derived
@@ -91,6 +93,8 @@ class PointConfiguration:
     def __post_init__(self):
         if self.d < 0:
             raise BadParametersError("dimension must be nonnegative")
+        if not isinstance(self.labels, tuple) or not all(isinstance(lab, str) for lab in self.labels):
+            raise BadParametersError("labels must be a tuple of strings")
         if len(self.labels) != len(self.coords):
             raise DimensionMismatchError("labels and coordinates differ in length")
         if len(set(self.labels)) != len(self.labels):
@@ -325,10 +329,7 @@ def realize(config: VectorConfiguration) -> PointConfiguration:
     if cert.kind != KIND_POSITIVE_DEPENDENCE:
         raise CertificateError("no positive dependence on a positively 2-spanning configuration")
     lam = cert.lam
-    mat_t = ExactMatrix(
-        [[config.coords[j][i] for j in range(n)] for i in range(m)], cols=n
-    )
-    kernel = mat_t.kernel_basis()
+    kernel = ExactMatrix(list(zip(*config.integer_coords)), cols=n).kernel_basis()
     coeff = kernel.solve(lam)
     if coeff is None:
         raise CertificateError("the positive dependence is not in the kernel")
@@ -367,7 +368,7 @@ def _two_spanning_from_cofaces(
                 covered |= mask
         if covered != everything ^ bit:
             return False
-    return ExactMatrix(config.coords).rank() == m
+    return ExactMatrix(config.integer_coords).rank() == m
 
 
 def incidence_from_gale(config: VectorConfiguration) -> "IncidencePolytope":

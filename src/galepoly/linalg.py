@@ -1,10 +1,16 @@
 """Exact rational linear algebra.
 
 Scalars are ``fractions.Fraction`` at every boundary; vectors are plain
-tuples of Fractions and matrices are immutable row-major grids.  Elimination
-(``eliminate``) runs fraction-free (Edmonds/Bareiss) Gauss-Jordan steps on
-integer rows over one common denominator; ``ExactMatrix`` first scales each
-row to coprime integers and converts back to Fraction only in
+tuples and matrices are immutable row-major grids.  Every row that enters
+the exact kernel, an ``ExactMatrix`` or ``lp``'s simplex, follows one rule
+(``exact_row``): a row of ints and Fractions is used as it is, and any other
+row has its entries coerced by ``qq``, so integer views (``gale``'s
+``lifted`` and ``integer_coords``) enter as integers.  ``as_vector``, which
+makes every entry a Fraction, is left for values from outside the kernel.
+Elimination (``eliminate``) runs fraction-free (Edmonds/Bareiss)
+Gauss-Jordan steps on integer rows over one common denominator;
+``ExactMatrix`` first scales each row to coprime integers
+(``coprime_multiple``) and converts back to Fraction only in
 ``kernel_basis`` and ``solve_columns`` (one elimination for many right-hand
 sides; ``solve`` is its one-column case).
 The step is ``bareiss_pivot``, the one pivot step of the library: ``lp``'s
@@ -53,6 +59,25 @@ def parse_rational(s: str) -> Fraction:
 
 def as_vector(xs: Iterable) -> tuple[Fraction, ...]:
     return tuple(qq(x) for x in xs)
+
+
+_EXACT_TYPES = frozenset((int, Fraction))
+
+
+def exact_row(row: Iterable) -> tuple:
+    """The kernel's one row rule: the row as a tuple, ints and Fractions as
+    they are.
+
+    A tuple of ints and Fractions is returned as it is, the same object.
+    In any other row (rational strings) the ints are kept and every other
+    entry is coerced by ``qq``, so floats are rejected.  An int carries
+    ``numerator`` and ``denominator`` like a Fraction, so integer scaling
+    reads both alike.
+    """
+    row = tuple(row)
+    if _EXACT_TYPES.issuperset(map(type, row)):
+        return row
+    return tuple(a if isinstance(a, int) else qq(a) for a in row)
 
 
 def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -110,17 +135,20 @@ def common_scale(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[int, ...], .
     return tuple(tuple(a.numerator * (scale // a.denominator) for a in r) for r in rows)
 
 
+def coprime_multiple(u: Sequence[Fraction]) -> list[int]:
+    """The entries times the positive rational that makes them integers
+    with gcd 1: the lcm of their denominators, then 1/gcd.  A zero row
+    stays zero."""
+    ints = integer_multiple(u)
+    return [a // g for a in ints] if (g := math.gcd(*ints)) > 1 else ints
+
+
 def primitive(u: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Scale by a positive rational so entries are integers with gcd 1.
 
-    Direction is preserved exactly; the zero vector is returned unchanged.
+    Direction is preserved exactly; the zero vector stays zero.
     """
-    u = as_vector(u)
-    if is_zero_vector(u):
-        return u
-    ints = integer_multiple(u)
-    g = math.gcd(*ints)
-    return tuple(QQ(z // g) for z in ints)
+    return tuple(map(QQ, coprime_multiple(as_vector(u))))
 
 
 def bareiss_pivot(rows: list[list[int]], r: int, c: int, den: int) -> int:
@@ -205,12 +233,17 @@ def kernel_vector(rows, pivots: Sequence[int], den: int, f: int, cols: int) -> t
 
 
 class ExactMatrix:
-    """Immutable dense matrix over Fraction."""
+    """Immutable dense rational matrix.
+
+    Rows and vectors enter by ``exact_row``, so ``entries`` may hold ints
+    as well as Fractions; results (kernel bases, solutions, ``matvec``) are
+    Fractions.
+    """
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Sequence[Sequence], cols: int | None = None):
-        rows = [as_vector(r) for r in entries]
+        rows = [exact_row(r) for r in entries]
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -226,7 +259,7 @@ class ExactMatrix:
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], rows: int | None = None) -> "ExactMatrix":
-        cols = [as_vector(c) for c in columns]
+        cols = [exact_row(c) for c in columns]
         if cols:
             height = len(cols[0])
             if any(len(c) != height for c in cols):
@@ -253,7 +286,7 @@ class ExactMatrix:
         )
 
     def matvec(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        v = as_vector(v)
+        v = exact_row(v)
         if len(v) != self.cols:
             raise DimensionMismatchError("matvec length mismatch")
         return tuple(dot(r, v) for r in self.entries)
@@ -278,20 +311,21 @@ class ExactMatrix:
         Returns ``(rows, pivot_columns, den)`` with integer ``rows``; the
         reduced row echelon form is ``rows / den``.  The right-hand sides
         ``rhs``, one column each, are carried as each row's last columns.
-        Each row is first scaled, with its rhs entries, to coprime integers:
-        by the lcm of its denominators, then divided by the gcd of the
-        results.  That positive factor leaves the reduced rows and the
-        pivot-row rhs of every consistent column unchanged, and on zero rows
-        changes only the magnitude of an rhs entry, never whether it is
-        zero.  Dividing out the gcd also undoes a factor common to all rows
-        (``gale.PointConfiguration.lifted``), which would otherwise turn
+        Each row is first scaled, with its rhs entries, to coprime integers
+        (``coprime_multiple``), so a row and any positive multiple of it, an
+        integer row and its Fraction quotient among them, eliminate alike.
+        That positive factor leaves the reduced rows and the pivot-row rhs
+        of every consistent column unchanged, and on zero rows changes only
+        the magnitude of an rhs entry, never whether it is zero.  Dividing
+        out the gcd also undoes a factor common to all rows (the integer
+        views ``gale.PointConfiguration.lifted`` and
+        ``VectorConfiguration.integer_coords``), which would otherwise turn
         unit pivots into ones that rescale every row.
         """
         entries = self.entries
         if rhs:
             entries = [r + tuple(b[i] for b in rhs) for i, r in enumerate(entries)]
-        rows = [integer_multiple(r) for r in entries]
-        return eliminate([[a // g for a in r] if (g := math.gcd(*r)) > 1 else r for r in rows], self.cols)
+        return eliminate([coprime_multiple(r) for r in entries], self.cols)
 
     def rank(self) -> int:
         _, pivots, _ = self._eliminate()
@@ -320,7 +354,7 @@ class ExactMatrix:
         answer is the one the system with b alone gives.  Free variables are
         set to zero, so the answers are deterministic.
         """
-        rhs = [as_vector(b) for b in rhs]
+        rhs = [exact_row(b) for b in rhs]
         if any(len(b) != self.rows for b in rhs):
             raise DimensionMismatchError("rhs length mismatch")
         rows, pivots, den = self._eliminate(rhs)

@@ -10,9 +10,10 @@ row ending in its rhs and the objective row in the phase-1 value, updated
 by ``linalg.bareiss_pivot``, the one pivot step that ``linalg.eliminate``
 also uses, so no gcd is taken inside the loop.  The result is
 re-checked in integers before it leaves, the Farkas vector by
-``linalg.separates``.  Inputs are ints, Fractions or rational strings (ints
-are scaled as they are, floats are rejected); results are Fractions, and
-the integers never leave the solver.
+``linalg.separates``.  Inputs are ints, Fractions or rational strings, and
+every row enters by the kernel's one row rule, ``linalg.exact_row`` (rows
+of ints and Fractions are used as they are, floats are rejected); results
+are Fractions, and the integers never leave the solver.
 
 Everything else is a thin layer over that kernel:
 
@@ -32,9 +33,9 @@ arithmetic (``verify_certificate``, or ``linalg.separates`` for a Farkas
 vector) before it leaves the producing function, so downstream code may
 treat certificates as ground truth.  ``verify_certificate`` is the one
 certificate re-check of the library: it takes rows of ints, Fractions or
-rational strings and keeps int entries as they are, so ``mani`` re-checks
-the dual's integer rows in integers through it, and this module
-re-checks the integer multiple of each certificate it returns.  A
+rational strings by ``exact_row``, so ``mani`` re-checks the dual's
+integer rows in integers through it, and this module re-checks the
+integer multiple of each certificate it returns.  A
 feasible point is re-checked to be nonnegative and to reproduce the rhs.
 The checks are explicit and raise ``CertificateError``, so they also run
 under ``python -O``.
@@ -55,11 +56,10 @@ from .errors import (
 from .linalg import (
     QQ,
     ExactMatrix,
-    as_vector,
     bareiss_pivot,
     denominator_lcm,
+    exact_row,
     integer_multiple,
-    qq,
     separates,
     zero_vector,
 )
@@ -89,25 +89,6 @@ class DependenceCertificate:
     direction: tuple[Fraction, ...] | None = None
 
 
-def _exact_vector(xs) -> tuple:
-    """The entries with ints kept as they are and the rest coerced by ``qq``.
-
-    An int carries ``numerator`` and ``denominator`` like a Fraction, so the
-    integer scaling of this module reads both alike; floats are still
-    rejected.
-    """
-    return tuple(a if isinstance(a, int) else qq(a) for a in xs)
-
-
-_EXACT_TYPES = frozenset((int, Fraction))
-
-
-def _exact_row(row):
-    """A row of ints and Fractions as it is, any other (rational strings)
-    coerced by ``_exact_vector``; the one coercion of this module's rows."""
-    return row if _EXACT_TYPES.issuperset(map(type, row)) else _exact_vector(row)
-
-
 def solve_feasibility(
     columns: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
 ) -> tuple[tuple[Fraction, ...] | None, tuple[Fraction, ...] | None]:
@@ -126,9 +107,9 @@ def solve_feasibility(
     pivots are exactly those of the Fraction tableau, and the dual read from
     the artificial columns does not depend on the column scales.
     """
-    b = _exact_row(b)
+    b = exact_row(b)
     m = len(b)
-    cols = [_exact_row(c) for c in columns]
+    cols = [exact_row(c) for c in columns]
     n = len(cols)
     for c in cols:
         if len(c) != m:
@@ -228,11 +209,11 @@ def _indices(n: int, selection) -> tuple[int, ...]:
 
 
 def _selected(coords: Sequence[Sequence[Fraction]], selection) -> tuple[tuple[int, ...], list]:
-    """The selected indices and rows, each row through ``_exact_row``."""
+    """The selected indices and rows, each row through ``exact_row``."""
     idx = _indices(len(coords), selection)
     if not idx:
         raise EmptySelectionError("selection of vectors is empty")
-    return idx, [_exact_row(coords[i]) for i in idx]
+    return idx, [exact_row(coords[i]) for i in idx]
 
 
 def _check_certificate(coords, idx, cert: DependenceCertificate) -> None:
@@ -314,7 +295,7 @@ def separating_functional(
     None means points[i] lies in the hull of the others.  An empty remainder
     is separated by (1, 0, ..., 0).
     """
-    pts = [as_vector(p) for p in points]
+    pts = [exact_row(p) for p in points]
     if not 0 <= i < len(pts):
         raise BadParametersError(f"index {i} out of range for {len(pts)} points")
     others = [p for j, p in enumerate(pts) if j != i]
@@ -334,16 +315,16 @@ def is_vertex_of_hull(points: Sequence[Sequence[Fraction]], i: int) -> bool:
 def verify_certificate(coords: Sequence[Sequence], selection, cert: DependenceCertificate) -> bool:
     """Re-check a certificate by direct arithmetic; no LP involved.
 
-    Rows may be ints, Fractions or rational strings: int entries stay as
-    they are and the rest are coerced by ``qq``, so integer rows with an
-    integer certificate are checked in integer arithmetic.  A
-    ``PositiveDependence`` needs every weight >= 1.  An empty selection is
+    Rows may be ints, Fractions or rational strings, taken by
+    ``exact_row``, so integer rows with an integer certificate are checked
+    in integer arithmetic.  A ``PositiveDependence`` needs every weight
+    >= 1.  An empty selection is
     a rank deficiency of nothing: any nonzero ``direction`` of the ambient
     length ``len(coords[0])`` verifies, and no other certificate does.  An
     index outside the rows, a negative one included, is a
     ``BadParametersError``, as in the LP entry points.
     """
-    sel = [_exact_row(coords[i]) for i in _indices(len(coords), selection)]
+    sel = [exact_row(coords[i]) for i in _indices(len(coords), selection)]
     if not coords:
         return False
     m = len(coords[0])
@@ -351,7 +332,7 @@ def verify_certificate(coords: Sequence[Sequence], selection, cert: DependenceCe
         lam = cert.lam
         if not sel or lam is None or len(lam) != len(sel):
             return False
-        lam = _exact_row(lam)
+        lam = exact_row(lam)
         if any(w < 1 for w in lam):
             return False
         return all(sum(w * a for w, a in zip(lam, col)) == 0 for col in zip(*sel))
@@ -359,13 +340,13 @@ def verify_certificate(coords: Sequence[Sequence], selection, cert: DependenceCe
         c = cert.functional
         if c is None or len(c) != m:
             return False
-        c = _exact_row(c)
+        c = exact_row(c)
         values = [sum(a * b for a, b in zip(c, v)) for v in sel]
         return all(v >= 0 for v in values) and any(v > 0 for v in values)
     if cert.kind == KIND_RANK_DEFICIENCY:
         w = cert.direction
         if w is None or len(w) != m:
             return False
-        w = _exact_row(w)
+        w = exact_row(w)
         return any(w) and all(sum(a * b for a, b in zip(w, v)) == 0 for v in sel)
     return False

@@ -627,18 +627,19 @@ def realizes(config: VectorConfiguration, points: PointConfiguration) -> bool:
     lie in the affine dependences of the points, and span them by their
     rank, so diag(lam) V is a Gale diagram of the points; a positive
     rescaling keeps every coface.  Exact linear algebra, no LP.  The rank
-    test and the system read the points' lifted view
-    (``PointConfiguration.lifted``), whose one common factor changes
-    neither the rank nor the kernel.
+    tests and the system read V's integer view
+    (``VectorConfiguration.integer_coords``) and the points' lifted view
+    (``PointConfiguration.lifted``), whose common factors change neither
+    a rank nor the kernel.
     """
     n, m, d = len(config), config.m, points.d
     if points.labels != config.labels or n != m + d + 1:
         return False
-    lifted = points.lifted
-    if ExactMatrix(config.coords, cols=m).rank() != m or ExactMatrix(lifted).rank() != d + 1:
+    vints, lifted = config.integer_coords, points.lifted
+    if ExactMatrix(vints, cols=m).rank() != m or ExactMatrix(lifted).rank() != d + 1:
         return False
     system = ExactMatrix(
-        [[v[c] * a[t] for v, a in zip(config.coords, lifted)] for c in range(m) for t in range(d + 1)],
+        [[v[c] * a[t] for v, a in zip(vints, lifted)] for c in range(m) for t in range(d + 1)],
         cols=n,
     )
     kernel = system.kernel_basis()

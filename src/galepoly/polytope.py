@@ -48,9 +48,9 @@ class IncidencePolytope:
 
     Facets are canonicalized on construction: each facet sorted by vertex
     order, the facet list sorted lexicographically by those index tuples.
-    Construction enforces that labels are distinct nonempty strings, every
-    vertex lies in at least one facet, no facet contains every vertex, and
-    facets are pairwise inclusion-incomparable.
+    Construction enforces that labels are a tuple of distinct nonempty
+    strings, every vertex lies in at least one facet, no facet contains
+    every vertex, and facets are pairwise inclusion-incomparable.
 
     Construction also keeps the incidences as bitmasks over the canonical
     facet order: ``_rows[f]`` is facet f as sorted vertex indices,
@@ -98,10 +98,12 @@ def _assign(poly: IncidencePolytope, **fields) -> None:
         object.__setattr__(poly, name, value)
 
 
-def _vertex_index(d: int, vertices: Sequence[str]) -> dict[str, int]:
+def _vertex_index(d: int, vertices: tuple[str, ...]) -> dict[str, int]:
     """The position of each label, after checking the dimension and labels."""
     if d < 1:
         raise BadParametersError("dimension must be at least 1")
+    if not isinstance(vertices, tuple):
+        raise BadParametersError("vertex labels must be a tuple")
     if not all(isinstance(v, str) for v in vertices):
         raise BadParametersError("vertex labels must be strings")
     index = {v: i for i, v in enumerate(vertices)}

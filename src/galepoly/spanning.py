@@ -28,7 +28,8 @@ from .lp import DependenceCertificate, positively_spans
 
 @dataclass(frozen=True)
 class VectorConfiguration:
-    """Ordered labeled vectors in R^m; labels are distinct nonempty strings.
+    """Ordered labeled vectors in R^m; labels are a tuple of distinct
+    nonempty strings.
 
     ``integer_coords`` is the integer view of the vectors, computed once
     and kept on the object.  That is derived data, not a field, so
@@ -42,6 +43,8 @@ class VectorConfiguration:
     def __post_init__(self):
         if self.m < 0:
             raise BadParametersError("ambient dimension must be nonnegative")
+        if not isinstance(self.labels, tuple) or not all(isinstance(lab, str) for lab in self.labels):
+            raise BadParametersError("labels must be a tuple of strings")
         if len(self.labels) != len(self.coords):
             raise DimensionMismatchError("labels and coordinates differ in length")
         if len(set(self.labels)) != len(self.labels):

@@ -29,7 +29,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from galepoly import lp, mani
+from galepoly import linalg, lp, mani
 from galepoly.errors import BadParametersError
 from galepoly.linalg import integer_multiple
 from galepoly.lp import (
@@ -134,7 +134,7 @@ def test_every_recheck_of_a_round_holds_on_integer_rows(name, monkeypatch):
     for rows, selection, cert in scaled:
         assert verify_certificate(rows, selection, cert) is True
     # integer rows with integer certificates never reach a Fraction
-    monkeypatch.setattr(lp, "qq", _no_fraction_coercion)
+    monkeypatch.setattr(linalg, "qq", _no_fraction_coercion)
     for rows, selection, cert in scaled:
         assert verify_certificate(rows, selection, _integer_certificate(cert)) is True
 
@@ -142,7 +142,7 @@ def test_every_recheck_of_a_round_holds_on_integer_rows(name, monkeypatch):
 def test_the_dual_stage_rechecks_in_integers(monkeypatch):
     c = mani.construct_nonsimplicial_mani(6, 1, p=3, mode="certificate")
     mani.gale_dual(c.points)
-    monkeypatch.setattr(lp, "qq", _no_fraction_coercion)
+    monkeypatch.setattr(linalg, "qq", _no_fraction_coercion)
     report = mani.dual_spanning_report(c)
     assert report.spanning and report.minimal
 

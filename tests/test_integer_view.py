@@ -24,9 +24,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_certificate_checker import _no_fraction_coercion, _workloads
 
-from galepoly import gale, lp, mani
+from galepoly import gale, linalg, mani
 from galepoly.gale import PointConfiguration
-from galepoly.linalg import common_scale, dot, integer_multiple
+from galepoly.linalg import ExactMatrix, common_scale, dot, integer_multiple
 from galepoly.lp import strict_positive_dependence
 from galepoly.spanning import VectorConfiguration
 
@@ -136,9 +136,37 @@ def test_the_integer_view_gives_the_fraction_certificates_on_hypothesis_inputs(c
 def test_a_full_build_enumerates_its_cofaces_in_integers(monkeypatch):
     config = mani.build_block_diagram(12).config
     expected = incidence_reference.enumerate_facet_complements(config)
-    # integer rows with integer certificates never reach a Fraction
-    monkeypatch.setattr(lp, "qq", _no_fraction_coercion)
+    # integer rows with integer certificates never reach a Fraction; only
+    # the direction classes read the Fraction vectors, as they are
+    # (``primitive``)
+    monkeypatch.setattr(linalg, "qq", lambda x: x if type(x) is QQ else _no_fraction_coercion(x))
     assert gale.enumerate_facet_complements(config) == expected
+
+
+def test_the_kernel_runs_on_integer_views_without_a_fraction(monkeypatch):
+    # ExactMatrix takes an integer view as it is: no entry of a d = 6
+    # base's lifted rows or of its dual's integer rows becomes a Fraction
+    # on the way in, and each rank and kernel is the one the Fraction rows
+    # give; scaling the rows scales the solutions, so each solve is checked
+    # by matvec on the integer rows and for which rhs it finds none
+    base = mani.construct_nonsimplicial_mani(6, 1, p=3, mode="certificate").base_points
+    dual = base.gale_dual
+    views = [(base.lifted, [(QQ(1),) + p for p in base.coords]), (dual.integer_coords, dual.coords)]
+    cases = []
+    for ints, fractions in views:
+        reference = ExactMatrix(fractions)
+        rhs = [tuple(r[j] for r in ints) for j in range(len(ints[0]))] + [(1,) + (0,) * (len(ints) - 1)]
+        solved = [x is not None for x in reference.solve_columns(rhs)]
+        cases.append((ints, rhs, reference.rank(), reference.kernel_basis(), solved))
+    assert [solved[-1] for *_, solved in cases] == [False, False]
+    monkeypatch.setattr(linalg, "qq", _no_fraction_coercion)
+    for ints, rhs, rank, kernel, solved in cases:
+        matrix = ExactMatrix(ints)
+        assert all(got is row for got, row in zip(matrix.entries, ints))
+        assert (matrix.rank(), matrix.kernel_basis()) == (rank, kernel)
+        solutions = matrix.solve_columns(rhs)
+        assert [x is not None for x in solutions] == solved
+        assert all(matrix.matvec(x) == b for x, b in zip(solutions, rhs) if x is not None)
 
 
 _entries = st.one_of(st.integers(-9, 9), st.builds(QQ, st.integers(-9, 9), st.integers(1, 7)))

@@ -41,7 +41,7 @@ from galepoly.linalg import QQ, dot, parse_rational
 from galepoly.lp import strict_positive_dependence
 from galepoly.mani import build_block_diagram, construct_nonsimplicial_mani, dual_spanning_report
 from galepoly.polytope import crosspolytope, simplex
-from galepoly.spanning import standard_minimal_config
+from galepoly.spanning import VectorConfiguration, standard_minimal_config
 from galepoly.svg import affine_clusters, choose_functional, svg_from_plan
 
 SQUARE_POINTS = PointConfiguration.from_pairs(
@@ -105,6 +105,26 @@ def test_points_json_round_trip():
     assert doc["d"] == 2
     back = points_from_json(doc)
     assert back == SQUARE_POINTS
+
+
+def test_a_configuration_either_round_trips_or_is_refused_for_its_labels():
+    # labels are a tuple of strings: list labels made an unhashable
+    # configuration that geometric_stack_point could not extend, and int
+    # labels wrote documents that the readers refuse
+    one, minus = (QQ(1), QQ(0)), (QQ(-1), QQ(0))
+    for make in (
+        lambda: VectorConfiguration(m=2, labels=["a", "b"], coords=(one, minus)),
+        lambda: VectorConfiguration(m=2, labels=(1, 2), coords=(one, minus)),
+        lambda: PointConfiguration(d=2, labels=["a", "b"], coords=(one, minus)),
+        lambda: PointConfiguration(d=2, labels=("a", 2), coords=(one, minus)),
+        lambda: PointConfiguration(d=2, labels=None, coords=(one, minus)),
+    ):
+        with pytest.raises(BadParametersError, match="labels must be a tuple of strings"):
+            make()
+    config = VectorConfiguration(m=2, labels=("a", "b"), coords=(one, minus))
+    assert config_from_json(json.loads(dumps(config_to_json(config)))) == config
+    assert points_from_json(json.loads(dumps(points_to_json(SQUARE_POINTS)))) == SQUARE_POINTS
+    assert hash(config) == hash(VectorConfiguration.from_pairs(2, [("a", one), ("b", minus)]))
 
 
 def test_polytope_json_round_trip():

@@ -10,7 +10,9 @@ from galepoly.linalg import (
     QQ,
     ExactMatrix,
     as_vector,
+    coprime_multiple,
     dot,
+    exact_row,
     format_rational,
     is_zero_vector,
     parse_rational,
@@ -99,6 +101,44 @@ def test_primitive_preserves_direction():
         assert all(pi.denominator == 1 for pi in p)
 
 
+def test_primitive_and_elimination_share_the_coprime_multiple():
+    assert coprime_multiple([QQ(2, 3), QQ(4, 3)]) == [1, 2]
+    assert coprime_multiple([-6, 4, 0]) == [-3, 2, 0]
+    assert coprime_multiple([0, QQ(0)]) == [0, 0]
+    assert coprime_multiple([]) == []
+    rng = random.Random(5)
+    for _ in range(50):
+        u = [QQ(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(1, 4))]
+        assert primitive(u) == tuple(coprime_multiple(u))
+        assert ExactMatrix([u])._eliminate()[0] == [coprime_multiple(u)]
+
+
+def test_exact_row_keeps_int_and_fraction_rows_and_coerces_the_rest():
+    for row in [(1, QQ(1, 2)), (QQ(3), -4), (), (7,)]:
+        assert exact_row(row) is row
+    assert exact_row([QQ(3), -4]) == (QQ(3), -4)
+    assert exact_row(x for x in (1, "2")) == (1, QQ(2))
+    got = exact_row(("1/2", 3, QQ(-1)))
+    assert got == (QQ(1, 2), 3, QQ(-1)) and list(map(type, got)) == [Fraction, int, Fraction]
+    with pytest.raises(TypeError):
+        exact_row((1, 0.5))
+    # ExactMatrix takes its rows by the rule: tuples of ints and Fractions
+    # are its entries as they are, and results are Fractions
+    rows = [(1, 2, 3), (QQ(1, 2), 0, -1)]
+    m = ExactMatrix(rows)
+    assert all(got is row for got, row in zip(m.entries, rows))
+    assert ExactMatrix([["1/2", "0", "-1"]]).entries == ((QQ(1, 2), 0, -1),)
+    assert all(type(x) is Fraction for x in m.matvec((1, 1, 1)) + m.kernel_basis().column(0))
+    for make in (
+        lambda: ExactMatrix([(1, 0.5)]),
+        lambda: ExactMatrix.from_columns([(1, 0.5)]),
+        lambda: m.matvec((1, 0.5, 0)),
+        lambda: m.solve_columns([(1, 0.5)]),
+    ):
+        with pytest.raises(TypeError):
+            make()
+
+
 def test_matrix_shape_validation():
     with pytest.raises(DimensionMismatchError):
         ExactMatrix([[1, 2], [3]])
@@ -184,6 +224,11 @@ def test_elimination_divides_out_a_common_row_factor():
         scaled = ExactMatrix([[factor * a for a in r] for r in rows])
         assert scaled._eliminate() == ExactMatrix(rows)._eliminate()
         assert scaled.kernel_basis() == ExactMatrix(rows).kernel_basis()
+        # integer rows (an integer view) against their Fraction quotients
+        ints = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(3)]
+        quotients = [[QQ(a, factor) for a in r] for r in ints]
+        assert ExactMatrix(ints)._eliminate() == ExactMatrix(quotients)._eliminate()
+        assert ExactMatrix(ints).kernel_basis() == ExactMatrix(quotients).kernel_basis()
     rows, pivots, den = ExactMatrix([[4, 6], [QQ(2, 3), 0]])._eliminate()
     assert (pivots, den) == ([0, 1], -3)
 

@@ -9,6 +9,7 @@ import textwrap
 import fraction_kernels
 import pytest
 
+from galepoly import linalg
 from galepoly import lp as lp_module
 from galepoly.errors import (
     BadParametersError,
@@ -165,12 +166,13 @@ def test_rational_string_rows_give_the_fraction_certificates():
 
 
 def test_int_and_fraction_rows_reach_the_solver_and_the_checker_uncoerced(monkeypatch):
-    # the solver, the certificate check and the selection share one
-    # coercion rule: a row of ints and Fractions is used as it is, and only
-    # another row (rational strings) is coerced entry by entry
+    # the solver, the certificate check and the selection share the
+    # kernel's one row rule (linalg.exact_row): a row of ints and Fractions
+    # is used as it is, and only another row (rational strings) has its
+    # entries coerced, each non-int one by linalg.qq
     coerced = []
-    real = lp_module._exact_vector
-    monkeypatch.setattr(lp_module, "_exact_vector", lambda xs: coerced.append(xs) or real(xs))
+    real = linalg.qq
+    monkeypatch.setattr(linalg, "qq", lambda x: coerced.append(x) or real(x))
     rows = [(QQ(1), 0), (0, QQ(-1, 2)), (-2, 3)]
     assert solve_feasibility(rows, (QQ(1, 3), -1))[0] is not None
     assert solve_feasibility(rows[:2], (-1, 0))[1] is not None

@@ -272,6 +272,15 @@ def test_a_polytope_either_round_trips_or_is_refused_for_its_labels():
         assert (back, back._rows, back._masks) == (poly, poly._rows, poly._masks)
 
 
+def test_vertex_labels_must_be_a_tuple():
+    # a list passed construction and then made a polytope unequal to the
+    # same one built from a tuple, on which stacking raised a TypeError
+    with pytest.raises(BadParametersError, match="vertex labels must be a tuple"):
+        IncidencePolytope(2, ["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
+    poly = IncidencePolytope(2, ("a", "b", "c"), [("a", "b"), ("b", "c"), ("a", "c")])
+    assert stack_simplex_facet(poly, ("a", "b")).f0 == 4
+
+
 def test_a_pair_on_a_simplex_facet_need_not_be_an_edge():
     # a and b lie on the simplex facet abc, yet abc is the only facet
     # through both, so they are no edge.  The shortcut "two vertices of a

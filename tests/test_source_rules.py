@@ -189,6 +189,33 @@ def test_lp_has_one_certificate_checker():
     assert [name for name in defined["lp.py"] if name.startswith("verify_")] == ["verify_certificate"]
 
 
+def test_rows_enter_the_kernel_by_one_rule():
+    # every row that enters an ExactMatrix or lp's simplex is taken by
+    # linalg.exact_row, which keeps int and Fraction rows as they are; a
+    # second definition of the rule, or an ExactMatrix method or lp
+    # function that coerces entries itself (as_vector, qq), would be a
+    # second rule
+    trees = dict(_trees())
+    defined = {
+        name: [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for name, tree in trees.items()
+    }
+    assert [name for name, funcs in defined.items() if any("exact" in f.lower() for f in funcs)] == ["linalg.py"]
+    assert [name for name, tree in trees.items() if "_EXACT_TYPES" in _named(tree)] == ["linalg.py"]
+    matrix = next(
+        node for node in ast.walk(trees["linalg.py"])
+        if isinstance(node, ast.ClassDef) and node.name == "ExactMatrix"
+    )
+    methods = [node for node in matrix.body if isinstance(node, ast.FunctionDef)]
+    assert "as_vector" in _named(trees["linalg.py"])  # the rule can see it
+    assert [f.name for f in methods if _named(f) & {"as_vector", "qq"}] == []
+    assert _named(trees["lp.py"]) & {"as_vector", "qq"} == set()
+    takers = {f.name for f in methods if "exact_row" in _named(f)}
+    assert takers == {"__init__", "from_columns", "matvec", "solve_columns"}
+    takers = set(_functions_naming(trees["lp.py"], "exact_row"))
+    assert {"solve_feasibility", "_selected", "separating_functional", "verify_certificate"} <= takers
+
+
 def test_gale_normalizes_directions_only_through_primitive():
     # coface enumeration groups vectors by linalg.primitive of their
     # coordinates; a gcd taken in gale would be a second normalization
