@@ -52,12 +52,12 @@ from .errors import (
     BadParametersError,
     CertificateError,
     DegenerateInputError,
-    DimensionMismatchError,
     NotTwoSpanningError,
 )
 from .linalg import (
     QQ,
     ExactMatrix,
+    LabelledRows,
     as_vector,
     common_scale,
     dot,
@@ -76,9 +76,9 @@ from .spanning import VectorConfiguration, is_positively_k_spanning
 
 
 @dataclass(frozen=True)
-class PointConfiguration:
-    """Ordered labeled points in R^d; labels are a tuple of distinct
-    nonempty strings.
+class PointConfiguration(LabelledRows):
+    """Ordered labeled points in R^d, checked and stored by the labelled
+    row rule (``linalg.LabelledRows``).
 
     ``lifted`` and ``gale_dual`` are cached properties: each is computed
     the first time it is read and kept on the object.  That is derived
@@ -89,32 +89,6 @@ class PointConfiguration:
     d: int
     labels: tuple[str, ...]
     coords: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        if self.d < 0:
-            raise BadParametersError("dimension must be nonnegative")
-        if not isinstance(self.labels, tuple) or not all(isinstance(lab, str) for lab in self.labels):
-            raise BadParametersError("labels must be a tuple of strings")
-        if len(self.labels) != len(self.coords):
-            raise DimensionMismatchError("labels and coordinates differ in length")
-        if len(set(self.labels)) != len(self.labels):
-            raise BadParametersError("labels must be distinct")
-        if any(not lab for lab in self.labels):
-            raise BadParametersError("labels must be nonempty")
-        if any(len(p) != self.d for p in self.coords):
-            raise DimensionMismatchError("point length differs from ambient dimension")
-
-    @classmethod
-    def from_pairs(cls, d: int, pairs: Iterable[tuple[str, Sequence]]) -> "PointConfiguration":
-        labels = []
-        coords = []
-        for lab, p in pairs:
-            labels.append(str(lab))
-            coords.append(as_vector(p))
-        return cls(d=d, labels=tuple(labels), coords=tuple(coords))
-
-    def __len__(self) -> int:
-        return len(self.labels)
 
     @functools.cached_property
     def lifted(self) -> tuple[tuple[int, ...], ...]:

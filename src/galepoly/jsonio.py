@@ -28,9 +28,9 @@ import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import BadParametersError, SchemaError
+from .errors import BadParametersError, DimensionMismatchError, SchemaError
 from .gale import PointConfiguration, gale_dual, supporting_hyperplane
-from .linalg import format_rational, parse_rational
+from .linalg import LabelledRows, format_rational, parse_rational
 from .lp import DependenceCertificate
 from .mani import (
     BlockDiagramPlan,
@@ -170,19 +170,35 @@ def _check_version(doc: dict, where: str) -> None:
 # Document serializers
 
 
-def config_to_json(config: VectorConfiguration) -> dict:
+# each labelled-row class: its document name, dimension key and row key
+_ROW_KEYS = {
+    VectorConfiguration: ("configuration", "m", "vectors"),
+    PointConfiguration: ("points", "d", "points"),
+}
+
+
+def config_to_json(rows: LabelledRows) -> dict:
+    """The document of a vector or point configuration."""
+    _, dim, key = _ROW_KEYS[type(rows)]
     return {
         "schemaVersion": SCHEMA_VERSION,
-        "m": config.m,
-        "vectors": [
+        dim: getattr(rows, dim),
+        key: [
             {"label": lab, "coords": _rat_list(vec)}
-            for lab, vec in zip(config.labels, config.coords)
+            for lab, vec in zip(rows.labels, rows.coords)
         ],
     }
 
 
-def _labeled_coords(doc: dict, key: str, where: str) -> list[tuple[str, tuple[Fraction, ...]]]:
-    """The ``{label, coords}`` entries listed under ``key``."""
+points_to_json = config_to_json
+
+
+def _rows_from_json(doc: dict, cls: type[LabelledRows]) -> LabelledRows:
+    """The ``cls`` object of a document, its ``{label, coords}`` entries
+    listed under the class's row key."""
+    where, dim, key = _ROW_KEYS[cls]
+    _check_version(doc, where)
+    d = _require_int(doc, dim, where)
     entries = _require(doc, key, where)
     if not isinstance(entries, list):
         raise SchemaError(f"{where}: {key!r} must be a list")
@@ -195,41 +211,18 @@ def _labeled_coords(doc: dict, key: str, where: str) -> list[tuple[str, tuple[Fr
         if not isinstance(label, str):
             raise SchemaError(f"{where}: {key}[{i}].label must be a string")
         pairs.append((label, _parse_rat_list(_require(entry, "coords", at), f"{at}.coords")))
-    return pairs
+    try:
+        return cls.from_pairs(d, pairs)
+    except (BadParametersError, DimensionMismatchError) as exc:
+        raise SchemaError(f"{where}: {exc}") from None
 
 
 def config_from_json(doc: dict) -> VectorConfiguration:
-    where = "configuration"
-    _check_version(doc, where)
-    m = _require_int(doc, "m", where)
-    pairs = _labeled_coords(doc, "vectors", where)
-    try:
-        return VectorConfiguration.from_pairs(m, pairs)
-    except BadParametersError as exc:
-        raise SchemaError(f"{where}: {exc}") from None
-
-
-def points_to_json(points: PointConfiguration) -> dict:
-    return {
-        "schemaVersion": SCHEMA_VERSION,
-        "d": points.d,
-        "points": [
-            {"label": lab, "coords": _rat_list(vec)}
-            for lab, vec in zip(points.labels, points.coords)
-        ],
-    }
+    return _rows_from_json(doc, VectorConfiguration)
 
 
 def points_from_json(doc: dict) -> PointConfiguration:
-    where = "points"
-    _check_version(doc, where)
-    d = _require_int(doc, "d", where)
-    pairs = _labeled_coords(doc, "points", where)
-    labels = tuple(label for label, _ in pairs)
-    try:
-        return PointConfiguration(d=d, labels=labels, coords=tuple(c for _, c in pairs))
-    except BadParametersError as exc:
-        raise SchemaError(f"{where}: {exc}") from None
+    return _rows_from_json(doc, PointConfiguration)
 
 
 def polytope_to_json(poly: IncidencePolytope) -> dict:

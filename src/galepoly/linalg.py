@@ -6,7 +6,12 @@ the exact kernel, an ``ExactMatrix`` or ``lp``'s simplex, follows one rule
 (``exact_row``): a row of ints and Fractions is used as it is, and any other
 row has its entries coerced by ``qq``, so integer views (``gale``'s
 ``lifted`` and ``integer_coords``) enter as integers.  ``as_vector``, which
-makes every entry a Fraction, is left for values from outside the kernel.
+makes every entry a Fraction, is left for values from outside the kernel:
+the labelled rows of ``LabelledRows`` (vector and point configurations)
+are stored by it as tuples of Fractions, bools refused, and any bad
+dimension, label or row raises ``BadParametersError`` there, or
+``DimensionMismatchError`` for a count or length that does not match.
+``check_labels`` is the one label rule, which ``polytope`` shares.
 Elimination (``eliminate``) runs fraction-free (Edmonds/Bareiss)
 Gauss-Jordan steps on integer rows over one common denominator;
 ``ExactMatrix`` first scales each row to coprime integers
@@ -27,21 +32,21 @@ across runs and platforms.
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatchError
+from .errors import BadParametersError, DimensionMismatchError
 
 QQ = Fraction
 
 
 def qq(x) -> Fraction:
-    """Coerce an int, string, or Fraction to Fraction; floats are rejected."""
+    """Coerce an int, string, or Fraction to Fraction; floats and bools are
+    rejected."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to an exact rational")
 
@@ -58,7 +63,71 @@ def parse_rational(s: str) -> Fraction:
 
 
 def as_vector(xs: Iterable) -> tuple[Fraction, ...]:
-    return tuple(qq(x) for x in xs)
+    return tuple(map(qq, xs))
+
+
+def check_dimension(d, least: int, noun: str = "dimension") -> None:
+    """Check that ``d`` is an int, not a bool, of at least ``least``."""
+    if not isinstance(d, int) or isinstance(d, bool):
+        raise BadParametersError(f"{noun} must be an int")
+    if d < least:
+        raise BadParametersError(f"{noun} must be at least {least}")
+
+
+def check_labels(labels, noun: str = "labels") -> dict[str, int]:
+    """The position of each label, after checking that ``labels`` is a
+    tuple of distinct nonempty strings."""
+    if not isinstance(labels, tuple):
+        raise BadParametersError(f"{noun} must be a tuple of strings")
+    if not all(isinstance(lab, str) for lab in labels):
+        raise BadParametersError(f"{noun} must be strings ({noun} must be a tuple of strings)")
+    index = {lab: i for i, lab in enumerate(labels)}
+    if len(index) != len(labels):
+        raise BadParametersError(f"{noun} must be distinct")
+    if "" in index:
+        raise BadParametersError(f"{noun} must be nonempty")
+    return index
+
+
+class LabelledRows:
+    """Base of the frozen dataclasses whose fields are an ambient dimension,
+    ``labels`` and ``coords``, in that order: ``spanning.VectorConfiguration``
+    (vectors in R^m) and ``gale.PointConfiguration`` (points in R^d).
+
+    Construction checks the dimension (``check_dimension``) and the labels
+    (``check_labels``), and stores each row, given as any sequence of ints,
+    Fractions and rational strings, as a tuple of Fractions (``as_vector``).
+    """
+
+    def __post_init__(self):
+        d, labels, coords = (getattr(self, f.name) for f in fields(self))
+        check_dimension(d, 0, "ambient dimension")
+        check_labels(labels)
+        try:
+            rows = tuple(coords)
+            if any(isinstance(r, (str, bytes)) for r in rows):
+                raise TypeError("a row is a string")
+            rows = tuple(map(as_vector, rows))
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise BadParametersError(f"rows must be sequences of exact rationals: {exc}") from None
+        if len(rows) != len(labels):
+            raise DimensionMismatchError("labels and coordinates differ in length")
+        if any(len(r) != d for r in rows):
+            raise DimensionMismatchError("row length differs from ambient dimension")
+        object.__setattr__(self, "coords", rows)
+
+    @classmethod
+    def from_pairs(cls, d: int, pairs: Iterable[tuple[str, Sequence]]):
+        """The configuration of the ``(label, row)`` pairs, each label taken
+        as ``str(label)``."""
+        try:
+            pairs = [(str(lab), row) for lab, row in pairs]
+        except (TypeError, ValueError):
+            raise BadParametersError("pairs must be (label, row) pairs") from None
+        return cls(d, tuple(lab for lab, _ in pairs), tuple(row for _, row in pairs))
+
+    def __len__(self) -> int:
+        return len(self.labels)
 
 
 _EXACT_TYPES = frozenset((int, Fraction))
@@ -82,10 +151,6 @@ def exact_row(row: Iterable) -> tuple:
 
 def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_neg(u: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(-a for a in u)
 
 
 def vec_scale(c: Fraction, u: Sequence[Fraction]) -> tuple[Fraction, ...]:

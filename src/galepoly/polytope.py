@@ -38,6 +38,7 @@ from .errors import (
     TooLargeForBruteForceError,
     UnknownVertexError,
 )
+from .linalg import check_dimension, check_labels
 
 DEFAULT_GAMMA_CAP = 14
 
@@ -100,30 +101,23 @@ def _assign(poly: IncidencePolytope, **fields) -> None:
 
 def _vertex_index(d: int, vertices: tuple[str, ...]) -> dict[str, int]:
     """The position of each label, after checking the dimension and labels."""
-    if d < 1:
-        raise BadParametersError("dimension must be at least 1")
-    if not isinstance(vertices, tuple):
-        raise BadParametersError("vertex labels must be a tuple")
-    if not all(isinstance(v, str) for v in vertices):
-        raise BadParametersError("vertex labels must be strings")
-    index = {v: i for i, v in enumerate(vertices)}
-    if len(index) != len(vertices):
-        raise BadParametersError("vertex labels must be distinct")
-    if "" in index:
-        raise BadParametersError("vertex labels must be nonempty")
-    return index
+    check_dimension(d, 1)
+    return check_labels(vertices, "vertex labels")
 
 
 def _label_rows(index: dict[str, int], facets) -> Iterator[tuple[int, ...]]:
     """Each facet as sorted vertex indices, made only when the row checker
     asks for it, so an unknown vertex is reported after the facets before it
     were checked."""
-    for facet in facets:
-        try:
-            yield tuple(sorted([index[v] for v in facet]))
-        except KeyError:
-            missing = [v for v in facet if v not in index]
-            raise UnknownVertexError(f"facet uses unknown vertices {missing}") from None
+    try:
+        for facet in facets:
+            try:
+                yield tuple(sorted([index[v] for v in facet]))
+            except KeyError:
+                missing = [v for v in facet if v not in index]
+                raise UnknownVertexError(f"facet uses unknown vertices {missing}") from None
+    except TypeError:
+        raise BadParametersError("facets must be sequences of vertex labels") from None
 
 
 def _from_rows(d: int, vertices: tuple[str, ...], rows: Iterable[tuple[int, ...]]) -> IncidencePolytope:

@@ -19,17 +19,17 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .errors import BadParametersError, DimensionMismatchError
-from .linalg import QQ, as_vector, common_scale
+from .errors import BadParametersError
+from .linalg import QQ, LabelledRows, common_scale
 from .lp import DependenceCertificate, positively_spans
 
 
 @dataclass(frozen=True)
-class VectorConfiguration:
-    """Ordered labeled vectors in R^m; labels are a tuple of distinct
-    nonempty strings.
+class VectorConfiguration(LabelledRows):
+    """Ordered labeled vectors in R^m, checked and stored by the labelled
+    row rule (``linalg.LabelledRows``).
 
     ``integer_coords`` is the integer view of the vectors, computed once
     and kept on the object.  That is derived data, not a field, so
@@ -39,32 +39,6 @@ class VectorConfiguration:
     m: int
     labels: tuple[str, ...]
     coords: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        if self.m < 0:
-            raise BadParametersError("ambient dimension must be nonnegative")
-        if not isinstance(self.labels, tuple) or not all(isinstance(lab, str) for lab in self.labels):
-            raise BadParametersError("labels must be a tuple of strings")
-        if len(self.labels) != len(self.coords):
-            raise DimensionMismatchError("labels and coordinates differ in length")
-        if len(set(self.labels)) != len(self.labels):
-            raise BadParametersError("labels must be distinct")
-        if any(not lab for lab in self.labels):
-            raise BadParametersError("labels must be nonempty")
-        if any(len(v) != self.m for v in self.coords):
-            raise DimensionMismatchError("vector length differs from ambient dimension")
-
-    @classmethod
-    def from_pairs(cls, m: int, pairs: Iterable[tuple[str, Sequence]]) -> "VectorConfiguration":
-        labels = []
-        coords = []
-        for lab, v in pairs:
-            labels.append(str(lab))
-            coords.append(as_vector(v))
-        return cls(m=m, labels=tuple(labels), coords=tuple(coords))
-
-    def __len__(self) -> int:
-        return len(self.labels)
 
     @functools.cached_property
     def integer_coords(self) -> tuple[tuple[int, ...], ...]:
@@ -95,10 +69,6 @@ class VectorConfiguration:
             labels=tuple(self.labels[i] for i in idx),
             coords=tuple(self.coords[i] for i in idx),
         )
-
-    def delete(self, indices: Iterable[int]) -> "VectorConfiguration":
-        drop = set(indices)
-        return self.subconfiguration(i for i in range(len(self)) if i not in drop)
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,7 @@ def is_minimal_k_spanning(config, k):
         return base, MinimalityReport(False, k)
     per_index = []
     for index in range(len(config)):
-        sub = config.delete((index,))
+        sub = config.subconfiguration(j for j in range(len(config)) if j != index)
         report = is_positively_k_spanning(sub, k)
         if report.spanning:
             return base, MinimalityReport(False, k, removable_index=index)

@@ -227,7 +227,7 @@ def test_greedy_pruning_lands_in_the_classical_size_window():
             assert base.spanning
             if minimality.minimal:
                 break
-            config = config.delete((minimality.removable_index,))
+            config = config.subconfiguration(j for j in range(len(config)) if j != minimality.removable_index)
         assert m + 1 <= len(config) <= 2 * m, (m, config.coords)
         pruned += 1
     assert pruned >= 15

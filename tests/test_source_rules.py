@@ -278,8 +278,9 @@ def test_lifted_rows_are_built_in_one_place():
 def test_derived_views_are_cached_properties():
     # derived data is kept by functools.cached_property; a getattr with a
     # default, or an object.__setattr__ outside the one setter that every
-    # construction of an IncidencePolytope goes through, would be a second
-    # caching idiom
+    # construction of an IncidencePolytope goes through and the one that
+    # stores a configuration's rows as Fractions, would be a second caching
+    # idiom
     defaults = []
     setters = {}
     for name, tree in _trees():
@@ -294,4 +295,24 @@ def test_derived_views_are_cached_properties():
         for owner in _functions_naming(tree, "__setattr__"):
             setters.setdefault(name, set()).add(owner)
     assert defaults == []
-    assert setters == {"polytope.py": {"_assign"}}
+    assert setters == {"polytope.py": {"_assign"}, "linalg.py": {"__post_init__"}}
+
+
+def test_labelled_rows_have_one_rule():
+    # the label checks (linalg.check_labels) and from_pairs
+    # (linalg.LabelledRows) are written once, for configurations and
+    # polytopes alike; a copy of either in a constructor would be a second
+    # rule
+    checks, from_pairs = set(), []
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if "must be distinct" in node.value or "must be nonempty" in node.value:
+                    checks.add(name)
+            if isinstance(node, ast.FunctionDef) and node.name == "from_pairs":
+                from_pairs.append(name)
+    assert checks == {"linalg.py"}
+    assert from_pairs == ["linalg.py"]
+    trees = dict(_trees())
+    assert set(_functions_naming(trees["polytope.py"], "check_labels")) == {"_vertex_index"}
+    assert set(_functions_naming(trees["linalg.py"], "check_labels")) == {"__post_init__"}
