@@ -291,6 +291,18 @@ def realize(config: VectorConfiguration) -> PointConfiguration:
     member; scaling row i by 1/lambda_i makes the first coordinate constant,
     and the remaining n-m-1 coordinates are the points.
     """
+    return realize_with_proofs(config)[0]
+
+
+def realize_with_proofs(config: VectorConfiguration):
+    """``realize``'s points, lambda, and the dependences its scan proved.
+
+    Returns ``(points, lam, dependences)``: lam is the strictly positive
+    dependence of V the points are built on, and ``dependences[i]`` the
+    ``PositiveDependence`` weights of V minus v_i, over the other indices
+    in order, that the 2-spanning scan solved.  ``mani`` reads a separating
+    functional of every point off them (``mani._base_separators``).
+    """
     _reject_zero_vectors(config)
     report = is_positively_k_spanning(config, 2)
     if not report.spanning:
@@ -313,7 +325,8 @@ def realize(config: VectorConfiguration) -> PointConfiguration:
     coords = tuple(
         tuple(columns[t][i] / lam[i] for t in range(1, d + 1)) for i in range(n)
     )
-    return PointConfiguration(d=d, labels=config.labels, coords=coords)
+    points = PointConfiguration(d=d, labels=config.labels, coords=coords)
+    return points, lam, tuple(c.lam for c in report.certificates)
 
 
 def _two_spanning_from_cofaces(

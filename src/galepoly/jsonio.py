@@ -14,6 +14,9 @@ certificate-mode build runs, on the report's own points and without the
 build's kept proofs; this module only decodes, rejects hostile input,
 builds payloads and caches objects.  So verify reads no recorded
 ``perIndex``: it derives the witnesses from its own midpoint certificates.
+The one proof it takes from a report is each apex's stack plane, offered
+as that apex's vertex functional once ``stacks`` are checked, and
+re-checked like any kept functional.
 Verify also rejects a certificate report whose first points do not
 realize its plan (``mani.realizes``) or whose ``stacks`` do not place its
 apexes on the designated planes (``mani.stack_mismatch``), and any report
@@ -875,6 +878,14 @@ def _stacks(objects: "_ReportObjects") -> tuple[StackCertificate, ...]:
     return stacks
 
 
+def _stack_functionals(objects: "_ReportObjects") -> dict[int, tuple[int, ...]]:
+    """Each apex's stack plane, offered as its vertex functional once the
+    stacks are shown to place the apexes; ``mani.vertex_proofs`` re-checks
+    each before it relies on it."""
+    n = len(objects["plan"].config)
+    return {n + i: s.functional for i, s in enumerate(objects["stacks"])}
+
+
 def _header(objects: "_ReportObjects") -> None:
     """Reject a report whose header disagrees with its plan and contents."""
     report, plan = objects.report, objects["plan"]
@@ -906,7 +917,7 @@ _DECODERS = {
     "base_points": _base_points,
     "designated_planes": lambda o: designated_planes(o["plan"], o["base_points"]),
     "fat_facet_plane": lambda o: supporting_hyperplane(o["points"], o["fat_facet"]),
-    "vertex_proofs": lambda o: vertex_proofs(o["points"]),
+    "vertex_proofs": lambda o: vertex_proofs(o["points"], _stack_functionals(o)),
     "vertex_flags": lambda o: o["vertex_proofs"][0],
     "separators": lambda o: o["vertex_proofs"][1],
     # with a vertex left unpaired no payload reads a flag, and the dual's

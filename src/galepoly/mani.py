@@ -23,17 +23,25 @@ Q exactly, places each apex geometrically, and certifies each required
 property (vertexhood, inner diagonals, a fat facet) by exact LPs and
 hyperplane checks, which keeps d = 36 tractable.  Each designated facet is
 proved once, by its supporting hyperplane on the realized base
-(``designated_planes``).  Vertices are tested on the points; inner
-diagonals on the Gale dual of the hull, where faces of the points match
-cofaces of V* (``hull_flags``).  Each trial's points are one
+(``designated_planes``).  An apex goes at barycenter + eps * normal for the
+first eps of 1, 1/2, 1/4, ... at which every flag holds; by the
+beneath-beyond lemma that is the first eps beneath F's neighbouring
+facets and the guard planes, so it is computed from them
+(``_first_trial``) and the trials before it are not run; that trial's
+flags are still tested by exact LPs.  Vertices are tested on the points;
+inner diagonals on the Gale dual of the hull, where faces of the points
+match cofaces of V* (``hull_flags``).  Each trial's points are one
 ``PointConfiguration``, which keeps the one Gale dual taken of it and its
 one lifted integer view as cached properties (``gale_dual``, ``lifted``);
 every re-check on the lifted rows (1, p_u), the dual stage's and
 ``realizes``' included, reads that view.  The accepted trial's points are
 the stacked points.  A vertex's separating functional is kept and
-re-checked by arithmetic at later trials, and each apex's accepted trial
-keeps the interior certificates of its diagonals, which prove every
-partner pair with no final midpoint LP.
+re-checked by arithmetic at later trials.  The build solves no vertex LP:
+it offers functionals from proofs it holds, the base points' read off
+``realize``'s 2-spanning scan (``_base_separators``) and each apex's its
+stack plane; the LP runs only for one that fails its re-check.  Each
+apex's accepted trial keeps the interior certificates of its diagonals,
+which prove every partner pair with no final midpoint LP.
 
 ``spanning_bound_counterexample`` chains the d = 36 certificate build with
 dualization: the Gale dual of the resulting 49-vertex polytope is certified
@@ -57,7 +65,9 @@ the functions build calls (``designated_planes``, ``vertex_proofs``,
 without the build's kept proofs; its midpoint flags and dual checks share
 one Gale dual of those points.  It re-checks by arithmetic that the
 first points realize the plan (``realizes``) and that the recorded apex
-placements stand on the designated planes (``stack_mismatch``).
+placements stand on the designated planes (``stack_mismatch``); those
+checked stack planes are then the apexes' vertex functionals, re-checked
+like the build's.
 """
 
 from __future__ import annotations
@@ -82,12 +92,14 @@ from .gale import (
     barycenter,
     gale_dual,
     incidence_from_gale,
-    realize,
+    # the realized base with the proofs realize solved on the way
+    realize_with_proofs as realize,
     supporting_hyperplane,
 )
 from .linalg import (
     QQ,
     ExactMatrix,
+    check_dimension,
     dot,
     integer_multiple,
     primitive,
@@ -133,8 +145,7 @@ class FormulaRow:
 
 def default_block_size(d: int) -> int:
     """Least p >= 1 with p(p+1) >= d; minimizes p + ceil(d/p)."""
-    if d < 1:
-        raise BadParametersError("dimension must be at least 1")
+    check_dimension(d, 1)
     p = max(1, (math.isqrt(4 * d + 1) - 1) // 2)
     while p * (p + 1) < d:
         p += 1
@@ -162,8 +173,7 @@ def formulas(d: int) -> FormulaRow:
 
 def formula_table(max_dim: int) -> tuple[tuple[FormulaRow, ...], int | None]:
     """Rows for d = 1..max_dim and the first d with nu(d) < 2d, if any."""
-    if max_dim < 1:
-        raise BadParametersError("max dimension must be at least 1")
+    check_dimension(max_dim, 1, "max dimension")
     rows = tuple(formulas(d) for d in range(1, max_dim + 1))
     first = next((r.d for r in rows if r.nu < 2 * r.d), None)
     return rows, first
@@ -209,12 +219,15 @@ def build_block_diagram(d: int, p: int | None = None, ell: int = 1) -> BlockDiag
     fat-facet witness collapses, so the construction needs p >= 3.  ``ell``
     counts the positive blocks and must leave at least one negative block.
     """
+    check_dimension(d, 1)
     if d < 6:
         raise BadParametersError("the block construction needs d >= 6")
     if p is None:
         p = max(3, default_block_size(d))
+    check_dimension(p, 1, "block size p")
     if p < 3:
         raise BadParametersError(f"block size p = {p} is too small; need p >= 3")
+    check_dimension(ell, 1, "ell")
     q = -(-d // p)
     if q < 2:
         raise BadParametersError(
@@ -261,7 +274,10 @@ class StackCertificate:
     """Everything needed to re-check one apex placement by arithmetic.
 
     The facet's supporting hyperplane is <normal, x> = offset with all other
-    points strictly below; the apex sits at barycenter + epsilon * normal.
+    points strictly below; the apex sits at barycenter + epsilon * normal,
+    with epsilon = 1/2^(trials - 1).  ``trials`` counts the halvings of the
+    first height that passes, as if every height from 1 down had been
+    tried; ``geometric_stack_point`` computes it rather than searching.
     """
 
     facet: tuple[str, ...]
@@ -271,6 +287,16 @@ class StackCertificate:
     offset: Fraction
     epsilon: Fraction
     trials: int
+
+    @property
+    def functional(self) -> tuple[int, ...]:
+        """The stack plane as an integer functional on the rows (1, x).
+
+        It is positive at the apex and nonpositive wherever the plane is
+        supporting, so it separates the apex from every point beneath the
+        plane; ``hull_flags`` re-checks it before relying on it.
+        """
+        return tuple(integer_multiple((-self.offset, *self.normal)))
 
 
 def hull_flags(points: PointConfiguration, vertices, diagonals, separators=None):
@@ -284,10 +310,12 @@ def hull_flags(points: PointConfiguration, vertices, diagonals, separators=None)
     diagonal certificates of the trial they accept; verify's final midpoint
     LPs come through here too (``midpoint_flags``).
 
-    ``separators`` maps point indices to kept separating functionals, as
-    integer multiples of ``separating_functional`` vectors.  A kept
-    functional that is still positive on its point's row (1, p_i) and
-    nonpositive on every other row, checked in integers on the points'
+    ``separators`` maps point indices to kept separating functionals:
+    integer vectors y on the rows (1, p_u), from earlier LPs
+    (``separating_functional``) or from proofs a build already holds
+    (``_base_separators``, ``StackCertificate.functional``).  None is
+    trusted: a kept functional that is still positive on its point's row
+    and nonpositive on every other row, checked in integers on the points'
     lifted view (``PointConfiguration.lifted``), proves the point a vertex
     without an LP.  Otherwise the LP runs and its functional is kept in the
     map.  Without ``separators`` every vertex flag solves its LP.
@@ -379,6 +407,74 @@ def midpoint_flags(points: PointConfiguration, pairs) -> tuple[tuple[int, ...] |
     return tuple(hull_flags(points, (), [(index[a], index[b]) for a, b in pairs]))
 
 
+def _value(y, row) -> int:
+    return sum(a * b for a, b in zip(y, row))
+
+
+def _first_trial(points: PointConfiguration, inside, hyperplane, guard_planes, center, max_halvings: int) -> int:
+    """The first trial whose apex can pass.
+
+    F is the simplex facet of the points at indices ``inside``, h its
+    supporting functional (-offset, normal), and the apex of trial t sits at
+    a(eps) = c + eps * normal, c = ``center``, eps = 1/2^(t - 1).  By the
+    beneath-beyond lemma a trial passes exactly when a is beyond F and
+    strictly beneath every other facet: then no old vertex is swallowed
+    and no point off F shares a face with a, while a point on or beyond
+    another facet puts a vertex off F on a face with a or swallows it.  The
+    facets visible from a point form a connected set, so a is beneath every
+    other facet once it is beneath F's d neighbours.
+
+    The neighbour across the ridge F minus p_j is found by gift wrapping.
+    One elimination of the rows of F in the lifted view and (0, normal)
+    gives for each j the affine g_j that is 1 at p_j, 0 on the rest of F and
+    constant along the normal.  The neighbour's plane is f_j = h + lam_j g_j
+    with lam_j the largest -h(w)/g_j(w) over the points w with g_j(w) < 0
+    (none: that facet never meets the apex's ray).  f_j is lam_j/d at c and
+    rises along the normal as h does, so a leaves the region beneath it at
+    eps_j = -f_j(c) / (h's rise).  The limit eps* is the least eps_j and
+    guard threshold, and the first trial is the least t with
+    1/2^(t - 1) < eps*; every trial before it fails.  ``max_halvings`` + 1
+    means that none can pass.
+
+    Unless h vanishes exactly on F and is negative on every other point,
+    checked in integers on the lifted view, or when F's rows are dependent,
+    the first trial is 1.
+    """
+    lifted, d = points.lifted, points.d
+    normal, offset = hyperplane
+    h = integer_multiple((-offset, *normal))
+    on = set(inside)
+    if len(h) != d + 1 or len(on) != d:
+        return 1
+    values = [_value(h, row) for row in lifted]
+    if any(v != 0 if u in on else v >= 0 for u, v in enumerate(values)):
+        return 1
+    units = [[int(r == j) for r in range(d + 1)] for j in range(d)]
+    solved = ExactMatrix([lifted[i] for i in inside] + [(0, *h[1:])]).solve_columns(units)
+    if None in solved:
+        return 1
+    outside = [u for u in range(len(points)) if u not in on]
+    # h on the apex's lifted row rises by lifted[0][0] * (h . normal) per
+    # unit of eps, and so does every f_j, as g_j is constant along the normal
+    rise = d * lifted[0][0] * dot(h[1:], normal)
+    limits = []
+    for i, g in zip(inside, solved):
+        g = integer_multiple(g)
+        ratios = [QQ(-values[w], gw) for w in outside if (gw := _value(g, lifted[w])) < 0]
+        if ratios:
+            limits.append(-max(ratios) * _value(g, lifted[i]) / rise)
+    for a, b in guard_planes:
+        slope = dot(a, normal)
+        if slope > 0:
+            limits.append((b - dot(a, center)) / slope)
+    if not limits:
+        return 1
+    least = min(limits)
+    if least <= 0:
+        return max_halvings + 1
+    return min(1 + (least.denominator // least.numerator).bit_length(), max_halvings + 1)
+
+
 def geometric_stack_point(
     points: PointConfiguration,
     facet_labels,
@@ -390,14 +486,23 @@ def geometric_stack_point(
 ) -> tuple[PointConfiguration, StackCertificate, dict[str, tuple[int, ...]]]:
     """Place an apex just beyond a simplex facet and certify the placement.
 
-    The apex starts at barycenter + normal and halves its height until
-    (a) it stays strictly beneath every guard hyperplane, (b) every previous
-    point remains a vertex of the enlarged hull, and (c) the midpoint of the
-    segment from the apex to each point off the facet lies in the interior
-    of the enlarged hull (so those segments are inner diagonals).  Being
-    beyond the facet's own hyperplane holds for every positive height.
+    The apex sits at barycenter + eps * normal, at the first of the heights
+    eps = 1, 1/2, 1/4, ... at which (a) it stays strictly beneath every
+    guard hyperplane, (b) every previous point remains a vertex of the
+    enlarged hull, and (c) the midpoint of the segment from the apex to
+    each point off the facet lies in the interior of the enlarged hull (so
+    those segments are inner diagonals).  Being beyond the facet's own
+    hyperplane holds for every positive height.  That first height is
+    computed from the facet's neighbours and the guards (``_first_trial``),
+    and the trials before it are not run.  Its trial tests every flag by
+    ``hull_flags``, and if one fails the heights keep halving, so the
+    accepted trial and its ``trials`` count are those of trying every
+    height in turn.
+
     ``separators`` keeps the points' separating functionals across trials
     and calls (``hull_flags``); the apex is appended, so indices stay valid.
+    The accepted apex is offered its stack plane
+    (``StackCertificate.functional``), re-checked like any kept functional.
 
     Each trial builds its points first and tests its flags on them, so
     the stacked points returned are the accepted trial's, which keep the
@@ -407,10 +512,7 @@ def geometric_stack_point(
     interior certificate of the accepted trial for each diagonal, keyed by
     the label of its point off the facet: an affine dependence of the
     stacked points, positive off the diagonal, read off their Gale dual
-    (``hull_flags``).  The flag that failed at one trial is tested first at
-    the next, in its own order (vertices, then diagonals).  The accepted
-    trial is the first at which every flag holds, whatever the order, so
-    the order changes only which LPs the failed trials solve.
+    (``hull_flags``).
     """
     facet = tuple(facet_labels)
     if hyperplane is None:
@@ -419,9 +521,9 @@ def geometric_stack_point(
             raise NotAFacetError(f"{sorted(facet)} has no supporting hyperplane")
     normal, offset = hyperplane
     fset = set(facet)
-    facet_coords = [points.coords[i] for i, lab in enumerate(points.labels) if lab in fset]
+    inside = [i for i, lab in enumerate(points.labels) if lab in fset]
     off_facet = [i for i, lab in enumerate(points.labels) if lab not in fset]
-    center = barycenter(facet_coords)
+    center = barycenter([points.coords[i] for i in inside])
     if new_label is None:
         used = set(points.labels)
         j = 0
@@ -431,10 +533,10 @@ def geometric_stack_point(
     elif new_label in points.labels:
         raise BadParametersError(f"label {new_label!r} already in use")
 
-    eps = QQ(1)
-    # the flag that failed last goes first in its order at the next trial
-    vertex_order, diagonal_order = list(range(len(points))), list(off_facet)
-    for trial in range(1, max_halvings + 1):
+    start = _first_trial(points, inside, hyperplane, guard_planes, center, max_halvings)
+    diagonals = [(len(points), i) for i in off_facet]
+    for trial in range(start, max_halvings + 1):
+        eps = QQ(1, 2 ** (trial - 1))
         apex = vec_add(center, vec_scale(eps, normal))
         if dot(normal, apex) <= offset:
             raise CertificateError("apex is not beyond the facet's hyperplane")
@@ -442,10 +544,8 @@ def geometric_stack_point(
             stacked = PointConfiguration(
                 d=points.d, labels=points.labels + (new_label,), coords=points.coords + (apex,)
             )
-            diagonals = [(len(points), i) for i in diagonal_order]
-            held = list(takewhile(bool, hull_flags(stacked, vertex_order, diagonals, separators)))
-            nv = len(vertex_order)
-            if len(held) == nv + len(diagonals):
+            held = list(takewhile(bool, hull_flags(stacked, range(len(points)), diagonals, separators)))
+            if len(held) == len(points) + len(diagonals):
                 cert = StackCertificate(
                     facet=facet,
                     apex_label=new_label,
@@ -455,10 +555,9 @@ def geometric_stack_point(
                     epsilon=eps,
                     trials=trial,
                 )
-                return stacked, cert, {points.labels[i]: c for i, c in zip(diagonal_order, held[nv:])}
-            order, k = (vertex_order, len(held)) if len(held) < nv else (diagonal_order, len(held) - nv)
-            order.insert(0, order.pop(k))
-        eps = eps / 2
+                if separators is not None:
+                    separators[len(points)] = cert.functional
+                return stacked, cert, {points.labels[i]: c for i, c in zip(off_facet, held[len(points):])}
     raise NoEpsilonFoundError(
         f"no valid apex height within {max_halvings} halvings for facet {sorted(facet)}"
     )
@@ -647,10 +746,35 @@ def realizes(config: VectorConfiguration, points: PointConfiguration) -> bool:
     return any(all(x > 0 for x in col) or all(x < 0 for x in col) for col in columns)
 
 
+def _base_separators(base: PointConfiguration, lam, dependences) -> dict[int, tuple[int, ...]]:
+    """A separating functional of each point of the realized ``base``, read
+    off the proofs ``realize_with_proofs`` returns with it; the converse of
+    ``_dual_base_scan``.
+
+    ``realize`` divides the rows of a basis of the dependences of V by its
+    strictly positive dependence ``lam``, so every dependence mu of V has
+    mu_u / lam_u = phi(p_u) for an affine phi.  ``dependences`` holds the
+    2-spanning scan's ``PositiveDependence`` of V minus v_i for each i;
+    with mu_i = 0, its phi is 0 at p_i and positive at every other point.
+    Negated and shifted by half its least value there, it is positive at
+    p_i alone.  One elimination of the lifted rows solves for every i; a
+    system without a solution offers no functional, and ``hull_flags``
+    re-checks the others.
+    """
+    rhs = []
+    for i, weights in enumerate(dependences):
+        mu = weights[:i] + (0,) + weights[i:]
+        phi = [w / v for w, v in zip(mu, lam)]
+        half = min(phi[:i] + phi[i + 1:]) / 2
+        rhs.append([half - x for x in phi])
+    solved = ExactMatrix(base.lifted).solve_columns(rhs)
+    return {i: tuple(integer_multiple(y)) for i, y in enumerate(solved) if y is not None}
+
+
 def _construct_certificate(plan: BlockDiagramPlan) -> ManiConstruction:
     result = ManiConstruction(plan=plan, mode="certificate")
     config = plan.config
-    result.base_points = realize(config)
+    result.base_points, lam, dependences = realize(config)
     planes = designated_planes(plan, result.base_points)
     covered = set().union(*(set(c) for _, c in plan.designated))
     result.checks["complementsCoverVertices"] = covered == set(config.labels)
@@ -659,9 +783,10 @@ def _construct_certificate(plan: BlockDiagramPlan) -> ManiConstruction:
     result.designated_planes = planes
     result.checks["designatedAreFacets"] = True
 
-    # one separating functional per point index, kept across all trials, and
-    # the accepted trials' midpoint certificates by apex-and-point label pair
-    separators: dict[int, tuple[int, ...]] = {}
+    # one separating functional per point index, kept across all trials and
+    # first read off realize's proofs, and the accepted trials' midpoint
+    # certificates by apex-and-point label pair
+    separators = _base_separators(result.base_points, lam, dependences)
     interior: dict[frozenset[str], tuple[int, ...]] = {}
     current = result.base_points
     stacks = []
@@ -796,6 +921,7 @@ def _find_cover(
 
 def mani_simplicial(d: int) -> SimplicialConstruction:
     """Simplicial illuminated d-polytope with d + p + q + 1 vertices."""
+    check_dimension(d, 1)
     if d < 3:
         raise BadParametersError("the stacked cyclic construction needs d >= 3")
     row = formulas(d)

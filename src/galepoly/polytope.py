@@ -288,7 +288,11 @@ def stack_simplex_facet(
     the apex, and none holds one, since a kept facet inside F minus v would
     lie inside F.
     """
-    fset = frozenset(facet)
+    try:
+        fset = frozenset(facet)
+    except TypeError:
+        # an unhashable entry is no vertex label, as vertex_index says of it
+        raise UnknownVertexError(f"facet entries must be vertex labels, not {facet!r}") from None
     index = poly._index
     for v in fset:
         if v not in index:
@@ -345,8 +349,7 @@ def stack_simplex_facet(
 
 def crosspolytope(d: int) -> IncidencePolytope:
     """2d vertices +-1 ... +-d; facets pick one sign per coordinate."""
-    if d < 1:
-        raise BadParametersError("dimension must be at least 1")
+    check_dimension(d, 1)
     vertices = []
     for i in range(1, d + 1):
         vertices.extend((f"+{i}", f"-{i}"))
@@ -359,8 +362,7 @@ def crosspolytope(d: int) -> IncidencePolytope:
 
 def simplex(d: int) -> IncidencePolytope:
     """d+1 vertices; every d-subset is a facet."""
-    if d < 1:
-        raise BadParametersError("dimension must be at least 1")
+    check_dimension(d, 1)
     vertices = tuple(str(i) for i in range(1, d + 2))
     facets = tuple(itertools.combinations(vertices, d))
     return IncidencePolytope(d=d, vertices=vertices, facets=facets)
@@ -405,6 +407,8 @@ def cyclic_polytope(d: int, n: int) -> IncidencePolytope:
     from all d-subsets.  Requires n >= d+1 and d >= 2 (and yields the
     simplex at n = d+1).
     """
+    check_dimension(d, 1)
+    check_dimension(n, 1, "vertex count")
     if d < 2 or n < d + 1:
         raise BadParametersError("cyclic polytope needs d >= 2 and n >= d+1")
     vertices = tuple(str(i) for i in range(1, n + 1))

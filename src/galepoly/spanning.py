@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
@@ -77,13 +77,17 @@ class SpanningReport:
 
     ``witness_deletion`` is the lexicographically least (k-1)-subset whose
     removal breaks positive spanning; ``certificate`` proves that failure.
-    Both are None on a positive verdict.
+    Both are None on a positive verdict, which instead keeps in
+    ``certificates`` the ``PositiveDependence`` of each deletion, in scan
+    order (``gale.realize_with_proofs`` returns them).  They prove the verdict and do
+    not enter comparisons.
     """
 
     spanning: bool
     k: int
     witness_deletion: tuple[int, ...] | None = None
     certificate: DependenceCertificate | None = None
+    certificates: tuple[DependenceCertificate, ...] = field(default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -122,6 +126,7 @@ def _check_removal(config: VectorConfiguration, k: int, removed: tuple[int, ...]
             direction=tuple(QQ(1) if i == 0 else QQ(0) for i in range(config.m)),
         )
         return SpanningReport(False, k, witness_deletion=tuple(range(len(rest))), certificate=cert)
+    proofs = []
     for deletion in itertools.combinations(range(len(rest)), k - 1):
         gone = frozenset([*removed, *(rest[t] for t in deletion)])
         hit = memo.get(gone)
@@ -130,7 +135,8 @@ def _check_removal(config: VectorConfiguration, k: int, removed: tuple[int, ...]
         ok, cert = hit
         if not ok:
             return SpanningReport(False, k, witness_deletion=deletion, certificate=cert)
-    return SpanningReport(True, k)
+        proofs.append(cert)
+    return SpanningReport(True, k, certificates=tuple(proofs))
 
 
 def is_positively_k_spanning(config: VectorConfiguration, k: int) -> SpanningReport:

@@ -26,10 +26,11 @@ from fractions import Fraction
 import certify_reference as ref
 import fraction_kernels
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from galepoly import linalg, lp, mani
+from galepoly.errors import NoEpsilonFoundError
 from galepoly.gale import PointConfiguration, gale_dual, supporting_hyperplane
 from galepoly.jsonio import (
     _ReportObjects,
@@ -287,21 +288,25 @@ def test_lp_counts_of_a_d12_certificate_build_and_dual_scan(monkeypatch):
     # the 20 midpoint certificates, so the dual solves none; the q + 1 = 5
     # designated coface LPs went too, as the designated planes prove those
     # facets on the points.  The build keeps its accepted trials' midpoint
-    # certificates instead of solving 20 final midpoint LPs, and each trial
-    # tests the flag that failed at the one before first.  Verify solves its
-    # 20 vertex and 20 midpoint LPs.
+    # certificates instead of solving 20 final midpoint LPs.  Each apex is
+    # placed at its first passing height, computed from its facet's
+    # neighbours, so no failed trial runs, and every vertex functional comes
+    # from a proof in hand (realize's scan, a stack plane, a neighbour
+    # plane): the 41 are realize's 16 and the 25 diagonal LPs of the
+    # accepted trials.  Verify solves 15 vertex LPs, the 5 apexes taking
+    # their checked stack planes, and its 20 midpoint LPs.
     count = _count_lps(monkeypatch)
     c = construct_nonsimplicial_mani(12, 1, mode="certificate")
-    assert count[0] == 114
+    assert count[0] == 41
     report = dual_spanning_report(c, k=2)
     assert report.spanning and report.minimal
-    assert count[0] == 114 + 0
+    assert count[0] == 41 + 0
     doc = json.loads(dumps(build_report(c, report)))
     count[0] = 0
     payload = rederive_report_payload(doc, "minimal2spanningDual")
     assert payload["verdict"]
     assert digest(payload) == doc["certificateDigests"]["minimal2spanningDual"]
-    assert count[0] == 40
+    assert count[0] == 35
 
 
 def test_the_build_solves_no_midpoint_lp_after_its_last_stack(monkeypatch):
@@ -445,6 +450,296 @@ def test_supporting_hyperplanes_of_drawn_points_match_the_reference(case):
     points, on_plane, subset = case
     for facet in (on_plane, subset):
         assert supporting_hyperplane(points, facet) == ref.supporting_hyperplane(points, facet)
+
+
+# every certificate build at d = 6..16 with p = 3..6 and each valid ell
+HEIGHT_BUILDS = [
+    (d, p, ell)
+    for d in range(6, 17)
+    for p in range(3, 7)
+    if -(-d // p) >= 2
+    for ell in range(1, -(-d // p))
+]
+
+
+def _stack_calls(c):
+    """The arguments of each of the build's ``geometric_stack_point``
+    calls: the points before the apex, the facet, its plane, the guards and
+    the apex label."""
+    planes, n = c.designated_planes, len(c.base_points)
+    for i, (facet, apex) in enumerate(zip(mani._designated_facets(c.plan), mani._apex_labels(c.plan.q))):
+        points = PointConfiguration(d=c.points.d, labels=c.points.labels[: n + i], coords=c.points.coords[: n + i])
+        yield points, facet, planes[i], [planes[j] for j in range(len(planes)) if j != i], apex
+
+
+@pytest.mark.parametrize("d,p,ell", [b for b in HEIGHT_BUILDS if b[0] in (10, 11) or b[1] == 6 and b[0] <= 9])
+def test_each_computed_height_is_the_reference_loops(d, p, ell):
+    # the reference halves from eps = 1 and solves every flag of every
+    # trial; the builds at d = 6..9 with p = 3, 4, 5 are compared in
+    # test_certificate_build_matches_the_reference
+    c = _build(d, p, ell)
+    for (points, facet, plane, guards, apex), stack in zip(_stack_calls(c), c.stacks, strict=True):
+        stacked, cert = ref.geometric_stack_point(points, facet, plane, guards, apex)
+        assert cert == stack
+        assert stacked.coords == c.points.coords[: len(stacked)]
+
+
+@pytest.mark.parametrize("d,p,ell", HEIGHT_BUILDS)
+def test_each_computed_height_is_the_search_from_trial_one(d, p, ell):
+    # a plane with its offset lowered by 1 gives the same apexes, as the
+    # apex rises from the barycenter along the normal, but it does not
+    # vanish on the facet, so the library searches from trial 1 with every
+    # flag of every trial tested: the same apex, trials and diagonal
+    # certificates as the computed height
+    c = _build(d, p, ell)
+    for (points, facet, plane, guards, apex), stack in zip(_stack_calls(c), c.stacks, strict=True):
+        computed = mani.geometric_stack_point(points, facet, plane, guards, apex, separators=dict(c.separators))
+        normal, offset = plane
+        searched = mani.geometric_stack_point(points, facet, (normal, offset - 1), guards, apex, separators=dict(c.separators))
+        assert computed[1] == stack
+        assert searched[0] == computed[0]
+        assert searched[2] == computed[2] and None not in computed[2].values()
+        assert (searched[1].apex, searched[1].epsilon, searched[1].trials) == (stack.apex, stack.epsilon, stack.trials)
+
+
+def _count_hull_tests(monkeypatch):
+    calls = []
+    real = mani.hull_flags
+
+    def counting(points, vertices, diagonals, separators=None):
+        calls.append(len(points))
+        return real(points, vertices, diagonals, separators)
+
+    monkeypatch.setattr(mani, "hull_flags", counting)
+    return calls
+
+
+def test_each_stack_tests_only_its_accepted_trial(monkeypatch):
+    # q + 1 = 5 stacks test one trial each, then the final vertex proofs
+    calls = _count_hull_tests(monkeypatch)
+    c = construct_nonsimplicial_mani(12, 1, mode="certificate")
+    assert [s.trials for s in c.stacks] == [9, 6, 6, 6, 6]
+    assert len(calls) == len(c.stacks) + 1
+
+
+def test_a_start_on_the_last_halving_passes_and_one_past_it_fails():
+    # with max_halvings at the computed trial the start is the last
+    # halving; one less leaves no trial to run
+    c = _build(6, 3, 1)
+    for (points, facet, plane, guards, apex), stack in zip(_stack_calls(c), c.stacks):
+        last = stack.trials
+        _, cert, _ = mani.geometric_stack_point(points, facet, plane, guards, apex, max_halvings=last)
+        assert cert == stack == ref.geometric_stack_point(points, facet, plane, guards, apex, max_halvings=last)[1]
+        with pytest.raises(NoEpsilonFoundError):
+            mani.geometric_stack_point(points, facet, plane, guards, apex, max_halvings=last - 1)
+        with pytest.raises(AssertionError, match="no apex height"):
+            ref.geometric_stack_point(points, facet, plane, guards, apex, max_halvings=last - 1)
+
+
+# a trapezoid over its bottom edge a, b, whose plane is y = 0 with normal
+# (0, -1); its neighbour edges lean out, so an apex at (2, -eps) must stay
+# below eps = 1/4
+TRAPEZOID = PointConfiguration.from_pairs(2, zip("abcd", [(0, 0), (4, 0), (-8, 1), (12, 1)]))
+
+
+@pytest.mark.parametrize("plane,searched", [
+    (((0, -1), -1), True), (((1, -4), 2), True), (((0, -1), 0), False), (((0, -2), 0), False),
+])
+def test_a_plane_that_does_not_support_the_facet_starts_at_trial_one(monkeypatch, plane, searched):
+    # ((0, -1), -1) is parallel to the edge and ((1, -4), 2) tilted through
+    # its barycenter: neither vanishes on the edge, so the search tests
+    # every trial from 1.  The edge's own plane, with either length of
+    # normal, has its height computed and tests that trial alone
+    normal, offset = tuple(map(QQ, plane[0])), QQ(plane[1])
+    calls = _count_hull_tests(monkeypatch)
+    stacked, cert, _ = mani.geometric_stack_point(TRAPEZOID, "ab", (normal, offset), new_label="z")
+    assert (stacked, cert) == ref.geometric_stack_point(TRAPEZOID, "ab", (normal, offset), (), "z")
+    assert cert.trials > 1
+    assert len(calls) == (cert.trials if searched else 1)
+
+
+@st.composite
+def _stacking_cases(draw):
+    """Points about a plane whose points on it are a simplex facet of their
+    hull, perhaps with a point that is no vertex (the centroid, or the
+    midpoint of two points), guard planes drawn about the facet's
+    barycenter, and a cap on the halvings."""
+    points, on_plane, _ = draw(_points_about_a_plane())
+    assume(len(on_plane) == points.d)
+    plane = supporting_hyperplane(points, on_plane)
+    assume(plane is not None)
+    coords = list(points.coords)
+    extra = draw(st.sampled_from(["none", "centroid", "midpoint"]))
+    if extra == "centroid":
+        coords.append(tuple(sum(col) / len(coords) for col in zip(*coords)))
+    elif extra == "midpoint":
+        i, j = draw(st.lists(st.integers(0, len(coords) - 1), min_size=2, max_size=2, unique=True))
+        coords.append(tuple((a + b) / 2 for a, b in zip(coords[i], coords[j])))
+    if extra != "none":
+        points = PointConfiguration(d=points.d, labels=points.labels + ("extra",), coords=tuple(coords))
+    center = [sum(col) / points.d for col in zip(*[points.coords[points.labels.index(lab)] for lab in on_plane])]
+    guards = []
+    for _ in range(draw(st.integers(0, 2))):
+        a = tuple(draw(st.lists(_RATIONALS, min_size=points.d, max_size=points.d)))
+        guards.append((a, sum(x * y for x, y in zip(a, center)) + draw(_RATIONALS)))
+    return points, on_plane, plane, guards, draw(st.integers(1, 12))
+
+
+def _stack_outcome(stack, *args, **kwargs):
+    try:
+        return stack(*args, **kwargs)[:2]
+    except (NoEpsilonFoundError, AssertionError):
+        return "no height"
+
+
+@given(_stacking_cases())
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+def test_computed_heights_of_drawn_points_match_the_reference(case):
+    # the library raises NoEpsilonFoundError where the reference's loop
+    # ends in its AssertionError, as with a point that is no vertex
+    points, facet, plane, guards, cap = case
+    want = _stack_outcome(ref.geometric_stack_point, points, facet, plane, guards, "apex", max_halvings=cap)
+    for separators in (None, {}):
+        got = _stack_outcome(
+            mani.geometric_stack_point, points, facet, plane, guards, "apex", max_halvings=cap, separators=separators
+        )
+        assert got == want
+    if "extra" in points.labels and not lp.is_vertex_of_hull(points.coords, len(points) - 1):
+        assert want == "no height"
+
+
+@pytest.mark.parametrize("d,p,ell", ALL_BUILDS)
+def test_a_block_diagram_build_solves_no_vertex_lp(monkeypatch, d, p, ell):
+    # every vertex functional comes from a proof the build holds: realize's
+    # scan or a stack plane
+    solved = []
+    real = mani.separating_functional
+    monkeypatch.setattr(mani, "separating_functional", lambda c, i: solved.append(i) or real(c, i))
+    c = construct_nonsimplicial_mani(d, ell, p=p, mode="certificate")
+    assert c.all_checks_pass()
+    assert solved == []
+    assert sorted(c.separators) == list(range(len(c.points)))
+
+
+# each kept functional of a source forged one way; each must fail its
+# re-check and fall back to the vertex LP, with the build unchanged.  A
+# forged functional that an LP replaced is not offered again, so the
+# stacks after it read the LP's.
+FORGED_FUNCTIONALS = {
+    "negated": lambda y: tuple(-a for a in y),
+    "shifted": lambda y: (y[0] + 10**40,) + tuple(y[1:]),
+}
+
+
+def _forge_source(monkeypatch, source, forge):
+    """Forge every functional that ``source`` offers; returns the indices
+    it offered."""
+    offered = []
+    if source == "realize scan":
+        real = mani._base_separators
+
+        def forged(*args):
+            seps = real(*args)
+            offered.extend(seps)
+            return {i: forge(y) for i, y in seps.items()}
+
+        monkeypatch.setattr(mani, "_base_separators", forged)
+    else:
+        real = mani.StackCertificate.functional
+
+        def forged_plane(self):
+            offered.append(self.apex_label)
+            return forge(real.fget(self))
+
+        monkeypatch.setattr(mani.StackCertificate, "functional", property(forged_plane))
+    return offered
+
+
+@pytest.mark.parametrize("forgery", sorted(FORGED_FUNCTIONALS))
+@pytest.mark.parametrize("source", ["realize scan", "stack plane"])
+def test_a_forged_functional_from_a_proof_in_hand_falls_back_to_the_lp(monkeypatch, source, forgery):
+    honest = _build(8, 3, 1)
+    offered = _forge_source(monkeypatch, source, FORGED_FUNCTIONALS[forgery])
+    solved = []
+    real = mani.separating_functional
+    monkeypatch.setattr(mani, "separating_functional", lambda c, i: solved.append(i) or real(c, i))
+    c = construct_nonsimplicial_mani(8, 1, p=3, mode="certificate")
+    assert offered and solved
+    assert (c.points, c.stacks, c.vertex_flags, c.diagonal_flags) == (
+        honest.points, honest.stacks, honest.vertex_flags, honest.diagonal_flags
+    )
+    if source == "realize scan":
+        assert set(range(len(c.base_points))) <= set(solved)
+    else:
+        assert set(range(len(c.base_points), len(c.points))) <= set(solved)
+    # every kept functional the build ends with separates its point
+    assert all(_separates(y, c.points.coords, i) for i, y in c.separators.items())
+
+
+def test_verify_takes_each_apex_functional_from_its_checked_stack(monkeypatch):
+    # verify solves the vertex LPs of the base points only; a forged stack
+    # functional falls back to the apex's LP, with the same payloads
+    c, doc = _certificate_report(6, 4, 1)
+    n = len(c.base_points)
+    solved = []
+    real = mani.separating_functional
+    monkeypatch.setattr(mani, "separating_functional", lambda coords, i: solved.append(i) or real(coords, i))
+    payloads = verify_report(doc, None)
+    assert {p["check"]: digest(p) for p in payloads} == doc["certificateDigests"]
+    assert solved == list(range(n))
+    solved.clear()
+    _forge_source(monkeypatch, "stack plane", FORGED_FUNCTIONALS["negated"])
+    assert verify_report(doc, None) == payloads
+    assert solved == list(range(len(c.points)))
+
+
+# The forgeries above under python -O, where no assert would run: each
+# forged functional must fail its re-check and its vertex LP run in its
+# place, with the build's points, stacks and flags unchanged.
+PROOF_FORGERIES = textwrap.dedent(
+    """
+    import sys
+    from galepoly import mani
+
+    def build():
+        return mani.construct_nonsimplicial_mani(7, 1, p=3, mode="certificate")
+
+    honest = build()
+    solved = []
+    real_lp = mani.separating_functional
+    mani.separating_functional = lambda coords, i: solved.append(i) or real_lp(coords, i)
+    build()
+    if solved:
+        sys.exit("an honest build solved a vertex LP")
+    shift = lambda y: (y[0] + 10**40,) + tuple(y[1:])
+    real_base, real_plane = mani._base_separators, mani.StackCertificate.functional
+    for name in ("realize scan", "stack plane"):
+        solved.clear()
+        if name == "realize scan":
+            mani._base_separators = lambda *args: {i: shift(y) for i, y in real_base(*args).items()}
+        else:
+            mani.StackCertificate.functional = property(lambda self: shift(real_plane.fget(self)))
+        c = build()
+        mani._base_separators, mani.StackCertificate.functional = real_base, real_plane
+        if not solved:
+            sys.exit(f"a forged {name} went unnoticed")
+        if (c.points, c.stacks, c.vertex_flags, c.diagonal_flags) != (
+            honest.points, honest.stacks, honest.vertex_flags, honest.diagonal_flags
+        ):
+            sys.exit(f"a forged {name} changed the build")
+    print(sys.flags.optimize)
+    """
+)
+
+
+def test_forged_functionals_from_proofs_in_hand_fall_back_under_optimized_mode():
+    src = os.path.dirname(os.path.dirname(mani.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", PROOF_FORGERIES], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
 
 
 @pytest.mark.parametrize("d,p,ell", ALL_BUILDS)
